@@ -11,8 +11,19 @@
 #
 # Exit status: 0 when the reaction budget holds, non-zero otherwise.
 # The export format is line-oriented JSON with fixed key order, so this
-# script needs only sed/awk — no JSON parser.
+# script needs only sed/awk — no JSON parser. Every gate runs in turn; a
+# gate whose input is missing prints a SKIP line instead of exiting, so
+# later gates always get their say.
 set -euo pipefail
+
+# gauge LINE NAME [FIELD]: prints FIELD (default "value") of metric NAME
+# from one exported JSON line, e.g. "NAME":{"type":"gauge","value":X} or
+# a histogram's trailing "p99":X; prints nothing when absent.
+gauge() {
+  local name="${2//./\\.}"
+  sed -n "s/.*\"${name}\":{[^}]*\"${3:-value}\":\([0-9eE.+-]*\)}.*/\1/p" \
+    <<< "$1"
+}
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${FLEX_BUILD_DIR:-${repo_root}/build}}"
@@ -57,14 +68,8 @@ if [[ -z "${e2e_line}" ]]; then
   exit 2
 fi
 
-# "reaction.end_to_end_s":{"type":"histogram",...,"p99":<X>} and
-# "reaction.budget_s":{"type":"gauge","value":<Y>}.
-p99="$(sed -n \
-  's/.*"reaction\.end_to_end_s":{[^}]*"p99":\([0-9eE.+-]*\)}.*/\1/p' \
-  <<< "${e2e_line}")"
-budget="$(sed -n \
-  's/.*"reaction\.budget_s":{[^}]*"value":\([0-9eE.+-]*\)}.*/\1/p' \
-  <<< "${e2e_line}")"
+p99="$(gauge "${e2e_line}" reaction.end_to_end_s p99)"
+budget="$(gauge "${e2e_line}" reaction.budget_s)"
 if [[ -z "${p99}" || -z "${budget}" ]]; then
   echo "check_budget: reaction metrics missing from ${out_json}" >&2
   exit 2
@@ -93,25 +98,20 @@ fi
 # next to the parallel stepping it synchronizes. The events/sec floor
 # (largest ladder rung, 100k+ racks) and the serial-vs-parallel speedup
 # only mean something on multi-core hardware and self-skip otherwise,
-# same idiom as the solver speedup gate below. This section never
-# early-exits the script — the solver gates still run after a skip.
+# same idiom as the solver speedup gate below.
 fleet_json="${FLEX_FLEET_BENCH_JSON:-${repo_root}/BENCH_fleet_scale.json}"
 max_merge_overhead_pct=5.0
 min_fleet_events_per_sec=100000
 min_fleet_speedup=1.2
-fleet_gauge() {
-  sed -n "s/.*\"$1\":{[^}]*\"value\":\([0-9eE.+-]*\)}.*/\1/p" \
-    <<< "${fleet_line}"
-}
 if [[ ! -s "${fleet_json}" ]]; then
   echo "check_budget: SKIP fleet gates — ${fleet_json} not found" \
        "(generate with scripts/run_benches.sh)"
 else
   fleet_line="$(tail -n 1 "${fleet_json}")"
-  hash_match="$(fleet_gauge 'fleet\.lane_hash_match')"
-  merge_pct="$(fleet_gauge 'fleet\.merge_overhead_pct')"
-  fleet_events="$(fleet_gauge 'fleet\.events_per_sec')"
-  fleet_speedup="$(fleet_gauge 'fleet\.scaling\.speedup')"
+  hash_match="$(gauge "${fleet_line}" fleet.lane_hash_match)"
+  merge_pct="$(gauge "${fleet_line}" fleet.merge_overhead_pct)"
+  fleet_events="$(gauge "${fleet_line}" fleet.events_per_sec)"
+  fleet_speedup="$(gauge "${fleet_line}" fleet.scaling.speedup)"
   fleet_hw="$(sed -n 's/.*"hw_concurrency":\([0-9]*\),.*/\1/p' \
     <<< "${fleet_line}")"
   [[ -n "${fleet_hw}" ]] || fleet_hw="$(nproc)"
@@ -177,26 +177,40 @@ fi
 solver_json="${FLEX_SOLVER_BENCH_JSON:-${repo_root}/BENCH_solver.json}"
 min_hit_rate=0.8
 max_refactor_rate=0.53
-if [[ ! -s "${solver_json}" ]]; then
-  echo "check_budget: SKIP solver warm-restart gates — ${solver_json}"        "not found (generate with scripts/run_benches.sh)"
-  exit 0
+solver_line=""
+if [[ -s "${solver_json}" ]]; then
+  solver_line="$(tail -n 1 "${solver_json}")"
 fi
-solver_line="$(tail -n 1 "${solver_json}")"
-hit_rate="$(sed -n   's/.*"solver\.warm_hit_rate":{[^}]*"value":\([0-9eE.+-]*\)}.*/\1/p'   <<< "${solver_line}")"
-refactor_rate="$(sed -n   's/.*"solver\.refactors_per_lp_solve":{[^}]*"value":\([0-9eE.+-]*\)}.*/\1/p'   <<< "${solver_line}")"
-if [[ -z "${hit_rate}" || -z "${refactor_rate}" ]]; then
-  echo "check_budget: SKIP solver warm-restart gates — no"        "solver.warm_hit_rate / solver.refactors_per_lp_solve in"        "${solver_json} (regenerate with scripts/run_benches.sh)"
+if [[ -z "${solver_line}" ]]; then
+  echo "check_budget: SKIP solver warm-restart gates — ${solver_json}" \
+       "not found (generate with scripts/run_benches.sh)"
 else
-  echo "check_budget: solver warm hit rate = ${hit_rate}"        "(floor ${min_hit_rate}), refactors per LP solve ="        "${refactor_rate} (ceiling ${max_refactor_rate})"
-  if ! awk -v r="${hit_rate}" -v floor="${min_hit_rate}"     'BEGIN { exit !(r + 0 >= floor + 0) }'; then
-    echo "check_budget: FAIL — warm-basis hit rate ${hit_rate} is below"          "${min_hit_rate} (branching children are going cold; check the"          "adopt/patch/install warm routes in revised_simplex)" >&2
-    exit 1
+  hit_rate="$(gauge "${solver_line}" solver.warm_hit_rate)"
+  refactor_rate="$(gauge "${solver_line}" solver.refactors_per_lp_solve)"
+  if [[ -z "${hit_rate}" || -z "${refactor_rate}" ]]; then
+    echo "check_budget: SKIP solver warm-restart gates — no" \
+         "solver.warm_hit_rate / solver.refactors_per_lp_solve in" \
+         "${solver_json} (regenerate with scripts/run_benches.sh)"
+  else
+    echo "check_budget: solver warm hit rate = ${hit_rate}" \
+         "(floor ${min_hit_rate}), refactors per LP solve =" \
+         "${refactor_rate} (ceiling ${max_refactor_rate})"
+    if ! awk -v r="${hit_rate}" -v floor="${min_hit_rate}" \
+      'BEGIN { exit !(r + 0 >= floor + 0) }'; then
+      echo "check_budget: FAIL — warm-basis hit rate ${hit_rate} is below" \
+           "${min_hit_rate} (branching children are going cold; check the" \
+           "adopt/patch/install warm routes in revised_simplex)" >&2
+      exit 1
+    fi
+    if ! awk -v r="${refactor_rate}" -v ceil="${max_refactor_rate}" \
+      'BEGIN { exit !(r + 0 <= ceil + 0) }'; then
+      echo "check_budget: FAIL — ${refactor_rate} refactorizations per LP" \
+           "solve exceeds ${max_refactor_rate} (Forrest–Tomlin updates or" \
+           "the set-difference basis patch stopped absorbing pivots)" >&2
+      exit 1
+    fi
+    echo "check_budget: OK — solver warm-restart health holds"
   fi
-  if ! awk -v r="${refactor_rate}" -v ceil="${max_refactor_rate}"     'BEGIN { exit !(r + 0 <= ceil + 0) }'; then
-    echo "check_budget: FAIL — ${refactor_rate} refactorizations per LP"          "solve exceeds ${max_refactor_rate} (Forrest–Tomlin updates or"          "the set-difference basis patch stopped absorbing pivots)" >&2
-    exit 1
-  fi
-  echo "check_budget: OK — solver warm-restart health holds"
 fi
 
 # Solver parallel-scaling gate. The last line of BENCH_solver.json (the
@@ -206,38 +220,31 @@ fi
 # back to nproc for snapshots predating the gauge) tells a single-core
 # machine apart from a genuine scaling regression.
 min_speedup=1.3
-if [[ ! -s "${solver_json}" ]]; then
+if [[ -z "${solver_line}" ]]; then
   echo "check_budget: SKIP solver speedup gate — ${solver_json} not found" \
        "(generate with scripts/run_benches.sh)"
-  exit 0
-fi
-solver_line="$(tail -n 1 "${solver_json}")"
-speedup="$(sed -n \
-  's/.*"solver\.parallel\.speedup":{[^}]*"value":\([0-9eE.+-]*\)}.*/\1/p' \
-  <<< "${solver_line}")"
-hw="$(sed -n \
-  's/.*"solver\.parallel\.hw_concurrency":{[^}]*"value":\([0-9eE.+-]*\)}.*/\1/p' \
-  <<< "${solver_line}")"
-[[ -n "${hw}" ]] || hw="$(nproc)"
-if [[ -z "${speedup}" ]]; then
-  echo "check_budget: SKIP solver speedup gate — no solver.parallel.speedup" \
-       "in ${solver_json}"
-  exit 0
-fi
-if awk -v hw="${hw}" 'BEGIN { exit !(hw + 0 < 2) }'; then
-  echo "check_budget: SKIP solver speedup gate — hw_concurrency=${hw} < 2," \
-       "parallel speedup is not measurable on this machine" \
-       "(recorded speedup ${speedup}x)"
-  exit 0
-fi
-echo "check_budget: solver parallel speedup = ${speedup}x" \
-     "(hw_concurrency=${hw}, floor ${min_speedup}x)"
-if awk -v s="${speedup}" -v floor="${min_speedup}" \
-  'BEGIN { exit !(s + 0 >= floor + 0) }'; then
-  echo "check_budget: OK — solver parallel scaling holds"
 else
-  echo "check_budget: FAIL — solver parallel speedup ${speedup}x is below" \
-       "${min_speedup}x on ${hw}-wide hardware (regression in the" \
-       "wave-parallel search or the warm-basis path)" >&2
-  exit 1
+  speedup="$(gauge "${solver_line}" solver.parallel.speedup)"
+  hw="$(gauge "${solver_line}" solver.parallel.hw_concurrency)"
+  [[ -n "${hw}" ]] || hw="$(nproc)"
+  if [[ -z "${speedup}" ]]; then
+    echo "check_budget: SKIP solver speedup gate — no solver.parallel.speedup" \
+         "in ${solver_json}"
+  elif awk -v hw="${hw}" 'BEGIN { exit !(hw + 0 < 2) }'; then
+    echo "check_budget: SKIP solver speedup gate — hw_concurrency=${hw} < 2," \
+         "parallel speedup is not measurable on this machine" \
+         "(recorded speedup ${speedup}x)"
+  else
+    echo "check_budget: solver parallel speedup = ${speedup}x" \
+         "(hw_concurrency=${hw}, floor ${min_speedup}x)"
+    if awk -v s="${speedup}" -v floor="${min_speedup}" \
+      'BEGIN { exit !(s + 0 >= floor + 0) }'; then
+      echo "check_budget: OK — solver parallel scaling holds"
+    else
+      echo "check_budget: FAIL — solver parallel speedup ${speedup}x is below" \
+           "${min_speedup}x on ${hw}-wide hardware (regression in the" \
+           "wave-parallel search or the warm-basis path)" >&2
+      exit 1
+    fi
+  fi
 fi

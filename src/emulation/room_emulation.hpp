@@ -15,10 +15,9 @@
  * loads are maintained incrementally (power::IncrementalUpsLoads) from
  * rack-power deltas instead of per-tick O(racks) rescans, so rooms of
  * tens of thousands of racks simulate at interactive speed. Set
- * EmulationConfig::incremental_aggregation = false to fall back to the
- * original full-rescan path (the measured baseline for the room-scale
- * bench), and verify_aggregation = true to cross-check the running sums
- * against an exact rescan at every sample.
+ * EmulationConfig::verify_aggregation = true to cross-check the running
+ * sums, the rack-state mirrors and the action counters against an exact
+ * rescan at every sample.
  */
 #ifndef FLEX_EMULATION_ROOM_EMULATION_HPP_
 #define FLEX_EMULATION_ROOM_EMULATION_HPP_
@@ -72,9 +71,8 @@ struct EmulationConfig {
    * Safety-monitor cadence (per-UPS overload and trip-curve tracking).
    * <= 0 (default) folds the monitor into each sample tick, i.e. the
    * sample_period cadence. > 0 schedules a dedicated monitor at this
-   * period: with incremental aggregation each tick costs O(UPSes), so
-   * 100 Hz trip-curve monitoring stays affordable at 10k racks, while
-   * the full-rescan baseline pays O(racks) per tick. The paper's trip
+   * period: each tick reads the running UPS sums, O(UPSes), so 100 Hz
+   * trip-curve monitoring stays affordable at 10k racks. The paper's trip
    * curves resolve overloads down to tens of milliseconds, which the
    * default 5 s sampling cannot see.
    */
@@ -114,15 +112,10 @@ struct EmulationConfig {
   std::uint64_t seed = 2021;
 
   /**
-   * Maintain UPS loads incrementally from rack-power deltas (the scaled
-   * path). false restores the original full-rescan behaviour: every
-   * telemetry tick, sample, and safety check walks all racks — the
-   * baseline the room-scale bench measures its speedup against.
-   */
-  bool incremental_aggregation = true;
-  /**
    * Cross-check the incremental sums against an exact brute-force rescan
-   * at every sample (FLEX_CHECK on divergence). Defaults on under
+   * at every sample, and recount the rack on/cap mirrors and action
+   * counters from the actuation plane (FLEX_CHECK on divergence; the
+   * engine's one exact-rescan oracle). Defaults on under
    * sanitized builds (-DFLEX_AGG_VERIFY, set by FLEX_SANITIZE); always
    * settable explicitly for tests.
    */
@@ -131,8 +124,6 @@ struct EmulationConfig {
 #else
   bool verify_aggregation = false;
 #endif
-  /** Event-queue backing store (calendar wheel by default). */
-  sim::EventQueue::Impl queue_impl = sim::EventQueue::Impl::kCalendar;
 
   /**
    * Optional instrumentation sink. When set, the harness binds it to its
@@ -368,14 +359,11 @@ class RoomEmulation : public telemetry::PowerSource {
   void MonitorTick(const std::vector<Watts>& ups);
   void OnRackStateChanged(int rack_id);
   void RebuildAggregates();
+  /** The verify_aggregation oracle; FLEX_CHECKs every running state. */
   void VerifyAggregates();
-  /** Rack power from the SoA state + actuation mirrors (any mode). */
+  /** Rack power from the SoA state + actuation mirrors. */
   double ComputeRackPowerW(int rack_id, double ramp) const;
   double RampNow() const;
-  Watts TrueRackPower(int rack_id) const;
-  std::vector<Watts> TrueUpsLoads() const;
-  /** UPS loads via whichever path the config selects. */
-  std::vector<Watts> UpsLoadsNow() const;
 
   EmulationConfig config_;
   power::RoomTopology topology_;

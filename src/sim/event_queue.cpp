@@ -10,11 +10,7 @@
 
 namespace flex::sim {
 
-EventQueue::EventQueue(Impl impl) : impl_(impl)
-{
-  if (impl_ == Impl::kCalendar)
-    buckets_.resize(kNumBuckets);
-}
+EventQueue::EventQueue() : buckets_(kNumBuckets) {}
 
 EventId
 EventQueue::Schedule(Seconds delay, Callback callback)
@@ -37,10 +33,6 @@ EventQueue::ScheduleAt(Seconds when, Callback callback)
 void
 EventQueue::Insert(Entry entry)
 {
-  if (impl_ == Impl::kHeap) {
-    heap_.push(std::move(entry));
-    return;
-  }
   const double when = entry.when.value();
   const double wheel_end = wheel_start_ + kNumBuckets * kBucketWidth;
   if (when >= wheel_end) {
@@ -78,17 +70,6 @@ EventQueue::RemoveObserver(ObserverId id)
                                     return entry.id == id;
                                   }),
                    observers_.end());
-  if (legacy_observer_id_ == id)
-    legacy_observer_id_ = 0;
-}
-
-void
-EventQueue::SetObserver(Observer observer)
-{
-  if (legacy_observer_id_ != 0)
-    RemoveObserver(legacy_observer_id_);
-  if (observer)
-    legacy_observer_id_ = AddObserver(std::move(observer));
 }
 
 void
@@ -105,25 +86,6 @@ EventQueue::Cancel(EventId id)
   // Lazy cancellation: the entry stays in its container and is skipped
   // when reached because its id is no longer pending.
   pending_.erase(id);
-}
-
-bool
-EventQueue::PopEarliestHeap(double horizon, Entry& out)
-{
-  while (!heap_.empty()) {
-    const Entry& top = heap_.top();
-    if (pending_.count(top.id) == 0) {
-      heap_.pop();  // cancelled: drop silently
-      continue;
-    }
-    if (top.when.value() > horizon)
-      return false;
-    out = top;
-    heap_.pop();
-    pending_.erase(out.id);
-    return true;
-  }
-  return false;
 }
 
 bool
@@ -149,8 +111,8 @@ EventQueue::AdvanceWheel()
   return true;
 }
 
-bool
-EventQueue::PopEarliestCalendar(double horizon, Entry& out)
+std::vector<EventQueue::Entry>*
+EventQueue::FindEarliest(std::size_t* index)
 {
   for (;;) {
     while (wheel_entries_ > 0 && cursor_ < kNumBuckets) {
@@ -177,79 +139,37 @@ EventQueue::PopEarliestCalendar(double horizon, Entry& out)
         ++cursor_;
         continue;
       }
-      if (bucket[best].when.value() > horizon)
-        return false;  // earliest wheel event is beyond the horizon
-      out = std::move(bucket[best]);
-      bucket[best] = std::move(bucket.back());
-      bucket.pop_back();
-      --wheel_entries_;
-      pending_.erase(out.id);
-      return true;
+      *index = best;
+      return &bucket;
     }
     // Wheel exhausted (only tombstones may remain in passed buckets).
     if (!AdvanceWheel())
-      return false;
+      return nullptr;
   }
 }
 
 bool
 EventQueue::PopEarliest(double horizon, Entry& out)
 {
-  return impl_ == Impl::kHeap ? PopEarliestHeap(horizon, out)
-                              : PopEarliestCalendar(horizon, out);
-}
-
-double
-EventQueue::PeekEarliestHeap()
-{
-  while (!heap_.empty() && pending_.count(heap_.top().id) == 0)
-    heap_.pop();  // cancelled: drop silently, same as the pop path
-  if (heap_.empty())
-    return std::numeric_limits<double>::infinity();
-  return heap_.top().when.value();
-}
-
-double
-EventQueue::PeekEarliestCalendar()
-{
-  // Mirrors PopEarliestCalendar's scan — compact cancelled entries,
-  // advance the cursor over drained buckets, rebase the wheel from the
-  // far heap — but leaves the winning entry in place.
-  for (;;) {
-    while (wheel_entries_ > 0 && cursor_ < kNumBuckets) {
-      std::vector<Entry>& bucket = buckets_[cursor_];
-      std::size_t best = bucket.size();
-      std::size_t write = 0;
-      for (std::size_t read = 0; read < bucket.size(); ++read) {
-        if (pending_.count(bucket[read].id) == 0) {
-          --wheel_entries_;
-          continue;  // cancelled: compact it away
-        }
-        if (write != read)
-          bucket[write] = std::move(bucket[read]);
-        if (best == bucket.size() ||
-            bucket[write].when < bucket[best].when)
-          best = write;
-        ++write;
-      }
-      bucket.resize(write);
-      if (bucket.empty()) {
-        ++cursor_;
-        continue;
-      }
-      return bucket[best].when.value();
-    }
-    // Wheel exhausted (only tombstones may remain in passed buckets).
-    if (!AdvanceWheel())
-      return std::numeric_limits<double>::infinity();
-  }
+  std::size_t best = 0;
+  std::vector<Entry>* bucket = FindEarliest(&best);
+  if (bucket == nullptr || (*bucket)[best].when.value() > horizon)
+    return false;
+  out = std::move((*bucket)[best]);
+  (*bucket)[best] = std::move(bucket->back());
+  bucket->pop_back();
+  --wheel_entries_;
+  pending_.erase(out.id);
+  return true;
 }
 
 Seconds
 EventQueue::NextEventTime()
 {
-  return Seconds(impl_ == Impl::kHeap ? PeekEarliestHeap()
-                                      : PeekEarliestCalendar());
+  std::size_t best = 0;
+  const std::vector<Entry>* bucket = FindEarliest(&best);
+  return Seconds(bucket != nullptr ? (*bucket)[best].when.value()
+                                   : std::numeric_limits<double>::infinity());
 }
 
 std::size_t

@@ -1,4 +1,4 @@
-#include "revised_simplex.hpp"
+#include "simplex.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -34,7 +34,7 @@ constexpr double kWarmFeasTolerance = 1e-7;
 constexpr double kDualFeasTolerance = 1e-7;
 
 /** Phase-1 optimum above this level of residual infeasibility means the
- * LP has no feasible point (matches the dense implementation). */
+ * LP has no feasible point. */
 constexpr double kInfeasibilityTolerance = 1e-6;
 
 /** A variable whose bound range is below this is treated as fixed: it
@@ -633,7 +633,7 @@ RevisedSolver::InstallWarmBasis(const SimplexBasis& basis)
 
   for (const SimplexBasis::RowEntry& entry : basis.rows) {
     if (entry.row_id < 0 || entry.row_id >= m_)
-      continue;  // dense bound row or stale constraint; skip
+      continue;  // stale constraint; skip
     if (ws_.sp_basic_of_row[static_cast<std::size_t>(entry.row_id)] >= 0)
       continue;
     int col = -1;
@@ -1448,13 +1448,28 @@ RevisedSolver::Solve(const BoundOverrides& overrides,
 }  // namespace
 
 LpResult
-SolveRevised(const Model& model, const BoundOverrides& overrides,
-             SimplexWorkspace* workspace, const SimplexBasis* warm_basis,
-             SimplexBasis* basis_out, const SimplexSolver::Options& options)
+SimplexSolver::Solve(const Model& model) const
+{
+  return SolveWithBounds(model, BoundOverrides{});
+}
+
+LpResult
+SimplexSolver::SolveWithBounds(const Model& model,
+                               const BoundOverrides& overrides) const
+{
+  return SolveWithBounds(model, overrides, nullptr, nullptr, nullptr);
+}
+
+LpResult
+SimplexSolver::SolveWithBounds(const Model& model,
+                               const BoundOverrides& overrides,
+                               SimplexWorkspace* workspace,
+                               const SimplexBasis* warm_basis,
+                               SimplexBasis* basis_out) const
 {
   SimplexWorkspace local;
   SimplexWorkspace& ws = workspace != nullptr ? *workspace : local;
-  RevisedSolver solver(model, ws, options);
+  RevisedSolver solver(model, ws, options_);
   return solver.Solve(overrides, warm_basis, basis_out);
 }
 

@@ -1,29 +1,24 @@
 /**
  * @file
- * Primal simplex solvers for bounded-variable linear programs.
+ * Primal simplex solver for bounded-variable linear programs.
  *
  * Solves the LP relaxation of a Model (integrality ignored). Variable
  * bounds may be overridden per solve, which is how branch-and-bound fixes
- * binaries without copying the model. Two interchangeable implementations
- * live behind one API, selected by Options::impl:
- *
- *  - SimplexImpl::kSparse (default): a bounded-variable revised simplex
- *    on CSC columns. The basis is held as a sparse LU with
- *    Forrest–Tomlin updates (BasisFactorization) and refactorization on
- *    schedule or numerical distress; variable bounds are handled
- *    natively (nonbasic variables sit at either bound and may flip
- *    without a basis change), so no bound rows are ever materialized.
- *    Pricing is partial (rotating segments, Dantzig within a segment)
- *    with a Bland's-rule fallback on stall. A dual-simplex phase
- *    restores primal feasibility of a warm basis that a bound change
- *    pushed out of range, so branching children rarely go cold.
- *  - SimplexImpl::kDense: the original flat-tableau two-phase simplex,
- *    kept in-tree as the independent oracle for the differential LP
- *    test harness (tests/solver_lp_differential_test.cpp).
+ * binaries without copying the model. The solver is a bounded-variable
+ * revised simplex on CSC columns (revised_simplex.cpp). The basis is
+ * held as a sparse LU with Forrest–Tomlin updates (BasisFactorization)
+ * and refactorization on schedule or numerical distress; variable bounds
+ * are handled natively (nonbasic variables sit at either bound and may
+ * flip without a basis change), so no bound rows are ever materialized.
+ * Pricing is partial (rotating segments, Dantzig within a segment) with
+ * a Bland's-rule fallback on stall. A dual-simplex phase restores primal
+ * feasibility of a warm basis that a bound change pushed out of range,
+ * so branching children rarely go cold. The solver tests check it
+ * against an independent dense-tableau oracle (tests/lp_oracle.hpp).
  *
  * Two features exist for the branch-and-bound caller:
- *  - SimplexWorkspace: all scratch storage (tableau or CSC + LU
- *    factors) lives in caller-owned buffers reused across solves, so a
+ *  - SimplexWorkspace: all scratch storage (CSC columns + LU factors)
+ *    lives in caller-owned buffers reused across solves, so a
  *    million node re-solves allocate the same few arrays instead of a
  *    fresh vector-of-vectors each. The workspace also remembers which
  *    basis snapshot its factorization currently represents: a warm
@@ -54,12 +49,6 @@ namespace flex::solver {
 /** Outcome of an LP solve. */
 enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
 
-/** Which simplex implementation a solve runs. */
-enum class SimplexImpl {
-  kSparse,  ///< revised simplex on sparse columns (default)
-  kDense,   ///< flat-tableau oracle for differential testing
-};
-
 /** Solution of an LP solve. */
 struct LpResult {
   LpStatus status = LpStatus::kIterationLimit;
@@ -75,14 +64,14 @@ struct LpResult {
    * dual simplex repaired (or refuted) it without a cold Phase 1. */
   bool warm_dual_restart = false;
   /**
-   * Optimality certificate, filled by the sparse implementation on
-   * kOptimal. Both are stated for the *minimization* orientation of the
-   * model (maximize models are solved as minimize -c): at an optimum,
+   * Optimality certificate, filled on kOptimal. Both are stated for
+   * the *minimization* orientation of the model (maximize models are
+   * solved as minimize -c): at an optimum,
    * reduced_costs[j] >= -tol for variables at their lower bound,
    * <= tol at their upper bound, ~0 for basic variables, and
    * reduced_costs == c_min - A^T dual holds by construction. dual has
    * one entry per model constraint; <= rows have dual <= tol, >= rows
-   * have dual >= -tol. Empty for the dense implementation.
+   * have dual >= -tol.
    */
   std::vector<double> dual;
   std::vector<double> reduced_costs;
@@ -94,27 +83,24 @@ struct LpResult {
 using BoundOverrides = std::vector<std::optional<std::pair<double, double>>>;
 
 /**
- * Structural snapshot of a simplex basis, stable across the column /
- * row renumbering that bound changes cause. Rows are identified by the
- * model constraint index (>= 0) or, for the explicit upper-bound row of
- * variable j, by ~j (< 0). Basic columns are identified as a structural
- * variable, or the slack/artificial belonging to one of those rows.
- * Entries that no longer exist in the child (fixed variable, pruned
- * bound row) are simply skipped on install.
+ * Structural snapshot of a simplex basis, stable across the bound
+ * changes between a branch-and-bound parent and its children. Rows are
+ * identified by the model constraint index. Basic columns are
+ * identified as a structural variable, or the slack/artificial belonging
+ * to one of those rows. Entries that do not fit the model being solved
+ * are simply skipped on install.
  */
 struct SimplexBasis {
   enum class Kind { kNone, kStructural, kSlack, kArtificial };
   struct RowEntry {
-    int row_id = -1;            ///< constraint index, or ~var for bound rows
+    int row_id = -1;            ///< constraint index
     Kind kind = Kind::kNone;    ///< what is basic in this row
     int col_id = -1;            ///< var index, or the owning row's row_id
   };
   std::vector<RowEntry> rows;
   /**
    * Structural variables nonbasic at their *upper* bound (sorted var
-   * indices). Only the sparse implementation records and consumes this;
-   * the dense tableau shifts bounds so nonbasic always means "at
-   * lower", and ignores the field on install.
+   * indices); every other nonbasic structural sits at its lower bound.
    */
   std::vector<int> at_upper;
   /**
@@ -143,30 +129,6 @@ struct SimplexBasis {
  * thread.
  */
 struct SimplexWorkspace {
-  // --- Dense tableau path ---------------------------------------------
-  // Tableau (flat, row-major, stride = cols + 1; last column = rhs).
-  std::vector<double> tableau;
-  std::vector<double> phase2_cost;
-  std::vector<double> phase1_cost;
-  std::vector<double> reduced;
-  std::vector<int> basis;
-  std::vector<char> artificial;
-  std::vector<int> col_kind;       // SimplexBasis::Kind per column
-  std::vector<int> col_id;         // structural var / owning row per column
-  // Presolve products.
-  std::vector<double> lower;
-  std::vector<double> upper;
-  std::vector<int> column_of;
-  // Row assembly (flat coefficient matrix over structural columns).
-  std::vector<double> row_coef;
-  std::vector<int> row_rel;
-  std::vector<double> row_rhs;
-  std::vector<int> row_id;
-  std::vector<int> row_slack_col;
-  std::vector<int> row_art_col;
-  std::vector<char> row_usable;
-
-  // --- Sparse revised path --------------------------------------------
   BasisFactorization factorization;
   SparseColumns columns;           // structural + slack + artificial columns
   std::vector<double> sp_cost;     // phase-2 cost per column (minimize)
@@ -181,7 +143,7 @@ struct SimplexWorkspace {
   std::vector<double> sp_dual;     // row duals (Btran scratch)
   std::vector<double> sp_dj;       // reduced-cost / dual-pricing scratch
 
-  // Which basis snapshot the sparse-path state (columns, factorization,
+  // Which basis snapshot the solver state (columns, factorization,
   // states/values) currently represents: the id of the SimplexBasis the
   // last solve in this workspace emitted, or 0 when the state is stale.
   // A warm solve matching on (id, model) reuses the loaded factors
@@ -193,8 +155,7 @@ struct SimplexWorkspace {
 };
 
 /**
- * Bounded-variable primal simplex (sparse revised by default, dense
- * tableau on request).
+ * Bounded-variable revised primal simplex.
  *
  * Stateless between solves; safe to reuse for many LPs, and safe to
  * share across threads as long as each thread passes its own workspace.
@@ -204,7 +165,6 @@ class SimplexSolver {
   struct Options {
     double tolerance = 1e-9;        ///< pivoting / feasibility tolerance
     int max_iterations = 0;         ///< 0 = automatic (50 * (rows + cols))
-    SimplexImpl impl = SimplexImpl::kSparse;  ///< which implementation
     int refactor_interval = 64;     ///< eta updates between refactorizations
   };
 

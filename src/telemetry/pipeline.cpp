@@ -59,14 +59,6 @@ TelemetryPipeline::Subscribe(Subscriber subscriber)
 }
 
 void
-TelemetryPipeline::SetRackPollOrder(std::vector<int> order)
-{
-  std::vector<std::vector<int>> groups;
-  groups.push_back(std::move(order));
-  SetRackPollGroups(std::move(groups));
-}
-
-void
 TelemetryPipeline::SetRackPollGroups(std::vector<std::vector<int>> groups)
 {
   std::size_t covered = 0;

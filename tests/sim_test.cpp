@@ -4,6 +4,9 @@
  */
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -308,7 +311,8 @@ TEST(EventQueueTest, ObserverSeesEveryExecutedEvent)
 {
   EventQueue q;
   std::vector<double> observed;
-  q.SetObserver([&](Seconds now) { observed.push_back(now.value()); });
+  const ObserverId id =
+      q.AddObserver([&](Seconds now) { observed.push_back(now.value()); });
   q.Schedule(Seconds(1.0), [] {});
   const EventId cancelled = q.Schedule(Seconds(1.5), [] {});
   q.Schedule(Seconds(2.0), [] {});
@@ -323,7 +327,7 @@ TEST(EventQueueTest, ObserverSeesEveryExecutedEvent)
   q.Schedule(Seconds(3.0), [] {});
   EXPECT_TRUE(q.Step());
   EXPECT_EQ(observed.size(), 3u);
-  q.SetObserver(nullptr);
+  q.RemoveObserver(id);
   q.Schedule(Seconds(4.0), [] {});
   q.RunAll();
   EXPECT_EQ(observed.size(), 3u);
@@ -356,48 +360,15 @@ TEST(EventQueueTest, MultipleObserversAllSeeEachEvent)
   EXPECT_THROW(q.AddObserver(nullptr), ConfigError);
 }
 
-TEST(EventQueueTest, LegacySetObserverCoexistsWithAddObserver)
+// ---------------------------------------------------------------------------
+// Calendar-wheel edge cases: ordering guarantees across bucket boundaries,
+// wheel rotations, and events past the wheel span (which the calendar
+// parks in its far-future heap).
+// ---------------------------------------------------------------------------
+
+TEST(EventQueueCalendarTest, SameTimestampFifoStability)
 {
   EventQueue q;
-  int legacy = 0;
-  int registered = 0;
-  q.AddObserver([&](Seconds) { ++registered; });
-  q.SetObserver([&](Seconds) { ++legacy; });
-  q.Schedule(Seconds(1.0), [] {});
-  q.RunAll();
-  EXPECT_EQ(registered, 1);
-  EXPECT_EQ(legacy, 1);
-
-  // SetObserver replaces only the legacy slot, never AddObserver's.
-  int replacement = 0;
-  q.SetObserver([&](Seconds) { ++replacement; });
-  q.Schedule(Seconds(2.0), [] {});
-  q.RunAll();
-  EXPECT_EQ(legacy, 1);
-  EXPECT_EQ(replacement, 1);
-  EXPECT_EQ(registered, 2);
-
-  // And SetObserver(nullptr) detaches only the legacy slot.
-  q.SetObserver(nullptr);
-  EXPECT_EQ(q.observer_count(), 1u);
-  q.Schedule(Seconds(3.0), [] {});
-  q.RunAll();
-  EXPECT_EQ(replacement, 1);
-  EXPECT_EQ(registered, 3);
-}
-
-// ---------------------------------------------------------------------------
-// Backing-store matrix: every ordering guarantee must hold identically on
-// the binary heap and on the two-level calendar wheel (including events
-// past the wheel span, which the calendar parks in its far-future heap).
-// ---------------------------------------------------------------------------
-
-class EventQueueImplTest : public ::testing::TestWithParam<EventQueue::Impl> {
-};
-
-TEST_P(EventQueueImplTest, SameTimestampFifoStability)
-{
-  EventQueue q(GetParam());
   std::vector<int> order;
   for (int i = 0; i < 200; ++i)
     q.Schedule(Seconds(1.0), [&order, i] { order.push_back(i); });
@@ -407,12 +378,12 @@ TEST_P(EventQueueImplTest, SameTimestampFifoStability)
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST_P(EventQueueImplTest, CancelThenRescheduleChurn)
+TEST(EventQueueCalendarTest, CancelThenRescheduleChurn)
 {
   // The telemetry-poller pattern: cancel a pending event and put a
   // replacement at a colliding timestamp, repeatedly. Survivors and
   // replacements must fire in exact schedule order.
-  EventQueue q(GetParam());
+  EventQueue q;
   std::vector<int> order;
   std::vector<EventId> pending;
   for (int i = 0; i < 40; ++i) {
@@ -444,9 +415,9 @@ TEST_P(EventQueueImplTest, CancelThenRescheduleChurn)
   EXPECT_EQ(order, expected);
 }
 
-TEST_P(EventQueueImplTest, ObserversFireInInstallationOrderAfterEachEvent)
+TEST(EventQueueCalendarTest, ObserversFireInInstallationOrderAfterEachEvent)
 {
-  EventQueue q(GetParam());
+  EventQueue q;
   std::vector<int> sequence;
   q.AddObserver([&](Seconds) { sequence.push_back(1); });
   q.AddObserver([&](Seconds) { sequence.push_back(2); });
@@ -456,12 +427,12 @@ TEST_P(EventQueueImplTest, ObserversFireInInstallationOrderAfterEachEvent)
   EXPECT_EQ(sequence, (std::vector<int>{0, 1, 2, 0, 1, 2}));
 }
 
-TEST_P(EventQueueImplTest, FarFutureEventsBeyondTheWheelSpan)
+TEST(EventQueueCalendarTest, FarFutureEventsBeyondTheWheelSpan)
 {
   // The calendar wheel spans ~51.2 s; everything past it lives in the
   // far-future heap until the wheel rotates forward. Interleave near and
   // far events and verify global time order either way.
-  EventQueue q(GetParam());
+  EventQueue q;
   std::vector<double> fired;
   const auto record = [&] { fired.push_back(q.Now().value()); };
   q.Schedule(Seconds(500.0), record);
@@ -478,12 +449,12 @@ TEST_P(EventQueueImplTest, FarFutureEventsBeyondTheWheelSpan)
   EXPECT_NEAR(q.Now().value(), 2000.0, 1e-9);
 }
 
-TEST_P(EventQueueImplTest, EventsLandingBehindARebasedWheelStillRun)
+TEST(EventQueueCalendarTest, EventsLandingBehindARebasedWheelStillRun)
 {
   // After the wheel rebases onto a far-future event, a handler may
   // schedule a short-delay follow-up that lands "before" the new wheel
   // origin's bucket grid; it must still run, in order.
-  EventQueue q(GetParam());
+  EventQueue q;
   std::vector<double> fired;
   q.Schedule(Seconds(100.0), [&] {
     fired.push_back(q.Now().value());
@@ -497,9 +468,9 @@ TEST_P(EventQueueImplTest, EventsLandingBehindARebasedWheelStillRun)
   EXPECT_NEAR(fired[2], 100.001, 1e-9);  // then the 1 ms one
 }
 
-TEST_P(EventQueueImplTest, PeriodicTicksAcrossManyWheelRotations)
+TEST(EventQueueCalendarTest, PeriodicTicksAcrossManyWheelRotations)
 {
-  EventQueue q(GetParam());
+  EventQueue q;
   int ticks = 0;
   double last = 0.0;
   SchedulePeriodic(q, Seconds(1.7), [&] {
@@ -512,9 +483,9 @@ TEST_P(EventQueueImplTest, PeriodicTicksAcrossManyWheelRotations)
   EXPECT_EQ(ticks, 236);  // ceil(400 / 1.7): last tick at 401.2 s
 }
 
-TEST_P(EventQueueImplTest, CancelFarFutureEvent)
+TEST(EventQueueCalendarTest, CancelFarFutureEvent)
 {
-  EventQueue q(GetParam());
+  EventQueue q;
   int fired = 0;
   const EventId far = q.Schedule(Seconds(300.0), [&] { ++fired; });
   q.Schedule(Seconds(400.0), [&] { ++fired; });
@@ -525,19 +496,65 @@ TEST_P(EventQueueImplTest, CancelFarFutureEvent)
   EXPECT_NEAR(q.Now().value(), 400.0, 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Impls, EventQueueImplTest,
-    ::testing::Values(EventQueue::Impl::kCalendar, EventQueue::Impl::kHeap),
-    [](const ::testing::TestParamInfo<EventQueue::Impl>& info) {
-      return info.param == EventQueue::Impl::kCalendar ? "Calendar" : "Heap";
-    });
+/**
+ * Reference pending-event set for the randomized trace test: a std::map
+ * keyed on (when, id) — ids grow monotonically, so equal timestamps run
+ * FIFO — with cancel-if-pending. Deliberately naive; it shares no code
+ * with the calendar wheel it checks.
+ */
+class ReferenceQueue {
+ public:
+  Seconds Now() const { return now_; }
+
+  EventId
+  Schedule(Seconds delay, std::function<void()> callback)
+  {
+    events_.emplace(std::pair((now_ + delay).value(), next_id_),
+                    std::move(callback));
+    pending_.insert(next_id_);
+    return next_id_++;
+  }
+
+  void Cancel(EventId id) { pending_.erase(id); }
+
+  void
+  RunUntil(Seconds horizon)
+  {
+    while (!events_.empty() && events_.begin()->first.first <= horizon.value())
+      RunFront();
+    now_ = horizon;
+  }
+
+  void
+  RunAll()
+  {
+    while (!events_.empty())
+      RunFront();
+  }
+
+ private:
+  void
+  RunFront()
+  {
+    auto node = events_.extract(events_.begin());
+    if (pending_.erase(node.key().second) == 0)
+      return;  // cancelled
+    now_ = Seconds(node.key().first);
+    node.mapped()();
+  }
+
+  std::map<std::pair<double, EventId>, std::function<void()>> events_;
+  std::set<EventId> pending_;
+  Seconds now_{0.0};
+  EventId next_id_ = 1;
+};
 
 TEST(EventQueueEquivalenceTest, RandomizedTraceMatchesBetweenImpls)
 {
-  // Drive both implementations with the same pseudo-random schedule /
-  // cancel / horizon workload and require identical execution traces.
-  const auto drive = [](EventQueue::Impl impl, std::uint64_t seed) {
-    EventQueue q(impl);
+  // Drive the calendar queue and the naive reference with the same
+  // pseudo-random schedule / cancel / horizon workload and require
+  // identical execution traces.
+  const auto drive = [](auto& q, std::uint64_t seed) {
     Rng rng(seed);
     std::vector<std::pair<double, int>> trace;
     std::vector<EventId> live;
@@ -566,8 +583,11 @@ TEST(EventQueueEquivalenceTest, RandomizedTraceMatchesBetweenImpls)
     return trace;
   };
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    EXPECT_EQ(drive(EventQueue::Impl::kCalendar, seed),
-              drive(EventQueue::Impl::kHeap, seed))
+    EventQueue calendar;
+    ReferenceQueue reference;
+    const auto expected = drive(reference, seed);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(drive(calendar, seed), expected)
         << "trace diverged at seed " << seed;
   }
 }

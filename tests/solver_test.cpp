@@ -2,8 +2,11 @@
  * @file
  * Unit tests for the LP simplex and branch-and-bound MILP solvers.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "solver/model.hpp"
 #include "solver/presolve.hpp"
 #include "solver/simplex.hpp"
+#include "lp_oracle.hpp"
 
 namespace flex::solver {
 namespace {
@@ -704,8 +708,8 @@ TEST(PresolveTest, FixturesUnchangedByPresolve)
 
 TEST(SimplexTest, BothImplementationsSurviveBealeCycling)
 {
-  // Beale's cycling LP again, but explicitly on each implementation:
-  // the sparse path must hit its Bland's-rule fallback rather than spin
+  // Beale's cycling LP again, on the solver and on the dense test
+  // oracle: both must hit their Bland's-rule fallback rather than spin
   // to the iteration limit.
   Model m;
   const VarIndex x1 = m.AddContinuous("x1", 0.0, 1e9, 0.75);
@@ -717,11 +721,8 @@ TEST(SimplexTest, BothImplementationsSurviveBealeCycling)
   m.AddConstraint("r2", {{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
                   Relation::kLessEqual, 0.0);
   m.AddConstraint("r3", {{x3, 1.0}}, Relation::kLessEqual, 1.0);
-  for (const SimplexImpl impl : {SimplexImpl::kSparse, SimplexImpl::kDense}) {
-    SimplexSolver::Options options;
-    options.impl = impl;
-    const LpResult r = SimplexSolver(options).Solve(m);
-    ASSERT_TRUE(r.IsOptimal()) << "impl " << static_cast<int>(impl);
+  for (const LpResult& r : {SimplexSolver().Solve(m), DenseOracleSolve(m)}) {
+    ASSERT_TRUE(r.IsOptimal());
     EXPECT_NEAR(r.objective, 0.05, 1e-6);
   }
 }
@@ -754,64 +755,91 @@ TEST(SimplexTest, SingularWarmBasisFallsBackToColdSolve)
 TEST(SimplexTest, NearZeroCoefficientsAreNotPivotedOn)
 {
   // A 1e-13 coefficient sits below the pivot tolerance; the ratio test
-  // must skip it instead of dividing by it and exploding the iterate.
-  for (const SimplexImpl impl : {SimplexImpl::kSparse, SimplexImpl::kDense}) {
-    SimplexSolver::Options options;
-    options.impl = impl;
-    {
-      Model m;
-      const VarIndex x = m.AddContinuous("x", 0.0, 10.0, 0.0);
-      const VarIndex y = m.AddContinuous("y", 0.0, 10.0, 1.0);
-      m.AddConstraint("tiny", {{x, 1e-13}, {y, 1.0}},
-                      Relation::kLessEqual, 1.0);
-      const LpResult r = SimplexSolver(options).Solve(m);
-      ASSERT_TRUE(r.IsOptimal()) << "impl " << static_cast<int>(impl);
-      EXPECT_NEAR(r.objective, 1.0, 1e-6);
-    }
-    {
-      Model m;
+  // must skip it instead of dividing by it and exploding the iterate —
+  // on the solver and on the dense test oracle alike.
+  for (const Relation relation : {Relation::kLessEqual,
+                                  Relation::kGreaterEqual}) {
+    Model m;
+    if (relation == Relation::kGreaterEqual)
       m.SetSense(Sense::kMinimize);
-      const VarIndex x = m.AddContinuous("x", 0.0, 10.0, 0.0);
-      const VarIndex y = m.AddContinuous("y", 0.0, 10.0, 1.0);
-      m.AddConstraint("tiny", {{x, 1e-13}, {y, 1.0}},
-                      Relation::kGreaterEqual, 1.0);
-      const LpResult r = SimplexSolver(options).Solve(m);
-      ASSERT_TRUE(r.IsOptimal()) << "impl " << static_cast<int>(impl);
+    const VarIndex x = m.AddContinuous("x", 0.0, 10.0, 0.0);
+    const VarIndex y = m.AddContinuous("y", 0.0, 10.0, 1.0);
+    m.AddConstraint("tiny", {{x, 1e-13}, {y, 1.0}}, relation, 1.0);
+    for (const LpResult& r : {SimplexSolver().Solve(m), DenseOracleSolve(m)}) {
+      ASSERT_TRUE(r.IsOptimal());
       EXPECT_NEAR(r.objective, 1.0, 1e-6);
     }
   }
 }
 
-TEST(BranchAndBoundTest, DenseAndSparseLpBackendsAgreeOnStudyModel)
+/**
+ * Exact optimum of the 0/1 knapsack max sum(value) s.t. sum(weight) <=
+ * capacity by meet-in-the-middle: enumerate both halves' subsets, then
+ * pair each first-half subset with the most valuable second-half subset
+ * that still fits.
+ */
+double
+KnapsackOptimum(const std::vector<double>& value,
+                const std::vector<double>& weight, double capacity)
 {
-  // The full search on the 26-item study knapsack, once per LP backend.
-  // Objectives must agree to LP tolerance; the sparse run must also
-  // report factorization telemetry the dense run cannot produce.
+  const auto subsets = [&](std::size_t begin, std::size_t end) {
+    std::vector<std::pair<double, double>> out;  // (weight, value)
+    for (std::uint32_t mask = 0; mask < (1u << (end - begin)); ++mask) {
+      double w = 0.0;
+      double v = 0.0;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (mask & (1u << (i - begin))) {
+          w += weight[i];
+          v += value[i];
+        }
+      }
+      out.emplace_back(w, v);
+    }
+    return out;
+  };
+  const std::size_t half = value.size() / 2;
+  const auto first = subsets(0, half);
+  auto second = subsets(half, value.size());
+  std::sort(second.begin(), second.end());
+  for (std::size_t i = 1; i < second.size(); ++i)  // best value by weight
+    second[i].second = std::max(second[i].second, second[i - 1].second);
+  constexpr double kMaxValue = std::numeric_limits<double>::max();
+  double best = 0.0;
+  for (const auto& [w, v] : first) {
+    const auto fit = std::upper_bound(
+        second.begin(), second.end(),
+        std::make_pair(capacity - w + 1e-9, kMaxValue));
+    if (fit != second.begin())
+      best = std::max(best, v + std::prev(fit)->second);
+  }
+  return best;
+}
+
+TEST(BranchAndBoundTest, StudyKnapsackMatchesMeetInTheMiddleOptimum)
+{
+  // The full search on the 26-item study knapsack against the exact
+  // optimum from enumerating 2 x 2^13 half-subsets; the run must also
+  // report the factorization telemetry of its LP solves.
   Rng rng(99);
   Model m;
   std::vector<std::pair<VarIndex, double>> terms;
+  std::vector<double> value;
+  std::vector<double> weight;
   for (int i = 0; i < 26; ++i) {
-    const VarIndex v = m.AddBinary("b", rng.Uniform(1.0, 9.0));
-    terms.push_back({v, rng.Uniform(1.0, 5.0)});
+    value.push_back(rng.Uniform(1.0, 9.0));
+    const VarIndex v = m.AddBinary("b", value.back());
+    weight.push_back(rng.Uniform(1.0, 5.0));
+    terms.push_back({v, weight.back()});
   }
   m.AddConstraint("cap", terms, Relation::kLessEqual, 20.0);
 
-  BranchAndBoundSolver::Options sparse_opts;
-  sparse_opts.threads = 1;
-  sparse_opts.lp.impl = SimplexImpl::kSparse;
-  BranchAndBoundSolver::Options dense_opts;
-  dense_opts.threads = 1;
-  dense_opts.lp.impl = SimplexImpl::kDense;
-  const MipResult sparse = BranchAndBoundSolver(sparse_opts).Solve(m);
-  const MipResult dense = BranchAndBoundSolver(dense_opts).Solve(m);
-  ASSERT_EQ(sparse.status, MipStatus::kOptimal);
-  ASSERT_EQ(dense.status, MipStatus::kOptimal);
-  EXPECT_NEAR(sparse.objective, dense.objective, 1e-9);
-  EXPECT_TRUE(m.IsFeasible(sparse.x, 1e-6));
-  EXPECT_TRUE(m.IsFeasible(dense.x, 1e-6));
-  EXPECT_GT(sparse.simplex_refactors, 0);
-  EXPECT_EQ(dense.simplex_refactors, 0);
-  EXPECT_EQ(dense.eta_updates, 0);
+  BranchAndBoundSolver::Options options;
+  options.threads = 1;
+  const MipResult result = BranchAndBoundSolver(options).Solve(m);
+  ASSERT_EQ(result.status, MipStatus::kOptimal);
+  EXPECT_NEAR(result.objective, KnapsackOptimum(value, weight, 20.0), 1e-9);
+  EXPECT_TRUE(m.IsFeasible(result.x, 1e-6));
+  EXPECT_GT(result.simplex_refactors, 0);
 }
 
 TEST(BranchAndBoundTest, ParallelSolveBitIdenticalWithPresolveDisabled)

@@ -283,7 +283,8 @@ TEST_F(PipelineTest, RackPollGroupsMustCoverEveryRackExactlyOnce)
   EXPECT_THROW(pipeline.SetRackPollGroups({{0, 1, 2}, {3, 4}}), ConfigError);
   // Exact cover in any order, with empty groups dropped, is fine.
   EXPECT_NO_THROW(pipeline.SetRackPollGroups({{5, 0}, {}, {2, 4}, {1, 3}}));
-  EXPECT_NO_THROW(pipeline.SetRackPollOrder({3, 1, 4, 0, 5, 2}));
+  // A single group is one room-sized batch in the given visit order.
+  EXPECT_NO_THROW(pipeline.SetRackPollGroups({{3, 1, 4, 0, 5, 2}}));
 }
 
 TEST_F(PipelineTest, GroupedPollingDeliversIdenticalReadings)
