@@ -39,9 +39,9 @@ done
 
 rm -f "${out_json}"
 # Stamped into the export and echoed in the verdict, so a pasted verdict
-# line alone identifies the machine width and when the check ran.
-hw_concurrency="$(nproc)"
-generated_utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+# line alone identifies the commit, the machine width and when the check
+# ran.
+source "${repo_root}/scripts/bench_stamp.sh"
 # On failure, bench_end_to_end leaves a forensic bundle here.
 forensics_dir="${FLEX_FORENSICS_DIR:-${build_dir}/forensics}"
 echo "check_budget: running benches, exporting to ${out_json}"
@@ -59,8 +59,7 @@ if [[ "${e2e_status}" -ne 0 ]]; then
        "(log: ${build_dir}/bench_end_to_end.log)" >&2
 fi
 
-sed -i "s/^{/{\"hw_concurrency\":${hw_concurrency},\"generated_utc\":\"${generated_utc}\",/" \
-  "${out_json}"
+stamp_json "${out_json}"
 
 e2e_line="$(grep '"bench":"bench_end_to_end"' "${out_json}" | tail -n 1)"
 if [[ -z "${e2e_line}" ]]; then
@@ -79,10 +78,12 @@ echo "check_budget: reaction end-to-end p99 = ${p99} s, budget = ${budget} s"
 if awk -v p99="${p99}" -v budget="${budget}" \
   'BEGIN { exit !(p99 + 0 < budget + 0) }'; then
   echo "check_budget: OK — reaction fits the tolerance window" \
-       "(hw_concurrency=${hw_concurrency}, generated_utc=${generated_utc})"
+       "(git_sha=${git_sha}, hw_concurrency=${hw_concurrency}," \
+       "generated_utc=${generated_utc})"
 else
   echo "check_budget: FAIL — p99 reaction exceeds the tolerance window" \
-       "(hw_concurrency=${hw_concurrency}, generated_utc=${generated_utc})" >&2
+       "(git_sha=${git_sha}, hw_concurrency=${hw_concurrency}," \
+       "generated_utc=${generated_utc})" >&2
   bundle="$(ls -dt "${forensics_dir}"/bundle-* 2>/dev/null | head -n 1)"
   if [[ -n "${bundle}" ]]; then
     echo "check_budget: forensic bundle: ${bundle}" >&2

@@ -30,19 +30,8 @@ fi
 export FLEX_SOLVE_SECONDS="${FLEX_SOLVE_SECONDS:-1}"
 export FLEX_BENCH_TRACES="${FLEX_BENCH_TRACES:-3}"
 
-# Every exported snapshot is stamped with the machine width and the UTC
-# run time, so a BENCH_*.json pulled off a shelf months later still says
-# what produced it. The stamp is injected as the first keys of each JSON
-# line; downstream sed/grep consumers match with `.*` prefixes and are
-# unaffected.
-hw_concurrency="$(nproc)"
-generated_utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-stamp_json() {
-  local file="$1"
-  [[ -s "${file}" ]] || return 0
-  sed -i "s/^{/{\"hw_concurrency\":${hw_concurrency},\"generated_utc\":\"${generated_utc}\",/" \
-    "${file}"
-}
+# Every exported snapshot is stamped with its provenance (stamp_json).
+source "${repo_root}/scripts/bench_stamp.sh"
 
 benches=("$@")
 if [[ ${#benches[@]} -eq 0 ]]; then

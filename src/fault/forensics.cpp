@@ -1,74 +1,12 @@
 #include "forensics.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+
+#include "obs/json.hpp"
 
 namespace flex::fault {
 
-namespace {
-
-/** %.9g, matching the obs exporters' number formatting. */
-std::string
-Num(double value)
-{
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
-
-/**
- * %.17g: bit-exact double round trip. Plan inputs must survive
- * serialization unchanged — a fault that replays one LSB late walks the
- * whole downstream timeline off the recorded rails.
- */
-std::string
-FullNum(double value)
-{
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-std::size_t
-ValueOffset(const std::string& json, const char* key)
-{
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = json.find(needle);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
-}
-
-bool
-ParseNumberField(const std::string& json, const char* key, double* out)
-{
-  const std::size_t at = ValueOffset(json, key);
-  if (at == std::string::npos)
-    return false;
-  char* end = nullptr;
-  const double value = std::strtod(json.c_str() + at, &end);
-  if (end == json.c_str() + at)
-    return false;
-  *out = value;
-  return true;
-}
-
-std::vector<std::string>
-SplitLines(const std::string& text)
-{
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos)
-      end = text.size();
-    if (end > start)
-      lines.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
-}  // namespace
+namespace json = obs::json;
 
 std::string
 FaultPlanToJsonl(const FaultPlan& plan)
@@ -77,14 +15,14 @@ FaultPlanToJsonl(const FaultPlan& plan)
   // the same bundle carries the human-readable listing.
   std::string out;
   for (const FaultEvent& event : plan.events()) {
-    out += "{\"at\":" + FullNum(event.at.value());
+    out += "{\"at\":" + json::ExactNum(event.at.value());
     out += ",\"kind\":" + std::to_string(static_cast<int>(event.kind));
     out += ",\"target\":" + std::to_string(event.target);
     out += ",\"device_kind\":" +
            std::to_string(static_cast<int>(event.device_kind));
     out += ",\"meter_index\":" + std::to_string(event.meter_index);
-    out += ",\"magnitude\":" + FullNum(event.magnitude);
-    out += ",\"duration\":" + FullNum(event.duration.value());
+    out += ",\"magnitude\":" + json::ExactNum(event.magnitude);
+    out += ",\"duration\":" + json::ExactNum(event.duration.value());
     out += "}\n";
   }
   return out;
@@ -95,38 +33,31 @@ ParseFaultPlanJsonl(const std::string& jsonl, FaultPlan* out,
                     std::string* error)
 {
   *out = FaultPlan();
-  std::size_t line_number = 0;
-  for (const std::string& line : SplitLines(jsonl)) {
-    ++line_number;
+  json::LineReader lines(jsonl);
+  while (lines.Next()) {
+    const std::string& line = lines.line();
     double at = 0.0;
-    double kind = 0.0;
-    double target = 0.0;
-    double device_kind = 0.0;
-    double meter_index = 0.0;
-    double magnitude = 0.0;
+    int kind = 0;
+    int device_kind = 0;
     double duration = 0.0;
-    const bool ok = ParseNumberField(line, "at", &at) &&
-                    ParseNumberField(line, "kind", &kind) &&
-                    ParseNumberField(line, "target", &target) &&
-                    ParseNumberField(line, "device_kind", &device_kind) &&
-                    ParseNumberField(line, "meter_index", &meter_index) &&
-                    ParseNumberField(line, "magnitude", &magnitude) &&
-                    ParseNumberField(line, "duration", &duration);
-    const int kind_int = static_cast<int>(kind);
-    if (!ok || kind_int < static_cast<int>(FaultKind::kUpsFailover) ||
-        kind_int > static_cast<int>(FaultKind::kControllerPause)) {
+    FaultEvent event;
+    const bool ok = json::ReadNumber(line, "at", &at) &&
+                    json::ReadInt(line, "kind", &kind) &&
+                    json::ReadInt(line, "target", &event.target) &&
+                    json::ReadInt(line, "device_kind", &device_kind) &&
+                    json::ReadInt(line, "meter_index", &event.meter_index) &&
+                    json::ReadNumber(line, "magnitude", &event.magnitude) &&
+                    json::ReadNumber(line, "duration", &duration);
+    if (!ok || kind < static_cast<int>(FaultKind::kUpsFailover) ||
+        kind > static_cast<int>(FaultKind::kControllerPause)) {
       if (error != nullptr)
-        *error = "malformed fault event at line " + std::to_string(line_number);
+        *error = "malformed fault event at line " +
+                 std::to_string(lines.number());
       return false;
     }
-    FaultEvent event;
     event.at = Seconds(at);
-    event.kind = static_cast<FaultKind>(kind_int);
-    event.target = static_cast<int>(target);
-    event.device_kind = static_cast<telemetry::DeviceKind>(
-        static_cast<int>(device_kind));
-    event.meter_index = static_cast<int>(meter_index);
-    event.magnitude = magnitude;
+    event.kind = static_cast<FaultKind>(kind);
+    event.device_kind = static_cast<telemetry::DeviceKind>(device_kind);
     event.duration = Seconds(duration);
     out->Add(event);
   }
@@ -147,9 +78,10 @@ RacksCsv(const FaultScenario& scenario)
                static_cast<int>(categories[static_cast<std::size_t>(r)])) +
            ",";
     out += state.powered_on ? "1," : "0,";
-    out += state.power_cap.has_value() ? Num(state.power_cap->value()) : "";
+    if (state.power_cap.has_value())
+      out += json::Num(state.power_cap->value());
     out += ",";
-    out += Num(power.value());
+    out += json::Num(power.value());
     out += "\n";
   }
   return out;
@@ -197,12 +129,12 @@ RunRecordedPlan(const ScenarioConfig& config, std::uint64_t seed,
     spec.alerts_jsonl = scenario.alert_engine()->TimelineJsonl();
   }
   for (const Violation& violation : run.report.violations)
-    spec.notes.push_back("t=" + Num(violation.at.value()) + " [" +
+    spec.notes.push_back("t=" + json::Num(violation.at.value()) + " [" +
                          violation.invariant + "] " + violation.message);
   for (const obs::AlertTransition& edge : run.report.alert_timeline) {
     if (edge.to != obs::AlertState::kFiring)
       continue;
-    spec.notes.push_back("t=" + Num(edge.t) + " [alert] " + edge.rule +
+    spec.notes.push_back("t=" + json::Num(edge.t) + " [alert] " + edge.rule +
                          " fired: " + edge.message);
   }
 

@@ -1,57 +1,13 @@
 #include "obs/alerts.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/hash.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 
 namespace flex::obs {
-
-namespace {
-
-std::string
-Num(double value)
-{
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
-}
-
-std::string
-EscapeJson(const std::string& text)
-{
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const char*
 AlertSeverityName(AlertSeverity severity)
@@ -129,7 +85,8 @@ AlertEngine::Condition(const AlertRule& rule, double now_s, double* value,
                            ? v > bound
                            : v < bound;
       if (hit)
-        *why = rule.metric + "=" + Num(v) + " vs bound " + Num(bound);
+        *why = rule.metric + "=" + json::Num(v) + " vs bound " +
+               json::Num(bound);
       return hit;
     }
     case AlertRuleKind::kStale: {
@@ -139,7 +96,7 @@ AlertEngine::Condition(const AlertRule& rule, double now_s, double* value,
       const double age = now_s - changed_at;
       *value = age;
       if (age > rule.window_s) {
-        *why = rule.metric + " unchanged for " + Num(age) + "s";
+        *why = rule.metric + " unchanged for " + json::Num(age) + "s";
         return true;
       }
       return false;
@@ -156,8 +113,8 @@ AlertEngine::Condition(const AlertRule& rule, double now_s, double* value,
                            ? rate > rule.threshold
                            : rate < rule.threshold;
       if (hit)
-        *why = rule.metric + " rate=" + Num(rate) + "/s vs bound " +
-               Num(rule.threshold);
+        *why = rule.metric + " rate=" + json::Num(rate) + "/s vs bound " +
+               json::Num(rule.threshold);
       return hit;
     }
     case AlertRuleKind::kBurnRate: {
@@ -177,8 +134,9 @@ AlertEngine::Condition(const AlertRule& rule, double now_s, double* value,
       }
       *value = std::min(burn_short, burn_long);
       if (burn_short > rule.burn_factor && burn_long > rule.burn_factor) {
-        *why = "burn short=" + Num(burn_short) + " long=" + Num(burn_long) +
-               " vs factor " + Num(rule.burn_factor);
+        *why = "burn short=" + json::Num(burn_short) +
+               " long=" + json::Num(burn_long) + " vs factor " +
+               json::Num(rule.burn_factor);
         return true;
       }
       return false;
@@ -335,14 +293,14 @@ AlertEngine::TimelineJsonl() const
 {
   std::string out;
   for (const AlertTransition& edge : timeline_) {
-    out += "{\"t\":" + Num(edge.t);
-    out += ",\"rule\":\"" + EscapeJson(edge.rule) + "\"";
+    out += "{\"t\":" + json::Num(edge.t);
+    out += ",\"rule\":\"" + json::EscapeJson(edge.rule) + "\"";
     out += ",\"from\":\"";
     out += AlertStateName(edge.from);
     out += "\",\"to\":\"";
     out += AlertStateName(edge.to);
-    out += "\",\"value\":" + Num(edge.value);
-    out += ",\"message\":\"" + EscapeJson(edge.message) + "\"}\n";
+    out += "\",\"value\":" + json::Num(edge.value);
+    out += ",\"message\":\"" + json::EscapeJson(edge.message) + "\"}\n";
   }
   return out;
 }

@@ -3,18 +3,11 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/json.hpp"
+
 namespace flex::obs {
 
 namespace {
-
-/** %.9g round-trips doubles we care about and stays compact. */
-std::string
-Num(double value)
-{
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
 
 std::string
 MetricJsonObject(const MetricRow& row)
@@ -24,13 +17,13 @@ MetricJsonObject(const MetricRow& row)
   out += "\"";
   if (row.kind == MetricKind::kHistogram) {
     out += ",\"count\":" + std::to_string(row.count);
-    out += ",\"sum\":" + Num(row.sum);
-    out += ",\"min\":" + Num(row.min);
-    out += ",\"max\":" + Num(row.max);
-    out += ",\"p50\":" + Num(row.p50);
-    out += ",\"p99\":" + Num(row.p99);
+    out += ",\"sum\":" + json::Num(row.sum);
+    out += ",\"min\":" + json::Num(row.min);
+    out += ",\"max\":" + json::Num(row.max);
+    out += ",\"p50\":" + json::Num(row.p50);
+    out += ",\"p99\":" + json::Num(row.p99);
   } else {
-    out += ",\"value\":" + Num(row.value);
+    out += ",\"value\":" + json::Num(row.value);
   }
   out += "}";
   return out;
@@ -41,32 +34,51 @@ MetricJsonObject(const MetricRow& row)
 std::string
 TraceToJson(const ReactionTrace& trace)
 {
-  std::string out = "{";
-  out += "\"trace_id\":" + std::to_string(trace.id);
-  out += ",\"ups\":" + std::to_string(trace.ups_index);
+  std::string out = "{\"id\":" + std::to_string(trace.id);
   out += ",\"replica\":" + std::to_string(trace.detecting_replica);
-  out += ",\"complete\":" + std::string(trace.complete ? "true" : "false");
+  out += ",\"ups\":" + std::to_string(trace.ups_index);
   out += ",\"actions\":" + std::to_string(trace.actions);
-  out += ",\"duplicate_detections\":" +
-         std::to_string(trace.duplicate_detections);
-  out += ",\"duplicate_waves\":" + std::to_string(trace.duplicate_waves);
-  out += ",\"stages\":{";
-  out += "\"meter_sample\":" + Num(trace.sampled_at.value());
-  out += ",\"publish\":" + Num(trace.delivered_at.value());
-  out += ",\"observe\":" + Num(trace.detected_at.value());
-  if (trace.actions > 0)
-    out += ",\"decide\":" + Num(trace.decided_at.value());
-  if (trace.complete)
-    out += ",\"actuate\":" + Num(trace.enforced_at.value());
-  out += "}";
-  if (trace.complete) {
-    out += ",\"end_to_end_s\":" + Num(trace.EndToEnd().value());
-    out += ",\"budget_s\":" + Num(trace.budget.value());
-    out += ",\"within_budget\":" +
-           std::string(trace.WithinBudget() ? "true" : "false");
-  }
-  out += "}";
+  out += ",\"dup_detections\":" + std::to_string(trace.duplicate_detections);
+  out += ",\"dup_waves\":" + std::to_string(trace.duplicate_waves);
+  out += ",\"sampled_at\":" + json::Num(trace.sampled_at.value());
+  out += ",\"delivered_at\":" + json::Num(trace.delivered_at.value());
+  out += ",\"detected_at\":" + json::Num(trace.detected_at.value());
+  out += ",\"decided_at\":" + json::Num(trace.decided_at.value());
+  out += ",\"enforced_at\":" + json::Num(trace.enforced_at.value());
+  out += std::string(",\"complete\":") + (trace.complete ? "true" : "false");
+  out += std::string(",\"closed\":") + (trace.closed ? "true" : "false");
+  out += ",\"budget\":" + json::Num(trace.budget.value()) + "}";
   return out;
+}
+
+bool
+ParseTraceJson(const std::string& line, ReactionTrace* out)
+{
+  const auto read_seconds = [&line](const char* key, Seconds* value) {
+    double seconds = 0.0;
+    if (!json::ReadNumber(line, key, &seconds))
+      return false;
+    *value = Seconds(seconds);
+    return true;
+  };
+  ReactionTrace trace;
+  if (!json::ReadUint(line, "id", &trace.id) ||
+      !json::ReadInt(line, "replica", &trace.detecting_replica) ||
+      !json::ReadInt(line, "ups", &trace.ups_index) ||
+      !json::ReadInt(line, "actions", &trace.actions) ||
+      !json::ReadInt(line, "dup_detections", &trace.duplicate_detections) ||
+      !json::ReadInt(line, "dup_waves", &trace.duplicate_waves) ||
+      !read_seconds("sampled_at", &trace.sampled_at) ||
+      !read_seconds("delivered_at", &trace.delivered_at) ||
+      !read_seconds("detected_at", &trace.detected_at) ||
+      !read_seconds("decided_at", &trace.decided_at) ||
+      !read_seconds("enforced_at", &trace.enforced_at) ||
+      !json::ReadBool(line, "complete", &trace.complete) ||
+      !json::ReadBool(line, "closed", &trace.closed) ||
+      !read_seconds("budget", &trace.budget))
+    return false;
+  *out = trace;
+  return true;
 }
 
 std::string
@@ -84,7 +96,7 @@ std::string
 SnapshotToJson(const MetricsSnapshot& snapshot)
 {
   std::string out = "{\n";
-  out += "  \"sim_time_s\": " + Num(snapshot.sim_time_seconds);
+  out += "  \"sim_time_s\": " + json::Num(snapshot.sim_time_seconds);
   out += ",\n  \"metrics\": {";
   bool first = true;
   for (const MetricRow& row : snapshot.rows) {
@@ -97,30 +109,10 @@ SnapshotToJson(const MetricsSnapshot& snapshot)
 }
 
 std::string
-SnapshotToCsv(const MetricsSnapshot& snapshot)
-{
-  std::string out = "name,kind,value,count,sum,min,max,p50,p99\n";
-  for (const MetricRow& row : snapshot.rows) {
-    out += row.name;
-    out += ',';
-    out += MetricKindName(row.kind);
-    if (row.kind == MetricKind::kHistogram) {
-      out += ",," + std::to_string(row.count) + ',' + Num(row.sum) + ',' +
-             Num(row.min) + ',' + Num(row.max) + ',' + Num(row.p50) + ',' +
-             Num(row.p99);
-    } else {
-      out += ',' + Num(row.value) + ",,,,,,";
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string
 BenchJsonLine(const std::string& bench_name, const MetricsSnapshot& snapshot)
 {
   std::string out = "{\"bench\":\"" + bench_name + "\"";
-  out += ",\"sim_time_s\":" + Num(snapshot.sim_time_seconds);
+  out += ",\"sim_time_s\":" + json::Num(snapshot.sim_time_seconds);
   out += ",\"metrics\":{";
   bool first = true;
   for (const MetricRow& row : snapshot.rows) {
@@ -158,7 +150,8 @@ SummaryTable(const MetricsSnapshot& snapshot, const ReactionTracer* tracer)
 {
   char line[200];
   std::string out;
-  out += "--- metrics @ t=" + Num(snapshot.sim_time_seconds) + " s ---\n";
+  out += "--- metrics @ t=" + json::Num(snapshot.sim_time_seconds) +
+         " s ---\n";
   bool header_done = false;
   for (const MetricRow& row : snapshot.rows) {
     if (row.kind != MetricKind::kHistogram)
@@ -192,8 +185,8 @@ SummaryTable(const MetricsSnapshot& snapshot, const ReactionTracer* tracer)
   if (tracer == nullptr)
     return out;
 
-  out += "--- reaction traces (budget " + Num(tracer->config().budget.value()) +
-         " s) ---\n";
+  out += "--- reaction traces (budget " +
+         json::Num(tracer->config().budget.value()) + " s) ---\n";
   if (tracer->traces().empty()) {
     out += "(no overload episodes)\n";
     return out;

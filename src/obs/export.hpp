@@ -1,14 +1,14 @@
 /**
  * @file
- * Exporters: JSONL reaction traces, JSON/CSV metrics snapshots, and the
+ * Exporters: reaction traces, JSON metrics snapshots, and the
  * human-readable end-of-run summary table.
  *
  * The JSON metrics format is line-oriented — one metric object per line
  * in a fixed key order — so BENCH_*.json trajectory files stay diffable
  * across runs and shell tooling (scripts/check_budget.sh) can extract
- * values without a JSON parser. Numbers render with %.9g, which
- * round-trips the simulated-time doubles bit-identically for equal
- * seeds.
+ * values without a JSON parser. Numbers render with json::Num (%.9g):
+ * nine significant digits, identical bytes for equal seeds, but not a
+ * bit-exact double round trip (see obs/json.hpp).
  */
 #ifndef FLEX_OBS_EXPORT_HPP_
 #define FLEX_OBS_EXPORT_HPP_
@@ -20,17 +20,26 @@
 
 namespace flex::obs {
 
-/** One reaction trace as a single-line JSON object. */
+/**
+ * One reaction trace as a single-line JSON object with fixed key order:
+ * id, replica, ups, actions, dup_detections, dup_waves, the five stage
+ * timestamps sampled_at .. enforced_at, complete, closed, budget. The
+ * one trace wire format: /trace, a bundle's traces.jsonl and
+ * FLEX_TRACE_OUT all carry these lines.
+ */
 std::string TraceToJson(const ReactionTrace& trace);
 
-/** Every trace, one JSON object per line (JSONL). */
+/** Every trace, one TraceToJson line each (JSONL). */
 std::string TracesToJsonl(const ReactionTracer& tracer);
+
+/**
+ * Parses one TraceToJson line; false on malformed input. Timestamps
+ * come back to the nine significant digits they were written with.
+ */
+bool ParseTraceJson(const std::string& line, ReactionTrace* out);
 
 /** Pretty multi-line JSON: snapshot header + one metric per line. */
 std::string SnapshotToJson(const MetricsSnapshot& snapshot);
-
-/** CSV with a fixed header: name,kind,value,count,sum,min,max,p50,p99. */
-std::string SnapshotToCsv(const MetricsSnapshot& snapshot);
 
 /**
  * One compact JSON object (single line) tagging the snapshot with a

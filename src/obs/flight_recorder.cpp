@@ -1,133 +1,11 @@
 #include "flight_recorder.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 
 namespace flex::obs {
-
-namespace {
-
-/** %.9g, matching the metric exporters' number formatting. */
-std::string
-Num(double value)
-{
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
-
-/** Minimal JSON string escaping for the detail field. */
-std::string
-EscapeJson(const std::string& text)
-{
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/**
- * Finds `"key":` in @p json and returns the character offset just past
- * the colon, or npos.
- */
-std::size_t
-ValueOffset(const std::string& json, const char* key)
-{
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = json.find(needle);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
-}
-
-bool
-ParseNumberField(const std::string& json, const char* key, double* out)
-{
-  const std::size_t at = ValueOffset(json, key);
-  if (at == std::string::npos)
-    return false;
-  char* end = nullptr;
-  const double value = std::strtod(json.c_str() + at, &end);
-  if (end == json.c_str() + at)
-    return false;
-  *out = value;
-  return true;
-}
-
-bool
-ParseStringField(const std::string& json, const char* key, std::string* out)
-{
-  std::size_t at = ValueOffset(json, key);
-  if (at == std::string::npos || at >= json.size() || json[at] != '"')
-    return false;
-  ++at;
-  std::string value;
-  while (at < json.size() && json[at] != '"') {
-    char c = json[at];
-    if (c == '\\' && at + 1 < json.size()) {
-      const char next = json[at + 1];
-      switch (next) {
-        case 'n':
-          c = '\n';
-          break;
-        case 't':
-          c = '\t';
-          break;
-        case 'r':
-          c = '\r';
-          break;
-        case 'u': {
-          // Only the \u00XX control-character escapes we emit.
-          if (at + 5 >= json.size())
-            return false;
-          const std::string hex = json.substr(at + 2, 4);
-          c = static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-          at += 4;
-          break;
-        }
-        default:
-          c = next;
-      }
-      ++at;
-    }
-    value += c;
-    ++at;
-  }
-  if (at >= json.size())
-    return false;  // unterminated string
-  *out = std::move(value);
-  return true;
-}
-
-}  // namespace
 
 const char*
 RecordKindName(RecordKind kind)
@@ -229,13 +107,13 @@ std::string
 RecordToJson(const FlightRecord& record)
 {
   std::string out = "{\"seq\":" + std::to_string(record.sequence);
-  out += ",\"t\":" + Num(record.t);
+  out += ",\"t\":" + json::Num(record.t);
   out += ",\"kind\":\"";
   out += RecordKindName(record.kind);
   out += "\",\"a\":" + std::to_string(record.a);
   out += ",\"b\":" + std::to_string(record.b);
-  out += ",\"value\":" + Num(record.value);
-  out += ",\"detail\":\"" + EscapeJson(record.detail) + "\"}";
+  out += ",\"value\":" + json::Num(record.value);
+  out += ",\"detail\":\"" + json::EscapeJson(record.detail) + "\"}";
   return out;
 }
 
@@ -253,31 +131,18 @@ RecordsToJsonl(const std::vector<FlightRecord>& records)
 bool
 ParseRecordJson(const std::string& line, FlightRecord* out)
 {
-  double seq = 0.0;
-  double t = 0.0;
-  double a = 0.0;
-  double b = 0.0;
-  double value = 0.0;
+  FlightRecord record;
   std::string kind_name;
-  std::string detail;
-  if (!ParseNumberField(line, "seq", &seq) ||
-      !ParseNumberField(line, "t", &t) ||
-      !ParseStringField(line, "kind", &kind_name) ||
-      !ParseNumberField(line, "a", &a) ||
-      !ParseNumberField(line, "b", &b) ||
-      !ParseNumberField(line, "value", &value) ||
-      !ParseStringField(line, "detail", &detail))
+  if (!json::ReadUint(line, "seq", &record.sequence) ||
+      !json::ReadNumber(line, "t", &record.t) ||
+      !json::ReadString(line, "kind", &kind_name) ||
+      !ParseRecordKind(kind_name, &record.kind) ||
+      !json::ReadInt(line, "a", &record.a) ||
+      !json::ReadInt(line, "b", &record.b) ||
+      !json::ReadNumber(line, "value", &record.value) ||
+      !json::ReadString(line, "detail", &record.detail))
     return false;
-  RecordKind kind;
-  if (!ParseRecordKind(kind_name, &kind))
-    return false;
-  out->sequence = static_cast<std::uint64_t>(seq);
-  out->t = t;
-  out->kind = kind;
-  out->a = static_cast<int>(a);
-  out->b = static_cast<int>(b);
-  out->value = value;
-  out->detail = std::move(detail);
+  *out = std::move(record);
   return true;
 }
 
@@ -286,21 +151,12 @@ ParseRecordsJsonl(const std::string& jsonl, std::vector<FlightRecord>* out,
                   std::string* error)
 {
   out->clear();
-  std::size_t start = 0;
-  std::size_t line_number = 0;
-  while (start < jsonl.size()) {
-    std::size_t end = jsonl.find('\n', start);
-    if (end == std::string::npos)
-      end = jsonl.size();
-    ++line_number;
-    const std::string line = jsonl.substr(start, end - start);
-    start = end + 1;
-    if (line.empty())
-      continue;
+  json::LineReader lines(jsonl);
+  while (lines.Next()) {
     FlightRecord record;
-    if (!ParseRecordJson(line, &record)) {
+    if (!ParseRecordJson(lines.line(), &record)) {
       if (error != nullptr)
-        *error = "malformed record at line " + std::to_string(line_number);
+        *error = "malformed record at line " + std::to_string(lines.number());
       return false;
     }
     out->push_back(std::move(record));
@@ -340,10 +196,10 @@ FirstDivergence(const std::vector<FlightRecord>& expected,
       divergence.actual = RecordKindName(got.kind);
       return divergence;
     }
-    if (Num(want.t) != Num(got.t)) {
+    if (json::Num(want.t) != json::Num(got.t)) {
       divergence.field = "t";
-      divergence.expected = Num(want.t);
-      divergence.actual = Num(got.t);
+      divergence.expected = json::Num(want.t);
+      divergence.actual = json::Num(got.t);
       return divergence;
     }
     if (want.a != got.a) {
@@ -358,10 +214,10 @@ FirstDivergence(const std::vector<FlightRecord>& expected,
       divergence.actual = std::to_string(got.b);
       return divergence;
     }
-    if (Num(want.value) != Num(got.value)) {
+    if (json::Num(want.value) != json::Num(got.value)) {
       divergence.field = "value";
-      divergence.expected = Num(want.value);
-      divergence.actual = Num(got.value);
+      divergence.expected = json::Num(want.value);
+      divergence.actual = json::Num(got.value);
       return divergence;
     }
     if (want.detail != got.detail) {

@@ -122,7 +122,7 @@ bool ParseRecordJson(const std::string& line, FlightRecord* out);
 
 /**
  * Parses a JSONL timeline (blank lines skipped). Returns false and
- * fills @p error on the first malformed line.
+ * fills @p error, naming the physical line, on the first malformed line.
  */
 bool ParseRecordsJsonl(const std::string& jsonl,
                        std::vector<FlightRecord>* out, std::string* error);
@@ -144,8 +144,9 @@ struct RecordDivergence {
  * (e.g. a replay's), aligned by sequence number. Records in @p actual
  * with sequences outside @p expected's range are ignored — a replay
  * with a larger ring legitimately retains more history. Doubles are
- * compared through the exporter's %.9g formatting so a timeline that
- * went through one serialize/parse round trip compares clean.
+ * compared through json::Num (%.9g), the format events.jsonl is
+ * written in, so a timeline that went through one serialize/parse
+ * round trip compares clean.
  */
 std::optional<RecordDivergence> FirstDivergence(
     const std::vector<FlightRecord>& expected,

@@ -8,7 +8,8 @@
  *   manifest.json     trigger, scenario tag, seed, record window, notes
  *   events.jsonl      the flight recorder's retained timeline
  *   metrics.json      full MetricsRegistry snapshot at dump time
- *   traces.jsonl      reaction traces (when a tracer was attached)
+ *   traces.jsonl      reaction traces, one TraceToJson line each (the
+ *                     /trace format; when a tracer was attached)
  *   racks.csv         per-rack power / category / actuation state
  *   fault_plan.txt    human-readable fault plan (when one was armed)
  *   fault_plan.jsonl  machine-readable plan, written by the fault layer
@@ -87,7 +88,11 @@ struct BundleManifest {
   std::vector<std::string> notes;
 };
 
-/** Loads and parses @p dir/manifest.json. */
+/**
+ * Loads and parses @p dir/manifest.json. Fails when the format, the
+ * seed or the record window is missing or not an exact unsigned 64-bit
+ * integer.
+ */
 bool LoadBundleManifest(const std::string& dir, BundleManifest* out,
                         std::string* error = nullptr);
 

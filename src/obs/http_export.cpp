@@ -1,29 +1,16 @@
 #include "http_export.hpp"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/thread_pool.hpp"
+#include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 
 namespace flex::obs {
 
 namespace {
-
-/**
- * Shortest round-trippable formatting shared with the flight-recorder
- * JSONL exporter, so numbers compare clean across a serialize/parse
- * cycle.
- */
-std::string
-Num(double value)
-{
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
 
 /** Prometheus label-value escaping: backslash, double quote, newline. */
 std::string
@@ -49,84 +36,6 @@ EscapeLabelValue(const std::string& value)
   return out;
 }
 
-/** JSON string escaping (mirrors the flight-recorder idiom). */
-std::string
-EscapeJson(const std::string& text)
-{
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/** Finds `"key":` in a single-line JSON object; npos when absent. */
-std::size_t
-FindKey(const std::string& line, const char* key)
-{
-  const std::string needle = std::string("\"") + key + "\":";
-  return line.find(needle);
-}
-
-bool
-ParseNumberField(const std::string& line, const char* key, double* out)
-{
-  const std::size_t at = FindKey(line, key);
-  if (at == std::string::npos)
-    return false;
-  const std::size_t start = at + std::strlen(key) + 3;
-  char* end = nullptr;
-  const double value = std::strtod(line.c_str() + start, &end);
-  if (end == line.c_str() + start)
-    return false;
-  *out = value;
-  return true;
-}
-
-bool
-ParseBoolField(const std::string& line, const char* key, bool* out)
-{
-  const std::size_t at = FindKey(line, key);
-  if (at == std::string::npos)
-    return false;
-  const std::size_t start = at + std::strlen(key) + 3;
-  if (line.compare(start, 4, "true") == 0) {
-    *out = true;
-    return true;
-  }
-  if (line.compare(start, 5, "false") == 0) {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 /**
  * Renders one full Histogram as a Prometheus histogram family:
  * cumulative `_bucket{le=...}` series ending at `+Inf`, plus `_sum`
@@ -143,14 +52,14 @@ AppendHistogramSeries(std::ostringstream& out, const std::string& name,
   for (std::size_t b = 0; b < edges.size(); ++b) {
     cumulative += counts[b];
     out << name << "_bucket{" << labels << (labels.empty() ? "" : ",")
-        << "le=\"" << Num(edges[b]) << "\"} " << cumulative << "\n";
+        << "le=\"" << json::Num(edges[b]) << "\"} " << cumulative << "\n";
   }
   out << name << "_bucket{" << labels << (labels.empty() ? "" : ",")
       << "le=\"+Inf\"} " << histogram.count() << "\n";
   out << name << "_sum";
   if (!labels.empty())
     out << "{" << labels << "}";
-  out << " " << Num(histogram.sum()) << "\n";
+  out << " " << json::Num(histogram.sum()) << "\n";
   out << name << "_count";
   if (!labels.empty())
     out << "{" << labels << "}";
@@ -287,7 +196,8 @@ SnapshotToPrometheus(const MetricsSnapshot& snapshot)
 {
   std::ostringstream out;
   out << "# TYPE flex_sim_time_seconds gauge\n";
-  out << "flex_sim_time_seconds " << Num(snapshot.sim_time_seconds) << "\n";
+  out << "flex_sim_time_seconds " << json::Num(snapshot.sim_time_seconds)
+      << "\n";
   for (const MetricRow& row : snapshot.rows) {
     const std::string name = PrometheusName(row.name);
     switch (row.kind) {
@@ -299,12 +209,12 @@ SnapshotToPrometheus(const MetricsSnapshot& snapshot)
                 ? name
                 : name + "_total";
         out << "# TYPE " << counter_name << " counter\n";
-        out << counter_name << " " << Num(row.value) << "\n";
+        out << counter_name << " " << json::Num(row.value) << "\n";
         break;
       }
       case MetricKind::kGauge:
         out << "# TYPE " << name << " gauge\n";
-        out << name << " " << Num(row.value) << "\n";
+        out << name << " " << json::Num(row.value) << "\n";
         break;
       case MetricKind::kHistogram:
         // Snapshot rows carry the summary (count/sum/quantiles), not
@@ -312,84 +222,14 @@ SnapshotToPrometheus(const MetricsSnapshot& snapshot)
         // summary family. Full bucketed exposition is reserved for the
         // profiler's live Histogram objects (see RenderMetrics).
         out << "# TYPE " << name << " summary\n";
-        out << name << "{quantile=\"0.5\"} " << Num(row.p50) << "\n";
-        out << name << "{quantile=\"0.99\"} " << Num(row.p99) << "\n";
-        out << name << "_sum " << Num(row.sum) << "\n";
+        out << name << "{quantile=\"0.5\"} " << json::Num(row.p50) << "\n";
+        out << name << "{quantile=\"0.99\"} " << json::Num(row.p99) << "\n";
+        out << name << "_sum " << json::Num(row.sum) << "\n";
         out << name << "_count " << row.count << "\n";
         break;
     }
   }
   return out.str();
-}
-
-std::string
-ReactionTraceToJson(const ReactionTrace& trace)
-{
-  std::ostringstream out;
-  out << "{\"id\":" << trace.id
-      << ",\"replica\":" << trace.detecting_replica
-      << ",\"ups\":" << trace.ups_index
-      << ",\"actions\":" << trace.actions
-      << ",\"dup_detections\":" << trace.duplicate_detections
-      << ",\"dup_waves\":" << trace.duplicate_waves
-      << ",\"sampled_at\":" << Num(trace.sampled_at.value())
-      << ",\"delivered_at\":" << Num(trace.delivered_at.value())
-      << ",\"detected_at\":" << Num(trace.detected_at.value())
-      << ",\"decided_at\":" << Num(trace.decided_at.value())
-      << ",\"enforced_at\":" << Num(trace.enforced_at.value())
-      << ",\"complete\":" << (trace.complete ? "true" : "false")
-      << ",\"closed\":" << (trace.closed ? "true" : "false")
-      << ",\"budget\":" << Num(trace.budget.value()) << "}";
-  return out.str();
-}
-
-bool
-ParseReactionTraceJson(const std::string& line, ReactionTrace* out)
-{
-  ReactionTrace trace;
-  double number = 0.0;
-  if (!ParseNumberField(line, "id", &number))
-    return false;
-  trace.id = static_cast<std::uint64_t>(number);
-  if (!ParseNumberField(line, "replica", &number))
-    return false;
-  trace.detecting_replica = static_cast<int>(number);
-  if (!ParseNumberField(line, "ups", &number))
-    return false;
-  trace.ups_index = static_cast<int>(number);
-  if (!ParseNumberField(line, "actions", &number))
-    return false;
-  trace.actions = static_cast<int>(number);
-  if (!ParseNumberField(line, "dup_detections", &number))
-    return false;
-  trace.duplicate_detections = static_cast<int>(number);
-  if (!ParseNumberField(line, "dup_waves", &number))
-    return false;
-  trace.duplicate_waves = static_cast<int>(number);
-  if (!ParseNumberField(line, "sampled_at", &number))
-    return false;
-  trace.sampled_at = Seconds(number);
-  if (!ParseNumberField(line, "delivered_at", &number))
-    return false;
-  trace.delivered_at = Seconds(number);
-  if (!ParseNumberField(line, "detected_at", &number))
-    return false;
-  trace.detected_at = Seconds(number);
-  if (!ParseNumberField(line, "decided_at", &number))
-    return false;
-  trace.decided_at = Seconds(number);
-  if (!ParseNumberField(line, "enforced_at", &number))
-    return false;
-  trace.enforced_at = Seconds(number);
-  if (!ParseBoolField(line, "complete", &trace.complete))
-    return false;
-  if (!ParseBoolField(line, "closed", &trace.closed))
-    return false;
-  if (!ParseNumberField(line, "budget", &number))
-    return false;
-  trace.budget = Seconds(number);
-  *out = trace;
-  return true;
 }
 
 bool
@@ -527,7 +367,7 @@ ObservabilityServer::RenderMetrics() const
   // atomics only, per the AddLiveGauge contract.
   for (const auto& [name, sample] : live_gauges_) {
     out << "# TYPE " << name << " gauge\n";
-    out << name << " " << Num(sample()) << "\n";
+    out << name << " " << json::Num(sample()) << "\n";
   }
 
   // Prometheus-convention ALERTS series: one constant-1 sample per
@@ -570,7 +410,7 @@ ObservabilityServer::RenderMetrics() const
     for (const auto& thread : threads) {
       out << "flex_watchdog_silent_seconds{thread=\""
           << EscapeLabelValue(thread.name) << "\"} "
-          << Num(thread.silent_seconds) << "\n";
+          << json::Num(thread.silent_seconds) << "\n";
     }
   }
 
@@ -618,9 +458,9 @@ ObservabilityServer::RenderHealth(int* http_status) const
 
   std::ostringstream out;
   out << "{\"ok\":" << (ok ? "true" : "false")
-      << ",\"sim_time_seconds\":" << Num(health.sim_time_seconds)
+      << ",\"sim_time_seconds\":" << json::Num(health.sim_time_seconds)
       << ",\"violations\":" << health.violations
-      << ",\"detail\":\"" << EscapeJson(health.detail) << "\""
+      << ",\"detail\":\"" << json::EscapeJson(health.detail) << "\""
       << ",\"stalled\":" << (stalled ? "true" : "false")
       << ",\"alerts_firing\":" << alerts.firing
       << ",\"alerts_pending\":" << alerts.pending
@@ -630,15 +470,15 @@ ObservabilityServer::RenderHealth(int* http_status) const
       << "\"";
   if (watchdog_ != nullptr) {
     out << ",\"forensic_hint\":\""
-        << EscapeJson(watchdog_->forensic_hint()) << "\"";
+        << json::EscapeJson(watchdog_->forensic_hint()) << "\"";
     out << ",\"threads\":[";
     bool first = true;
     for (const auto& thread : watchdog_->SnapshotThreads()) {
       if (!first)
         out << ",";
       first = false;
-      out << "{\"name\":\"" << EscapeJson(thread.name) << "\""
-          << ",\"silent_seconds\":" << Num(thread.silent_seconds)
+      out << "{\"name\":\"" << json::EscapeJson(thread.name) << "\""
+          << ",\"silent_seconds\":" << json::Num(thread.silent_seconds)
           << ",\"stalled\":" << (thread.stalled ? "true" : "false")
           << ",\"done\":" << (thread.done ? "true" : "false")
           << ",\"beats\":" << thread.beats << "}";
@@ -658,7 +498,7 @@ ObservabilityServer::RenderTrace() const
   for (std::size_t i = 0; i < traces.size(); ++i) {
     if (i > 0)
       out << ",\n ";
-    out << ReactionTraceToJson(traces[i]);
+    out << TraceToJson(traces[i]);
   }
   out << "]\n";
   return out.str();
@@ -675,7 +515,7 @@ ObservabilityServer::RenderAlerts() const
 {
   const AlertsSnapshot alerts = hub_.LatestAlerts();
   std::ostringstream out;
-  out << "{\"sim_time_seconds\":" << Num(alerts.sim_time_seconds)
+  out << "{\"sim_time_seconds\":" << json::Num(alerts.sim_time_seconds)
       << ",\"firing\":" << alerts.firing
       << ",\"pending\":" << alerts.pending
       << ",\"worst_firing\":\""
@@ -686,15 +526,15 @@ ObservabilityServer::RenderAlerts() const
     const AlertStatus& status = alerts.statuses[i];
     if (i > 0)
       out << ",";
-    out << "\n {\"name\":\"" << EscapeJson(status.rule.name) << "\""
+    out << "\n {\"name\":\"" << json::EscapeJson(status.rule.name) << "\""
         << ",\"severity\":\"" << AlertSeverityName(status.rule.severity)
         << "\",\"kind\":\"" << AlertRuleKindName(status.rule.kind)
-        << "\",\"metric\":\"" << EscapeJson(status.rule.metric)
+        << "\",\"metric\":\"" << json::EscapeJson(status.rule.metric)
         << "\",\"state\":\"" << AlertStateName(status.state)
-        << "\",\"since_s\":" << Num(status.since_s)
-        << ",\"last_value\":" << Num(status.last_value)
+        << "\",\"since_s\":" << json::Num(status.since_s)
+        << ",\"last_value\":" << json::Num(status.last_value)
         << ",\"fire_count\":" << status.fire_count
-        << ",\"description\":\"" << EscapeJson(status.rule.description)
+        << ",\"description\":\"" << json::EscapeJson(status.rule.description)
         << "\"}";
   }
   out << "],\"history\":[";
@@ -702,11 +542,11 @@ ObservabilityServer::RenderAlerts() const
     const AlertTransition& edge = alerts.timeline[i];
     if (i > 0)
       out << ",";
-    out << "\n {\"t\":" << Num(edge.t) << ",\"rule\":\""
-        << EscapeJson(edge.rule) << "\",\"from\":\""
+    out << "\n {\"t\":" << json::Num(edge.t) << ",\"rule\":\""
+        << json::EscapeJson(edge.rule) << "\",\"from\":\""
         << AlertStateName(edge.from) << "\",\"to\":\""
-        << AlertStateName(edge.to) << "\",\"value\":" << Num(edge.value)
-        << ",\"message\":\"" << EscapeJson(edge.message) << "\"}";
+        << AlertStateName(edge.to) << "\",\"value\":" << json::Num(edge.value)
+        << ",\"message\":\"" << json::EscapeJson(edge.message) << "\"}";
   }
   out << "]}\n";
   return out.str();
@@ -722,14 +562,14 @@ ObservabilityServer::RenderQuery(const std::string& metric, double window_s,
   if (found == nullptr) {
     if (http_status != nullptr)
       *http_status = 404;
-    return "{\"error\":\"unknown metric: " + EscapeJson(metric) + "\"}\n";
+    return "{\"error\":\"unknown metric: " + json::EscapeJson(metric) + "\"}\n";
   }
   if (http_status != nullptr)
     *http_status = 200;
 
   std::ostringstream out;
-  out << "{\"metric\":\"" << EscapeJson(metric) << "\",\"kind\":\""
-      << MetricKindName(found->kind) << "\",\"window\":" << Num(window_s);
+  out << "{\"metric\":\"" << json::EscapeJson(metric) << "\",\"kind\":\""
+      << MetricKindName(found->kind) << "\",\"window\":" << json::Num(window_s);
   if (resolution_s <= 0.0 || found->tiers.empty()) {
     // Raw points. The published snapshot holds the full retained ring;
     // the window is applied here, relative to the newest point.
@@ -743,7 +583,7 @@ ObservabilityServer::RenderQuery(const std::string& metric, double window_s,
       if (!first)
         out << ",";
       first = false;
-      out << "[" << Num(point.t) << "," << Num(point.value) << "]";
+      out << "[" << json::Num(point.t) << "," << json::Num(point.value) << "]";
     }
     out << "]}\n";
     return out.str();
@@ -757,7 +597,7 @@ ObservabilityServer::RenderQuery(const std::string& metric, double window_s,
   }
   const double latest = tier->points.empty() ? 0.0 : tier->points.back().t;
   const double cutoff = window_s > 0.0 ? latest - window_s : -1.0;
-  out << ",\"res\":" << Num(tier->resolution_s) << ",\"points\":[";
+  out << ",\"res\":" << json::Num(tier->resolution_s) << ",\"points\":[";
   bool first = true;
   for (const AggPoint& point : tier->points) {
     if (window_s > 0.0 && point.t < cutoff)
@@ -765,9 +605,9 @@ ObservabilityServer::RenderQuery(const std::string& metric, double window_s,
     if (!first)
       out << ",";
     first = false;
-    out << "[" << Num(point.t) << "," << Num(point.min) << ","
-        << Num(point.max) << "," << Num(point.mean) << "," << Num(point.last)
-        << "," << point.count << "]";
+    out << "[" << json::Num(point.t) << "," << json::Num(point.min) << ","
+        << json::Num(point.max) << "," << json::Num(point.mean) << ","
+        << json::Num(point.last) << "," << point.count << "]";
   }
   out << "]}\n";
   return out.str();

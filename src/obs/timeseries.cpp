@@ -2,23 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/hash.hpp"
+#include "obs/json.hpp"
 
 namespace flex::obs {
-
-namespace {
-
-std::string
-Num(double value)
-{
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
-}
-
-}  // namespace
 
 const SeriesSnapshot*
 TimeSeriesSnapshot::Find(const std::string& name) const
@@ -340,28 +328,29 @@ TimeSeriesStore::ToJsonl() const
   std::string out;
   const TimeSeriesSnapshot snapshot = Snapshot();
   for (const SeriesSnapshot& series : snapshot.series) {
-    out += "{\"series\":\"" + series.name + "\",\"kind\":\"";
+    out += "{\"series\":\"" + json::EscapeJson(series.name) +
+           "\",\"kind\":\"";
     out += MetricKindName(series.kind);
     out += "\",\"raw\":[";
     for (std::size_t i = 0; i < series.raw.size(); ++i) {
       if (i)
         out += ',';
-      out += '[' + Num(series.raw[i].t) + ',' + Num(series.raw[i].value) +
-             ']';
+      out += '[' + json::Num(series.raw[i].t) + ',' +
+             json::Num(series.raw[i].value) + ']';
     }
     out += "],\"tiers\":[";
     for (std::size_t ti = 0; ti < series.tiers.size(); ++ti) {
       const SeriesSnapshot::TierData& tier = series.tiers[ti];
       if (ti)
         out += ',';
-      out += "{\"res\":" + Num(tier.resolution_s) + ",\"points\":[";
+      out += "{\"res\":" + json::Num(tier.resolution_s) + ",\"points\":[";
       for (std::size_t i = 0; i < tier.points.size(); ++i) {
         const AggPoint& p = tier.points[i];
         if (i)
           out += ',';
-        out += '[' + Num(p.t) + ',' + Num(p.min) + ',' + Num(p.max) + ',' +
-               Num(p.mean) + ',' + Num(p.last) + ',' +
-               std::to_string(p.count) + ']';
+        out += '[' + json::Num(p.t) + ',' + json::Num(p.min) + ',' +
+               json::Num(p.max) + ',' + json::Num(p.mean) + ',' +
+               json::Num(p.last) + ',' + std::to_string(p.count) + ']';
       }
       out += "]}";
     }

@@ -6,6 +6,7 @@
  * forensic-bundle dump/replay loop built on top of them.
  */
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -528,6 +529,27 @@ TEST(FaultForensicsTest, PerturbedBundleRecordIsReportedAsDivergence)
       << "perturbed record went undetected";
   EXPECT_EQ(replay.divergence->sequence, records[victim].sequence);
   EXPECT_EQ(replay.divergence->field, "value");
+}
+
+TEST(FaultForensicsTest, WideSeedBundleReplaysExactly)
+{
+  // 2^53 + 1 is the first seed a double cannot hold: the manifest must
+  // hand the replay the recorded seed, not its nearest double.
+  const std::uint64_t seed = (std::uint64_t{1} << 53) + 1;
+  ForensicsOptions options;
+  options.root_dir = ::testing::TempDir() + "fault-forensics-wide-seed";
+  options.force_dump = true;
+
+  const ScenarioConfig config;
+  const RecordedRun run = RunRecordedScenario(config, seed, options);
+  ASSERT_FALSE(run.bundle_dir.empty()) << run.dump_error;
+
+  const ReplayReport replay = ReplayBundle(run.bundle_dir, config);
+  ASSERT_TRUE(replay.loaded) << replay.error;
+  EXPECT_EQ(replay.manifest.seed, seed);
+  EXPECT_GT(replay.compared, 0u);
+  EXPECT_FALSE(replay.divergence.has_value())
+      << replay.divergence->Summary();
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "emulation/room_emulation.hpp"
 #include "emulation/sweep.hpp"
 #include "obs/alerts.hpp"
+#include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/http_export.hpp"
 #include "obs/http_server.hpp"
@@ -398,7 +399,7 @@ TEST(TraceJsonTest, RoundTripsEveryField)
   trace.budget = Seconds(10.0);
 
   ReactionTrace parsed;
-  ASSERT_TRUE(ParseReactionTraceJson(ReactionTraceToJson(trace), &parsed));
+  ASSERT_TRUE(ParseTraceJson(TraceToJson(trace), &parsed));
   EXPECT_EQ(parsed.id, trace.id);
   EXPECT_EQ(parsed.detecting_replica, trace.detecting_replica);
   EXPECT_EQ(parsed.ups_index, trace.ups_index);
@@ -415,8 +416,8 @@ TEST(TraceJsonTest, RoundTripsEveryField)
   EXPECT_EQ(parsed.budget.value(), trace.budget.value());
 
   ReactionTrace bad;
-  EXPECT_FALSE(ParseReactionTraceJson("{\"id\":1}", &bad));
-  EXPECT_FALSE(ParseReactionTraceJson("not json", &bad));
+  EXPECT_FALSE(ParseTraceJson("{\"id\":1}", &bad));
+  EXPECT_FALSE(ParseTraceJson("not json", &bad));
 }
 
 TEST(TraceJsonTest, TraceEndpointServesPublishedTail)
@@ -432,7 +433,9 @@ TEST(TraceJsonTest, TraceEndpointServesPublishedTail)
   // The tail keeps the LAST 32: ids 9..40.
   EXPECT_EQ(hub.LatestTraces().size(), 32u);
   EXPECT_EQ(hub.LatestTraces().front().id, 9u);
-  EXPECT_EQ(body.front(), '[');
+  // /trace serves the same lines as a bundle's traces.jsonl.
+  EXPECT_EQ(body.find("[" + TraceToJson(hub.LatestTraces().front()) + ","),
+            0u);
   // Every object line in the array must parse back.
   std::size_t parsed = 0;
   std::size_t at = 0;
@@ -441,7 +444,7 @@ TEST(TraceJsonTest, TraceEndpointServesPublishedTail)
     ASSERT_NE(end, std::string::npos);
     ReactionTrace t;
     ASSERT_TRUE(
-        ParseReactionTraceJson(body.substr(at, end - at + 1), &t));
+        ParseTraceJson(body.substr(at, end - at + 1), &t));
     ++parsed;
     at = end;
   }

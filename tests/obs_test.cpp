@@ -6,10 +6,16 @@
  * the same seed and require bit-identical exports — the property the
  * seed-replay tooling depends on.
  */
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +24,7 @@
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/forensics.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observability.hpp"
@@ -326,27 +333,15 @@ TEST(ExportTest, TraceJsonHasFixedKeyOrderAndStages)
   tracer.OnDecision(0, 2, Seconds(1.7));
   tracer.OnEnforced(0, Seconds(2.5));
   const std::string json = TraceToJson(tracer.traces().front());
-  EXPECT_EQ(json.find("{\"trace_id\":1,\"ups\":3,\"replica\":0,"
-                      "\"complete\":true,\"actions\":2"),
-            0u);
-  EXPECT_NE(json.find("\"meter_sample\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"end_to_end_s\":1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"within_budget\":true"), std::string::npos);
-  EXPECT_EQ(json.find('\n'), std::string::npos);
+  EXPECT_EQ(json,
+            "{\"id\":1,\"replica\":0,\"ups\":3,\"actions\":2,"
+            "\"dup_detections\":0,\"dup_waves\":0,\"sampled_at\":1,"
+            "\"delivered_at\":1.5,\"detected_at\":1.6,\"decided_at\":1.7,"
+            "\"enforced_at\":2.5,\"complete\":true,\"closed\":false,"
+            "\"budget\":10}");
 
   const std::string jsonl = TracesToJsonl(tracer);
   EXPECT_EQ(jsonl, json + "\n");
-}
-
-TEST(ExportTest, SnapshotCsvHasFixedHeaderAndOneRowPerMetric)
-{
-  MetricsRegistry registry;
-  registry.counter("c.events").Increment(3.0);
-  registry.histogram("h.lat").Observe(0.5);
-  const std::string csv = SnapshotToCsv(registry.Snapshot());
-  EXPECT_EQ(csv.find("name,kind,value,count,sum,min,max,p50,p99\n"), 0u);
-  EXPECT_NE(csv.find("c.events,counter,3"), std::string::npos);
-  EXPECT_NE(csv.find("h.lat,histogram"), std::string::npos);
 }
 
 TEST(ExportTest, BenchJsonLineIsSingleLineWithBenchName)
@@ -379,6 +374,135 @@ TEST(ExportTest, SummaryTableListsMetricsAndTraceVerdicts)
 }
 
 // ---------------------------------------------------------------------------
+// JSON codec
+// ---------------------------------------------------------------------------
+
+std::string
+ReadBack(const std::string& text)
+{
+  std::string out;
+  EXPECT_TRUE(json::ReadString("{\"k\":\"" + json::EscapeJson(text) + "\"}",
+                               "k", &out));
+  return out;
+}
+
+TEST(JsonCodecTest, EscapeRoundTripsEveryByte)
+{
+  for (int byte = 0; byte <= 0xFF; ++byte) {
+    const std::string alone(1, static_cast<char>(byte));
+    const std::string escaped = json::EscapeJson(alone);
+    // A JSONL line must never carry a raw control byte.
+    for (const char c : escaped)
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << "byte " << byte;
+    EXPECT_EQ(ReadBack(alone), alone) << "byte " << byte;
+    const std::string embedded = "a\"" + alone + "\\b" + alone + "z";
+    EXPECT_EQ(ReadBack(embedded), embedded) << "byte " << byte;
+  }
+  EXPECT_EQ(json::EscapeJson("\r"), "\\r");
+}
+
+TEST(JsonCodecTest, ExactNumRoundTripsBitExactly)
+{
+  std::mt19937_64 rng(2021);
+  int checked = 0;
+  while (checked < 1000) {
+    const std::uint64_t bits = rng();
+    double x = 0.0;
+    std::memcpy(&x, &bits, sizeof(x));
+    if (!std::isfinite(x))
+      continue;
+    ++checked;
+    double parsed = 0.0;
+    ASSERT_TRUE(
+        json::ReadNumber("{\"x\":" + json::ExactNum(x) + "}", "x", &parsed));
+    std::uint64_t parsed_bits = 0;
+    std::memcpy(&parsed_bits, &parsed, sizeof(parsed));
+    EXPECT_EQ(parsed_bits, bits) << json::ExactNum(x);
+  }
+  // Num keeps nine significant digits only: not a round trip.
+  EXPECT_EQ(json::Num(0.1 + 0.2), "0.3");
+  EXPECT_NE(0.1 + 0.2, 0.3);
+}
+
+TEST(JsonCodecTest, FieldReadersAcceptOrRejectAsDocumented)
+{
+  double number = 0.0;
+  std::uint64_t uint = 0;
+  int integer = 0;
+  std::string text;
+  bool flag = false;
+
+  // Missing key.
+  EXPECT_FALSE(json::ReadNumber("{\"a\":1}", "b", &number));
+  EXPECT_FALSE(json::ReadUint("{\"a\":1}", "b", &uint));
+  EXPECT_FALSE(json::ReadInt("{\"a\":1}", "b", &integer));
+  EXPECT_FALSE(json::ReadString("{\"a\":\"x\"}", "b", &text));
+  EXPECT_FALSE(json::ReadBool("{\"a\":true}", "b", &flag));
+
+  // Non-numeric values.
+  EXPECT_FALSE(json::ReadNumber("{\"a\":\"1\"}", "a", &number));
+  EXPECT_FALSE(json::ReadUint("{\"a\":\"1\"}", "a", &uint));
+  EXPECT_FALSE(json::ReadInt("{\"a\":x}", "a", &integer));
+  EXPECT_FALSE(json::ReadString("{\"a\":1}", "a", &text));
+  EXPECT_FALSE(json::ReadBool("{\"a\":1}", "a", &flag));
+
+  // Whitespace after the colon, as in the pretty-printed manifest.
+  ASSERT_TRUE(json::ReadNumber("{\"a\": 2.5}", "a", &number));
+  EXPECT_EQ(number, 2.5);
+  ASSERT_TRUE(json::ReadUint("{\"a\":\t 7}", "a", &uint));
+  EXPECT_EQ(uint, 7u);
+  ASSERT_TRUE(json::ReadString("{\"a\": \"s\"}", "a", &text));
+  EXPECT_EQ(text, "s");
+  ASSERT_TRUE(json::ReadBool("{\"a\": false}", "a", &flag));
+  EXPECT_FALSE(flag);
+
+  // ReadUint is exact over the full 64-bit range and takes no sign.
+  ASSERT_TRUE(json::ReadUint("{\"a\":9007199254740993}", "a", &uint));
+  EXPECT_EQ(uint, (std::uint64_t{1} << 53) + 1);
+  ASSERT_TRUE(json::ReadUint("{\"a\":18446744073709551615}", "a", &uint));
+  EXPECT_EQ(uint, std::numeric_limits<std::uint64_t>::max());
+  uint = 5;
+  EXPECT_FALSE(json::ReadUint("{\"a\":18446744073709551616}", "a", &uint));
+  EXPECT_FALSE(json::ReadUint("{\"a\":-1}", "a", &uint));
+  EXPECT_FALSE(json::ReadUint("{\"a\":+1}", "a", &uint));
+  EXPECT_FALSE(json::ReadUint("{\"a\":1.5}", "a", &uint));
+  EXPECT_FALSE(json::ReadUint("{\"a\":1e3}", "a", &uint));
+  EXPECT_EQ(uint, 5u);  // a rejected read leaves the output alone
+
+  ASSERT_TRUE(json::ReadInt("{\"a\":-7}", "a", &integer));
+  EXPECT_EQ(integer, -7);
+  EXPECT_FALSE(json::ReadInt("{\"a\":2147483648}", "a", &integer));
+  EXPECT_FALSE(json::ReadInt("{\"a\":-2147483649}", "a", &integer));
+
+  // Malformed strings.
+  EXPECT_FALSE(json::ReadString("{\"a\":\"open}", "a", &text));
+  EXPECT_FALSE(json::ReadString("{\"a\":\"\\q\"}", "a", &text));
+  EXPECT_FALSE(json::ReadString("{\"a\":\"\\u0100\"}", "a", &text));
+}
+
+TEST(JsonCodecTest, LineReaderCountsPhysicalLines)
+{
+  const std::string text = "a\n\n\nb\nc";
+  json::LineReader lines(text);
+  std::vector<std::pair<std::string, std::size_t>> seen;
+  while (lines.Next())
+    seen.emplace_back(lines.line(), lines.number());
+  const std::vector<std::pair<std::string, std::size_t>> want = {
+      {"a", 1}, {"b", 4}, {"c", 5}};
+  EXPECT_EQ(seen, want);
+
+  // Error messages name the physical line, blank lines included.
+  FlightRecorder recorder;
+  recorder.Record(Seconds(1.0), RecordKind::kMeterSample, 0, 1, 2.0);
+  std::vector<FlightRecord> parsed;
+  std::string error;
+  EXPECT_FALSE(ParseRecordsJsonl(RecordsToJsonl(recorder.Records()) +
+                                     "\nnot json\n",
+                                 &parsed, &error));
+  EXPECT_EQ(error, "malformed record at line 3");
+}
+
+// ---------------------------------------------------------------------------
 // Determinism: two identical seeded runs export bit-identical bytes
 // ---------------------------------------------------------------------------
 
@@ -407,8 +531,7 @@ RunSeededPipeline(std::uint64_t seed)
   pipeline.Subscribe([](const telemetry::DeviceReading&) {});
   pipeline.Start();
   queue.RunUntil(Minutes(2.0));
-  return SnapshotToJson(observability.metrics().Snapshot()) +
-         SnapshotToCsv(observability.metrics().Snapshot());
+  return SnapshotToJson(observability.metrics().Snapshot());
 }
 
 }  // namespace
@@ -742,6 +865,34 @@ TEST(ForensicsBundleTest, WriteLoadRoundTrip)
   EXPECT_EQ(bundle.fault_plan_jsonl, "{\"at\":1.5}\n");
   ASSERT_EQ(bundle.records.size(), 2u);
   EXPECT_FALSE(FirstDivergence(spec.records, bundle.records).has_value());
+}
+
+TEST(ForensicsBundleTest, SixtyFourBitIdsRoundTripExactly)
+{
+  // Above 2^53 a double no longer holds every integer: these ids survive
+  // the text round trip only through an exact integer parse.
+  const std::uint64_t wide = (std::uint64_t{1} << 53) + 1;
+  FlightRecord record;
+  record.sequence = wide;
+  record.t = 1.0;
+  for (const std::uint64_t seed :
+       {wide, std::numeric_limits<std::uint64_t>::max()}) {
+    BundleSpec spec;
+    spec.seed = seed;
+    spec.records = {record};
+    const std::string dir =
+        UniqueBundleDir(::testing::TempDir(), "obs-test-wide-ids");
+    std::string error;
+    ASSERT_TRUE(WriteForensicBundle(dir, spec, &error)) << error;
+
+    LoadedBundle bundle;
+    ASSERT_TRUE(LoadForensicBundle(dir, &bundle, &error)) << error;
+    EXPECT_EQ(bundle.manifest.seed, seed);
+    EXPECT_EQ(bundle.manifest.first_sequence, wide);
+    EXPECT_EQ(bundle.manifest.last_sequence, wide);
+    ASSERT_EQ(bundle.records.size(), 1u);
+    EXPECT_EQ(bundle.records[0].sequence, wide);
+  }
 }
 
 TEST(ForensicsBundleTest, LoadFailsWithoutManifest)
