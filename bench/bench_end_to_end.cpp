@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "emulation/fleet_emulation.hpp"
 #include "emulation/room_emulation.hpp"
-#include "emulation/sweep.hpp"
 #include "obs/forensics.hpp"
 #include "power/trip_curve.hpp"
 
@@ -83,22 +83,22 @@ main()
               report.safety_violated ? "VIOLATED" : "none");
 
   // Trace-variant sweep: the same room under FLEX_BENCH_TRACES
-  // different seeds, fanned out across the shared thread pool (one room
-  // per lane, serial merge in seed order). Demonstrates the paper's
-  // headline numbers are not an artifact of one trace.
-  emulation::SweepConfig sweep;
-  sweep.base = config;
-  sweep.base.obs = nullptr;  // lanes must not share the registry
-  sweep.variants = bench::NumTraces(3);
+  // different seeds, run as a fleet with the substation off on the
+  // shared thread pool (one room per lane, serial merge in seed order).
+  // Demonstrates the paper's headline numbers are not an artifact of
+  // one trace.
+  emulation::FleetConfig sweep;
+  sweep.room = config;
+  sweep.rooms = bench::NumTraces(3);
   sweep.threads = 0;
-  const emulation::SweepResult sweep_result =
-      emulation::RunEmulationSweep(sweep);
-  std::printf("\ntrace variants (%d seeds on %d lane%s):\n", sweep.variants,
+  const emulation::FleetReport sweep_result =
+      emulation::FleetEmulation(sweep).Run();
+  std::printf("\ntrace variants (%d seeds on %d lane%s):\n", sweep.rooms,
               sweep_result.lanes, sweep_result.lanes == 1 ? "" : "s");
   std::printf("  %-6s %10s %10s %12s %10s %8s\n", "seed", "SR off",
               "capped", "safe (s)", "noncap", "safety");
-  for (std::size_t i = 0; i < sweep_result.reports.size(); ++i) {
-    const emulation::EmulationReport& variant = sweep_result.reports[i];
+  for (std::size_t i = 0; i < sweep_result.rooms.size(); ++i) {
+    const emulation::EmulationReport& variant = sweep_result.rooms[i].report;
     std::printf("  %-6llu %9.0f%% %9.0f%% %12.1f %10d %8s\n",
                 static_cast<unsigned long long>(config.seed + i),
                 100.0 * variant.sr_shutdown_fraction,
@@ -106,13 +106,13 @@ main()
                 variant.time_to_safe_seconds, variant.noncap_acted,
                 variant.safety_violated ? "VIOLATED" : "ok");
   }
-  std::printf("  merged sample hash %016llx\n",
-              static_cast<unsigned long long>(sweep_result.sample_hash));
+  std::printf("  fleet hash %016llx\n",
+              static_cast<unsigned long long>(sweep_result.fleet_hash));
 
   const obs::ReactionTracer& tracer = observability.tracer();
   obs::MetricsRegistry& metrics = observability.metrics();
   metrics.gauge("room.sweep.variants")
-      .Set(static_cast<double>(sweep.variants));
+      .Set(static_cast<double>(sweep.rooms));
   metrics.gauge("room.sweep.lanes")
       .Set(static_cast<double>(sweep_result.lanes));
   std::printf("\n%s",

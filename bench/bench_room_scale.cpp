@@ -16,9 +16,10 @@
  * Each monitor tick reads the running UPS sums, O(UPSes) instead of
  * O(racks); the paper rung keeps the paper's own cadences for fidelity.
  *
- * Also proves the parallel sweep's determinism: a 2-lane
- * RunEmulationSweep must produce the same sample hash as the serial
- * run, asserted here and exported to BENCH_room_scale.json.
+ * Also proves the parallel sweep's determinism: a 2-lane sweep (a
+ * FleetEmulation with the substation off) must produce the same fleet
+ * hash as the 1-lane run, asserted here and exported to
+ * BENCH_room_scale.json.
  *
  * FLEX_SMOKE=1 shrinks everything to seconds of sim time and skips the
  * alerting-overhead assertion (tiny rooms are dominated by fixed costs).
@@ -32,8 +33,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "emulation/fleet_emulation.hpp"
 #include "emulation/room_emulation.hpp"
-#include "emulation/sweep.hpp"
 #include "obs/http_export.hpp"
 #include "obs/profiler.hpp"
 #include "solver/branch_and_bound.hpp"
@@ -244,27 +245,28 @@ main()
 
   // Sweep determinism: 2 variants through 1 lane and through 2 lanes
   // must fingerprint identically (serial merge in seed order).
-  emulation::SweepConfig sweep;
-  sweep.base = base;  // paper-size room keeps the sweep quick
-  sweep.base.failover_at = Seconds(smoke ? 10.0 : 20.0);
-  sweep.base.restore_at = Seconds(smoke ? 11.0 : 30.0);
-  sweep.base.end_at = Seconds(smoke ? 12.0 : 40.0);
+  emulation::FleetConfig sweep;
+  sweep.room = base;  // paper-size room keeps the sweep quick
+  sweep.room.failover_at = Seconds(smoke ? 10.0 : 20.0);
+  sweep.room.restore_at = Seconds(smoke ? 11.0 : 30.0);
+  sweep.room.end_at = Seconds(smoke ? 12.0 : 40.0);
   // Node-budgeted placement: the 1-lane and 2-lane sweeps each rebuild
   // their rooms, so a wall-clock solve budget could truncate the two
   // placements differently and fail the hash compare spuriously.
-  sweep.base.placement_solve_seconds = 1e9;
-  sweep.base.placement_max_nodes = smoke ? 500 : 4000;
-  sweep.variants = 2;
+  sweep.room.placement_solve_seconds = 1e9;
+  sweep.room.placement_max_nodes = smoke ? 500 : 4000;
+  sweep.rooms = 2;
   sweep.threads = 1;
-  const emulation::SweepResult serial = emulation::RunEmulationSweep(sweep);
+  const emulation::FleetReport serial = emulation::FleetEmulation(sweep).Run();
   sweep.threads = 2;
-  const emulation::SweepResult parallel = emulation::RunEmulationSweep(sweep);
-  const bool hash_match = serial.sample_hash == parallel.sample_hash;
-  std::printf("\nparallel sweep determinism (%d variants):\n", sweep.variants);
+  const emulation::FleetReport parallel =
+      emulation::FleetEmulation(sweep).Run();
+  const bool hash_match = serial.fleet_hash == parallel.fleet_hash;
+  std::printf("\nparallel sweep determinism (%d variants):\n", sweep.rooms);
   std::printf("  1-lane hash %016llx, %d-lane hash %016llx -> %s\n",
-              static_cast<unsigned long long>(serial.sample_hash),
+              static_cast<unsigned long long>(serial.fleet_hash),
               parallel.lanes,
-              static_cast<unsigned long long>(parallel.sample_hash),
+              static_cast<unsigned long long>(parallel.fleet_hash),
               hash_match ? "identical" : "MISMATCH");
 
   obs::Observability observability;

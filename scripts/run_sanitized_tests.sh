@@ -2,7 +2,8 @@
 # Builds the repository with FLEX_SANITIZE=ON (ASan + UBSan) in a
 # dedicated build tree and runs the tier-1 ctest suite under it, then
 # builds a second tree with FLEX_SANITIZE_THREAD=ON (TSan) and runs the
-# concurrency-heavy suites (common/solver/offline) under that.
+# concurrency-heavy suites (the thread pool and every common::Lanes
+# caller, the solver, offline placement, the HTTP plane) under that.
 #
 # Usage: scripts/run_sanitized_tests.sh [ctest args...]
 #   e.g. scripts/run_sanitized_tests.sh -R fault_test
@@ -53,22 +54,28 @@ fi
 # ThreadSanitizer pass: a separate tree (TSan is incompatible with
 # ASan), focused on the suites that exercise the thread pool, the
 # parallel branch-and-bound waves, the placement fan-out, and the
-# HTTP scrape thread racing the sweep lanes. TSan findings abort the
+# HTTP scrape thread racing the fleet lanes. TSan findings abort the
 # run via the non-zero exit of the test binary.
 tsan_dir="${FLEX_TSAN_BUILD_DIR:-${repo_root}/build-tsan}"
 cmake -B "${tsan_dir}" -S "${repo_root}" -DFLEX_SANITIZE_THREAD=ON
 cmake --build "${tsan_dir}" -j"$(nproc)"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-echo "run_sanitized_tests: TSan pass (common/solver/offline suites)"
+echo "run_sanitized_tests: TSan pass (pool, lanes, solver, offline, HTTP)"
 "${tsan_dir}/tests/common_test" --gtest_brief=1
 "${tsan_dir}/tests/solver_test" --gtest_brief=1
 "${tsan_dir}/tests/solver_lp_differential_test" --gtest_brief=1
 "${tsan_dir}/tests/offline_test" --gtest_brief=1
 "${tsan_dir}/tests/obs_http_test" --gtest_brief=1
-# Alert/store bit-identity across parallel sweep lanes: lane-local
-# stores running under the thread pool must never share state.
+# Alert engine, store and forensic drills; the cross-lane alert
+# timeline drill itself runs in fleet_test below.
 "${tsan_dir}/tests/obs_alerts_test" --gtest_brief=1
-# Fleet lanes step concurrent RoomEmulations against the epoch barrier;
-# any cross-lane write TSan finds here is also a determinism bug.
+# Every common::Lanes caller runs here. Fleet lanes step concurrent
+# RoomEmulations against the epoch barrier (any cross-lane write TSan
+# finds is also a determinism bug); Monte Carlo chunks and fuzz-sweep
+# scenarios fan out on 2-3 lanes. The filters keep the pass short.
 "${tsan_dir}/tests/fleet_test" --gtest_brief=1
+"${tsan_dir}/tests/analysis_test" --gtest_brief=1 \
+  --gtest_filter='MonteCarloTest.IsBitIdenticalForAnyThreadCount'
+"${tsan_dir}/tests/fault_test" --gtest_brief=1 \
+  --gtest_filter='RunFuzzSweepTest.*'

@@ -147,7 +147,6 @@ FeasibilityModel::MonteCarlo(std::uint64_t samples, std::uint64_t seed,
                              int threads) const
 {
   FLEX_REQUIRE(samples > 0, "monte carlo needs at least one sample");
-  FLEX_REQUIRE(threads >= 0, "negative thread count");
   constexpr std::uint64_t kChunkSamples = 65536;
 
   const double threshold_high = params_.failover_budget_fraction;
@@ -157,6 +156,7 @@ FeasibilityModel::MonteCarlo(std::uint64_t samples, std::uint64_t seed,
 
   const std::uint64_t num_chunks =
       (samples + kChunkSamples - 1) / kChunkSamples;
+  common::Lanes lanes(threads, static_cast<std::size_t>(num_chunks));
   struct ChunkCounts {
     std::uint64_t above_high = 0;
     std::uint64_t above_shutdown = 0;
@@ -185,27 +185,15 @@ FeasibilityModel::MonteCarlo(std::uint64_t samples, std::uint64_t seed,
     }
   };
 
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(static_cast<std::size_t>(num_chunks));
+  for (std::uint64_t chunk = 0; chunk < num_chunks; ++chunk)
+    tasks.push_back([&run_chunk, chunk] { run_chunk(chunk); });
+  lanes.Run(std::move(tasks));
+
   MonteCarloResult mc;
   mc.samples = samples;
-  if (threads == 1 || num_chunks == 1) {
-    mc.lanes = 1;
-    for (std::uint64_t chunk = 0; chunk < num_chunks; ++chunk)
-      run_chunk(chunk);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(static_cast<std::size_t>(num_chunks));
-    for (std::uint64_t chunk = 0; chunk < num_chunks; ++chunk)
-      tasks.push_back([&run_chunk, chunk] { run_chunk(chunk); });
-    if (threads == 0) {
-      common::ThreadPool& pool = common::ThreadPool::Shared();
-      mc.lanes = pool.size();
-      pool.Run(std::move(tasks));
-    } else {
-      common::ThreadPool pool(threads);
-      mc.lanes = pool.size();
-      pool.Run(std::move(tasks));
-    }
-  }
+  mc.lanes = lanes.size();
 
   Fnv1a hash;
   std::uint64_t above_high = 0;

@@ -105,8 +105,7 @@ class FeasibilityModel {
    * Sampling the maintenance coincidence directly would need ~1e9
    * samples to resolve the paper's five-nines tail, so only the
    * utilization mixture is sampled. Work fans out in fixed 65536-sample
-   * chunks across thread-pool lanes (threads: 0 = shared pool,
-   * 1 = inline serial, n = private pool) with one RNG stream per chunk
+   * chunks across common::Lanes(threads) with one RNG stream per chunk
    * and a serial chunk-order merge — bit-identical for any thread
    * count.
    */

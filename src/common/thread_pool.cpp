@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "common/error.hpp"
+
 namespace flex::common {
 
 namespace {
@@ -191,6 +193,30 @@ ThreadPool::Run(std::vector<std::function<void()>> tasks)
   }
   if (batch.error)
     std::rethrow_exception(batch.error);
+}
+
+Lanes::Lanes(int threads, std::size_t units)
+{
+  FLEX_REQUIRE(threads >= 0, "negative thread count");
+  if (threads == 1 || units <= 1)
+    return;
+  if (threads == 0) {
+    pool_ = &ThreadPool::Shared();
+    return;
+  }
+  owned_ = std::make_unique<ThreadPool>(threads);
+  pool_ = owned_.get();
+}
+
+void
+Lanes::Run(std::vector<std::function<void()>> tasks)
+{
+  if (pool_ != nullptr) {
+    pool_->Run(std::move(tasks));
+    return;
+  }
+  for (const auto& task : tasks)
+    task();
 }
 
 }  // namespace flex::common

@@ -19,6 +19,9 @@
  * worker threads plus the thread blocked in Run(). ThreadPool::Shared()
  * is the process-wide instance sized by FLEX_SOLVER_THREADS (default:
  * hardware concurrency).
+ *
+ * Lanes maps a caller's `threads` knob onto the shared pool, the
+ * caller's own thread, or a private pool.
  */
 #ifndef FLEX_COMMON_THREAD_POOL_HPP_
 #define FLEX_COMMON_THREAD_POOL_HPP_
@@ -118,6 +121,31 @@ class ThreadPool {
   std::atomic<int> running_{0};
   std::atomic<std::uint64_t> next_{0};
   std::atomic<std::int64_t> steals_{0};
+};
+
+/**
+ * The lane policy for fanning out independent units of work: threads
+ * 0 = the shared pool, 1 = inline on the caller, n = a private pool of
+ * n lanes; work of at most one unit always runs inline. Callers merge
+ * results in unit order, so their output never depends on the choice.
+ */
+class Lanes {
+ public:
+  /** Throws ConfigError when @p threads is negative. */
+  Lanes(int threads, std::size_t units);
+
+  Lanes(const Lanes&) = delete;
+  Lanes& operator=(const Lanes&) = delete;
+
+  /** Lanes the work runs on: 1 when inline. */
+  int size() const { return pool_ != nullptr ? pool_->size() : 1; }
+
+  /** Runs every task to completion (see ThreadPool::Run). */
+  void Run(std::vector<std::function<void()>> tasks);
+
+ private:
+  std::unique_ptr<ThreadPool> owned_;  // the private pool, threads >= 2
+  ThreadPool* pool_ = nullptr;         // null: inline on the caller
 };
 
 }  // namespace flex::common

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/http_export.hpp"
 
 namespace flex::emulation {
@@ -21,20 +20,26 @@ WallSeconds(std::chrono::steady_clock::time_point start)
       .count();
 }
 
+/** Rejects fleet shapes that cannot run, before any lane exists. */
+FleetConfig
+Validated(FleetConfig config)
+{
+  FLEX_REQUIRE(config.rooms >= 1, "fleet needs at least one room");
+  FLEX_REQUIRE(config.epoch.value() > 0.0, "epoch length must be positive");
+  return config;
+}
+
 }  // namespace
 
-FleetEmulation::FleetEmulation(FleetConfig config) : config_(std::move(config))
+FleetEmulation::FleetEmulation(FleetConfig config)
+    : config_(Validated(std::move(config))),
+      lanes_(config_.threads, static_cast<std::size_t>(config_.rooms))
 {
-  FLEX_REQUIRE(config_.rooms >= 1, "fleet needs at least one room");
-  FLEX_REQUIRE(config_.threads >= 0, "negative thread count");
-  FLEX_REQUIRE(config_.epoch.value() > 0.0, "epoch length must be positive");
-
   const auto n = static_cast<std::size_t>(config_.rooms);
   // Build every room serially, in room order: construction runs the
   // wall-clock-budgeted Flex-Offline placement (and may lean on the
   // shared solver pool), so building under lane contention would change
-  // the placement and break bit-identity — the same discipline as the
-  // sweep harness. Only the event loops fan out.
+  // the placement and break bit-identity. Only the event loops fan out.
   rooms_.reserve(n);
   for (int r = 0; r < config_.rooms; ++r) {
     EmulationConfig room_config = config_.room;
@@ -47,15 +52,7 @@ FleetEmulation::FleetEmulation(FleetConfig config) : config_(std::move(config))
     rooms_.back()->StartTimeline();
   }
 
-  if (config_.threads >= 2)
-    private_pool_ = std::make_unique<common::ThreadPool>(config_.threads);
-  if (config_.threads == 1 || config_.rooms == 1)
-    report_.lanes = 1;
-  else if (private_pool_)
-    report_.lanes = private_pool_->size();
-  else
-    report_.lanes = common::ThreadPool::Shared().size();
-
+  report_.lanes = lanes_.size();
   views_.resize(n);
   epoch_hashes_.assign(n, 0);
   epoch_events_.assign(n, 0);
@@ -81,21 +78,6 @@ FleetEmulation::room(int index) const
 }
 
 void
-FleetEmulation::RunOnLanes(std::vector<std::function<void()>> tasks)
-{
-  if (config_.threads == 1 || tasks.size() == 1) {
-    for (auto& task : tasks)
-      task();
-    return;
-  }
-  if (private_pool_ != nullptr) {
-    private_pool_->Run(std::move(tasks));
-    return;
-  }
-  common::ThreadPool::Shared().Run(std::move(tasks));
-}
-
-void
 FleetEmulation::StepEpoch(Seconds horizon)
 {
   epoch_horizon_ = horizon;
@@ -113,7 +95,7 @@ FleetEmulation::StepEpoch(Seconds horizon)
     });
   }
   const auto step_start = std::chrono::steady_clock::now();
-  RunOnLanes(std::move(tasks));
+  lanes_.Run(std::move(tasks));
   report_.step_wall_seconds += WallSeconds(step_start);
 
   const auto merge_start = std::chrono::steady_clock::now();
@@ -269,7 +251,7 @@ FleetEmulation::Run()
       report_.rooms[i].report = rooms_[i]->Finish();
     });
   }
-  RunOnLanes(std::move(tasks));
+  lanes_.Run(std::move(tasks));
 
   Fnv1a fleet_hash;
   for (std::size_t r = 0; r < rooms_.size(); ++r) {

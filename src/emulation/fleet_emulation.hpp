@@ -1,9 +1,11 @@
 /**
  * @file
- * Sharded multi-room fleet engine.
+ * Sharded multi-room fleet engine, and the repo's one engine for many
+ * rooms: a trace-variant sweep (the same room under seeds seed, seed+1,
+ * ...) is a fleet with the substation left off, its default.
  *
  * Steps N independent RoomEmulation instances — 100k+ racks in
- * aggregate — in parallel across common::ThreadPool lanes, in fixed
+ * aggregate — in parallel across common::Lanes, in fixed
  * simulated-time epochs. Each lane owns one room outright: its calendar
  * wheel, its SoA rack state, its lane-local time-series store and alert
  * engine. Between epochs every lane is parked at the same simulated
@@ -37,18 +39,14 @@
 #define FLEX_EMULATION_FLEET_EMULATION_HPP_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "emulation/room_emulation.hpp"
 #include "emulation/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "power/substation.hpp"
-
-namespace flex::common {
-class ThreadPool;
-}  // namespace flex::common
 
 namespace flex::emulation {
 
@@ -57,10 +55,7 @@ struct FleetConfig {
   /** Per-room base configuration; room r runs with seed room.seed + r. */
   EmulationConfig room;
   int rooms = 4;
-  /**
-   * Lanes to step on: 0 = the shared pool (all configured cores),
-   * 1 = inline serial execution, n = a private pool of n lanes.
-   */
+  /** Lanes to step on, per common::Lanes: 0 = the shared pool, 1 = inline. */
   int threads = 0;
   /** Simulated-time epoch length between merge barriers. */
   Seconds epoch = Seconds(30.0);
@@ -153,11 +148,10 @@ class FleetEmulation {
   /** Builds the fixed-row rollup once; later barriers update in place. */
   void BuildRollup();
   void PublishRollup();
-  void RunOnLanes(std::vector<std::function<void()>> tasks);
 
   FleetConfig config_;
+  common::Lanes lanes_;
   std::vector<std::unique_ptr<RoomEmulation>> rooms_;
-  std::unique_ptr<common::ThreadPool> private_pool_;  // threads >= 2 only
 
   // Per-room flat state, indexed by room; each slot is written only by
   // its own lane task (stepping) or the serial barrier (merging).

@@ -24,8 +24,8 @@ namespace {
 
 /**
  * Calls @p emit(name, value) for the gauges of the optional live sinks
- * (solver progress, stall watchdog), in name order. Both snapshot
- * branches of BuildLiveSnapshot publish exactly this list.
+ * (solver progress, stall watchdog). Both snapshot branches of
+ * BuildLiveSnapshot publish exactly this list.
  */
 template <typename Emit>
 void
@@ -63,9 +63,20 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
   FLEX_REQUIRE(config_.target_utilization > 0.0 &&
                    config_.target_utilization <= 1.0,
                "target utilization must be in (0, 1]");
+  FLEX_REQUIRE(config_.flex_power_fraction > 0.0 &&
+                   config_.flex_power_fraction <= 1.0,
+               "flex_power_fraction must be in (0, 1]");
+  FLEX_REQUIRE(config_.failover_at.value() >= 0.0,
+               "failover_at must not be negative");
   FLEX_REQUIRE(config_.failover_at < config_.restore_at &&
                    config_.restore_at < config_.end_at,
                "timeline must be ordered: failover < restore < end");
+  FLEX_REQUIRE(config_.workload_step.value() > 0.0,
+               "workload_step must be positive");
+  FLEX_REQUIRE(config_.sample_period.value() > 0.0,
+               "sample_period must be positive");
+  FLEX_REQUIRE(config_.num_controllers >= 1,
+               "num_controllers must be at least 1");
   FLEX_REQUIRE(config_.failed_ups >= 0 &&
                    config_.failed_ups < topology_.NumUpses(),
                "failed UPS out of range");
@@ -564,41 +575,32 @@ RoomEmulation::BuildLiveSnapshot()
     return metrics.Snapshot();
   }
 
-  // Sweep lanes run without a registry (it is single-threaded and
-  // lane-local); synthesize the minimum so /metrics and the history
-  // store still track the run. Row names stay sorted — the
-  // MetricsSnapshot contract.
-  obs::MetricsSnapshot snapshot;
-  snapshot.sim_time_seconds = queue_.Now().value();
-  const auto push = [&snapshot](const char* name, obs::MetricKind kind,
-                                double value) {
-    obs::MetricRow row;
-    row.name = name;
-    row.kind = kind;
-    row.value = value;
-    snapshot.rows.push_back(std::move(row));
-  };
-  const auto gauge = [&push](const char* name, double value) {
-    push(name, obs::MetricKind::kGauge, value);
-  };
-  gauge("emulation.events_executed",
-        static_cast<double>(queue_.executed_count()));
-  gauge("emulation.max_ups_load_fraction", max_ups_load_fraction_);
+  // No registry (fleet rooms never get one: it is single-threaded);
+  // synthesize the minimum so /metrics and the history store still
+  // track the run.
+  obs::MetricsSnapshotBuilder builder;
+  builder.Gauge("emulation.events_executed",
+                static_cast<double>(queue_.executed_count()));
+  builder.Gauge("emulation.max_ups_load_fraction", max_ups_load_fraction_);
   if (!report_.series.empty()) {
     const EmulationSample& last = report_.series.back();
-    gauge("emulation.racks_off", static_cast<double>(last.racks_off));
-    gauge("emulation.total_rack_mw", last.total_rack_mw);
+    builder.Gauge("emulation.racks_off", static_cast<double>(last.racks_off));
+    builder.Gauge("emulation.total_rack_mw", last.total_rack_mw);
   }
   // Fleet lanes learn the shared-substation overload at each epoch
   // barrier; standalone rooms never set it, so their snapshots are
-  // unchanged. "emulation.*" < "fleet.*" < "pipeline.*" keeps the rows
-  // sorted.
-  if (fleet_overload_fraction_ >= 0.0)
-    gauge("fleet.substation_overload_fraction", fleet_overload_fraction_);
-  push("pipeline.readings_delivered", obs::MetricKind::kCounter,
-       static_cast<double>(pipeline_->delivered_count()));
-  // "pipeline.*" < "solver.*" < "watchdog.*": still sorted.
-  EmitSinkGauges(config_, gauge);
+  // unchanged.
+  if (fleet_overload_fraction_ >= 0.0) {
+    builder.Gauge("fleet.substation_overload_fraction",
+                  fleet_overload_fraction_);
+  }
+  builder.Counter("pipeline.readings_delivered",
+                  static_cast<double>(pipeline_->delivered_count()));
+  EmitSinkGauges(config_, [&builder](const char* name, double value) {
+    builder.Gauge(name, value);
+  });
+  obs::MetricsSnapshot snapshot;
+  builder.Build(queue_.Now().value(), &snapshot);
   return snapshot;
 }
 

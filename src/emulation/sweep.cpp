@@ -1,12 +1,6 @@
 #include "sweep.hpp"
 
-#include <functional>
-#include <memory>
-#include <utility>
-
-#include "common/error.hpp"
 #include "common/hash.hpp"
-#include "common/thread_pool.hpp"
 
 namespace flex::emulation {
 
@@ -31,67 +25,6 @@ HashEmulationReport(const EmulationReport& report)
   hash.AddI64(report.throttle_commands);
   hash.AddI64(report.shutdown_commands);
   return hash.value();
-}
-
-SweepResult
-RunEmulationSweep(const SweepConfig& config)
-{
-  FLEX_REQUIRE(config.variants >= 1, "sweep needs at least one variant");
-  FLEX_REQUIRE(config.threads >= 0, "negative thread count");
-
-  SweepResult result;
-  result.reports.resize(static_cast<std::size_t>(config.variants));
-
-  // Build every room serially, in seed order: construction runs the
-  // wall-clock-budgeted Flex-Offline placement (and may lean on the
-  // shared solver pool), so building under lane contention would change
-  // the placement and break bit-identity. Only the event loops — pure
-  // simulated-time computation over private state — fan out.
-  std::vector<std::unique_ptr<RoomEmulation>> rooms;
-  rooms.reserve(static_cast<std::size_t>(config.variants));
-  for (int v = 0; v < config.variants; ++v) {
-    EmulationConfig lane_config = config.base;
-    lane_config.seed = config.base.seed + static_cast<std::uint64_t>(v);
-    lane_config.obs = nullptr;  // the registry is single-threaded
-    // config.base.live / .watchdog deliberately stay shared across
-    // lanes: LiveHub is a thread-safe last-writer-wins mailbox and each
-    // lane registers its own watchdog heartbeat, so concurrent lanes
-    // publish without coordinating — and without perturbing each other.
-    rooms.push_back(std::make_unique<RoomEmulation>(std::move(lane_config)));
-  }
-
-  const auto run_variant = [&result, &rooms](int variant) {
-    result.reports[static_cast<std::size_t>(variant)] =
-        rooms[static_cast<std::size_t>(variant)]->Run();
-  };
-
-  if (config.threads == 1 || config.variants == 1) {
-    result.lanes = 1;
-    for (int v = 0; v < config.variants; ++v)
-      run_variant(v);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(static_cast<std::size_t>(config.variants));
-    for (int v = 0; v < config.variants; ++v)
-      tasks.push_back([&run_variant, v] { run_variant(v); });
-    if (config.threads == 0) {
-      common::ThreadPool& pool = common::ThreadPool::Shared();
-      result.lanes = pool.size();
-      pool.Run(std::move(tasks));
-    } else {
-      common::ThreadPool pool(config.threads);
-      result.lanes = pool.size();
-      pool.Run(std::move(tasks));
-    }
-  }
-
-  // Serial merge in seed order: the fingerprint is a pure function of
-  // the reports, never of lane scheduling.
-  Fnv1a hash;
-  for (const EmulationReport& report : result.reports)
-    hash.AddU64(HashEmulationReport(report));
-  result.sample_hash = hash.value();
-  return result;
 }
 
 }  // namespace flex::emulation

@@ -1,57 +1,23 @@
 /**
  * @file
- * Parallel room-emulation sweeps.
+ * The emulation report fingerprint.
  *
- * The paper's evaluation (and ours) repeats the Section V-C emulation
- * over many independent trace variants: same room, different seeds.
- * Each variant is a self-contained RoomEmulation with its own event
- * queue and RNG stream, so variants fan out across
- * common::ThreadPool::Shared() lanes with zero shared mutable state and
- * merge serially in seed order — the result is bit-identical for any
- * thread count (the same discipline as the wave-synchronous solver).
- * The sample hash fingerprints every recorded sample of every variant;
- * the room-scale bench asserts it matches between 1-thread and
- * multi-thread runs.
+ * Trace-variant sweeps run on FleetEmulation (a fleet with the
+ * substation off); this header keeps only the per-report hash, which
+ * fleet results, tests and the flexbench harness all compare. It keeps
+ * its name because benchmark/flexbench.cpp includes it.
  */
 #ifndef FLEX_EMULATION_SWEEP_HPP_
 #define FLEX_EMULATION_SWEEP_HPP_
 
 #include <cstdint>
-#include <vector>
 
 #include "emulation/room_emulation.hpp"
 
 namespace flex::emulation {
 
-/** A sweep: `variants` rooms seeded base.seed, base.seed+1, ... */
-struct SweepConfig {
-  EmulationConfig base;
-  int variants = 4;
-  /**
-   * Lanes to run on: 0 = the shared pool (all configured cores),
-   * 1 = inline serial execution, n = a private pool of n lanes.
-   */
-  int threads = 0;
-};
-
-/** Merged sweep output, always in seed order. */
-struct SweepResult {
-  std::vector<EmulationReport> reports;  ///< reports[i] is seed base+i
-  /** FNV-1a over every sample of every report, in seed order. */
-  std::uint64_t sample_hash = 0;
-  /** Lanes the sweep actually ran on. */
-  int lanes = 0;
-};
-
 /** Deterministic fingerprint of one report's full time series. */
 std::uint64_t HashEmulationReport(const EmulationReport& report);
-
-/**
- * Runs the sweep. Each variant forces obs = nullptr (the metrics
- * registry is single-threaded; instrument a standalone RoomEmulation
- * instead when traces are wanted).
- */
-SweepResult RunEmulationSweep(const SweepConfig& config);
 
 }  // namespace flex::emulation
 

@@ -89,14 +89,6 @@ InvariantMonitor::AddViolation(const char* invariant,
   if (recorder_ != nullptr)
     recorder_->Record(queue_.Now(), obs::RecordKind::kViolation, -1, -1, 0.0,
                       std::string("[") + invariant + "] " + message);
-  if (live_hub_ != nullptr) {
-    obs::HealthSnapshot health;
-    health.ok = false;
-    health.sim_time_seconds = queue_.Now().value();
-    health.violations = violations_.size();
-    health.detail = std::string("[") + invariant + "] " + message;
-    live_hub_->PublishHealth(health);
-  }
 }
 
 void

@@ -29,7 +29,6 @@
 
 #include "actuation/rack_manager.hpp"
 #include "common/units.hpp"
-#include "obs/http_export.hpp"
 #include "obs/observability.hpp"
 #include "online/controller.hpp"
 #include "power/topology.hpp"
@@ -82,15 +81,6 @@ class InvariantMonitor {
   /** Adds a controller replica to watch for (c) and (d). */
   void AddController(const online::FlexController* controller);
 
-  /**
-   * Mirrors health onto the live observability plane: every violation
-   * publishes an unhealthy HealthSnapshot to @p hub, which `/healthz`
-   * answers with HTTP 503. Pass nullptr to detach. Publishing happens
-   * on the sim thread (the hub is the thread-safe mailbox); the monitor
-   * stays a pure observer of the simulation either way.
-   */
-  void SetLiveHub(obs::LiveHub* hub) { live_hub_ = hub; }
-
   /** Installs the monitor as an event observer on the queue. */
   void Attach();
 
@@ -142,7 +132,6 @@ class InvariantMonitor {
   // Cached instrumentation (null: not instrumented).
   obs::Counter* violations_metric_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
-  obs::LiveHub* live_hub_ = nullptr;
 };
 
 }  // namespace flex::fault

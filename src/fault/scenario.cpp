@@ -310,7 +310,7 @@ RunFuzzSweep(const ScenarioConfig& config, std::uint64_t first_seed,
              int count, int threads, std::vector<std::string>* traces)
 {
   FLEX_REQUIRE(count >= 0, "negative sweep count");
-  FLEX_REQUIRE(threads >= 0, "negative thread count");
+  common::Lanes lanes(threads, static_cast<std::size_t>(count));
 
   std::vector<ScenarioReport> reports(static_cast<std::size_t>(count));
   if (traces != nullptr) {
@@ -330,22 +330,11 @@ RunFuzzSweep(const ScenarioConfig& config, std::uint64_t first_seed,
         lane_config, first_seed + static_cast<std::uint64_t>(i), trace);
   };
 
-  if (threads == 1 || count <= 1) {
-    for (int i = 0; i < count; ++i)
-      run_one(i);
-    return reports;
-  }
-
   std::vector<std::function<void()>> tasks;
   tasks.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i)
     tasks.push_back([&run_one, i] { run_one(i); });
-  if (threads == 0) {
-    common::ThreadPool::Shared().Run(std::move(tasks));
-  } else {
-    common::ThreadPool pool(threads);
-    pool.Run(std::move(tasks));
-  }
+  lanes.Run(std::move(tasks));
   return reports;
 }
 

@@ -175,8 +175,7 @@ ScenarioReport RunFuzzedScenario(const ScenarioConfig& config,
 
 /**
  * Runs RunFuzzedScenario for seeds first_seed .. first_seed+count-1,
- * fanning independent scenarios out across thread-pool lanes (0 = the
- * shared pool, 1 = inline serial, n = a private pool of n lanes) and
+ * fanning independent scenarios out across common::Lanes(threads) and
  * merging serially in seed order — reports[i] is seed first_seed+i for
  * any thread count. Each lane forces obs = nullptr (the registry is
  * single-threaded). When @p traces is non-null it receives the plan

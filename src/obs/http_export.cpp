@@ -470,7 +470,7 @@ ObservabilityServer::RenderHealth(int* http_status) const
       << "\"";
   if (watchdog_ != nullptr) {
     out << ",\"forensic_hint\":\""
-        << json::EscapeJson(watchdog_->forensic_hint()) << "\"";
+        << json::EscapeJson(watchdog_->config().forensic_hint) << "\"";
     out << ",\"threads\":[";
     bool first = true;
     for (const auto& thread : watchdog_->SnapshotThreads()) {

@@ -249,18 +249,4 @@ StallWatchdog::SnapshotThreads() const
   return states;
 }
 
-void
-StallWatchdog::SetForensicHint(std::string hint)
-{
-  std::lock_guard<std::mutex> lock(mu_);
-  config_.forensic_hint = std::move(hint);
-}
-
-std::string
-StallWatchdog::forensic_hint() const
-{
-  std::lock_guard<std::mutex> lock(mu_);
-  return config_.forensic_hint;
-}
-
 }  // namespace flex::obs

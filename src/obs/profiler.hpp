@@ -188,9 +188,6 @@ class StallWatchdog {
 
   const WatchdogConfig& config() const { return config_; }
 
-  void SetForensicHint(std::string hint);
-  std::string forensic_hint() const;
-
  private:
   struct Entry {
     std::string name;
@@ -203,7 +200,7 @@ class StallWatchdog {
   void CheckerLoop();
 
   WatchdogConfig config_;
-  mutable std::mutex mu_;  // guards entries_ growth + forensic hint
+  mutable std::mutex mu_;  // guards entries_ growth
   std::vector<std::unique_ptr<Entry>> entries_;
   std::thread thread_;
   std::atomic<bool> stop_{true};

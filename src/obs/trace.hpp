@@ -106,9 +106,6 @@ class ReactionTracer {
   explicit ReactionTracer(TracerConfig config = {},
                           MetricsRegistry* metrics = nullptr);
 
-  /** Attaches / replaces the registry fed by completed traces. */
-  void SetMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-
   /** Attaches / replaces the flight recorder fed by stage events. */
   void SetRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 

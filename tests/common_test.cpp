@@ -9,6 +9,7 @@
 #include <functional>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -353,6 +354,47 @@ TEST(ThreadPoolTest, WorkerIndexIsStablePerLane)
   for (const int index : seen) {
     EXPECT_TRUE(index == -1 || (index >= 1 && index < pool.size()))
         << "unexpected lane " << index;
+  }
+}
+
+TEST(LanesTest, WidthFollowsThePolicy)
+{
+  // 0 = the shared pool, 1 = inline, n = a private pool of n lanes;
+  // work of one unit runs inline whatever the knob says.
+  EXPECT_EQ(common::Lanes(0, 8).size(), ThreadPool::Shared().size());
+  EXPECT_EQ(common::Lanes(1, 8).size(), 1);
+  EXPECT_EQ(common::Lanes(3, 8).size(), 3);
+  EXPECT_EQ(common::Lanes(0, 1).size(), 1);
+  EXPECT_EQ(common::Lanes(3, 1).size(), 1);
+  EXPECT_EQ(common::Lanes(3, 0).size(), 1);
+  EXPECT_THROW(common::Lanes(-1, 8), ConfigError);
+}
+
+TEST(LanesTest, RunsEveryTaskExactlyOnce)
+{
+  for (const int threads : {0, 1, 2, 4}) {
+    constexpr int kTasks = 64;
+    common::Lanes lanes(threads, kTasks);
+    std::vector<std::atomic<int>> runs(kTasks);
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < kTasks; ++i)
+      tasks.push_back([&runs, i] { runs[static_cast<std::size_t>(i)]++; });
+    lanes.Run(std::move(tasks));
+    for (int i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+          << "task " << i << " at threads=" << threads;
+    }
+  }
+}
+
+TEST(LanesTest, OneUnitRunsInlineOnTheCaller)
+{
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int threads : {0, 1, 4}) {
+    common::Lanes lanes(threads, 1);
+    std::thread::id ran_on;
+    lanes.Run({[&ran_on] { ran_on = std::this_thread::get_id(); }});
+    EXPECT_EQ(ran_on, caller) << "threads=" << threads;
   }
 }
 

@@ -6,9 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "emulation/room_emulation.hpp"
-#include "emulation/sweep.hpp"
 #include "emulation/workload_model.hpp"
 
 namespace flex::emulation {
@@ -320,41 +321,6 @@ TEST(RoomEmulationTest, DedicatedMonitorRefinesOverloadTracking)
   EXPECT_FALSE(monitored.safety_violated);
 }
 
-TEST(EmulationSweepTest, ParallelSweepIsBitIdenticalToSerial)
-{
-  // Variants fan out across pool lanes but merge serially in seed
-  // order; the full-series fingerprint must not depend on the thread
-  // count. Placement solves are truncated by a node budget instead of
-  // wall clock (solve_seconds effectively infinite), so the placements
-  // — and therefore the hashes — cannot depend on machine speed either.
-  SweepConfig sweep;
-  sweep.base = ShortTimelineConfig(2021);
-  sweep.base.restore_at = Seconds(150.0);
-  sweep.base.end_at = Seconds(180.0);
-  sweep.base.placement_solve_seconds = 1e9;
-  sweep.base.placement_max_nodes = 2000;
-  sweep.variants = 2;
-  sweep.threads = 1;
-  const SweepResult serial = RunEmulationSweep(sweep);
-  sweep.threads = 2;
-  const SweepResult parallel = RunEmulationSweep(sweep);
-
-  EXPECT_EQ(serial.lanes, 1);
-  EXPECT_EQ(parallel.lanes, 2);
-  ASSERT_EQ(serial.reports.size(), parallel.reports.size());
-  ASSERT_EQ(static_cast<int>(serial.reports.size()), sweep.variants);
-  EXPECT_EQ(serial.sample_hash, parallel.sample_hash);
-  for (std::size_t i = 0; i < serial.reports.size(); ++i) {
-    EXPECT_EQ(HashEmulationReport(serial.reports[i]),
-              HashEmulationReport(parallel.reports[i]))
-        << "variant " << i;
-  }
-  // Different seeds produce different traces; the hash is not a
-  // constant.
-  EXPECT_NE(HashEmulationReport(serial.reports[0]),
-            HashEmulationReport(serial.reports[1]));
-}
-
 TEST(RoomEmulationTest, ValidatesTimeline)
 {
   EmulationConfig config;
@@ -367,6 +333,38 @@ TEST(RoomEmulationTest, ValidatesTimeline)
   config = EmulationConfig{};
   config.target_utilization = 0.0;
   EXPECT_THROW(RoomEmulation{config}, ConfigError);
+
+  // Values the room cannot run are rejected before BuildRoom, with a
+  // message that names the field. A short room keeps a regression (the
+  // room building and running anyway) cheap.
+  EmulationConfig base;
+  base.setup_duration = Seconds(5.0);
+  base.failover_at = Seconds(10.0);
+  base.restore_at = Seconds(20.0);
+  base.end_at = Seconds(40.0);
+  base.placement_max_nodes = 20;
+  const auto expect_rejected = [&base](const char* field, auto mutate) {
+    EmulationConfig bad = base;
+    mutate(bad);
+    try {
+      RoomEmulation room(bad);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_rejected("num_controllers",
+                  [](EmulationConfig& c) { c.num_controllers = 0; });
+  expect_rejected("workload_step",
+                  [](EmulationConfig& c) { c.workload_step = Seconds(0.0); });
+  expect_rejected("failover_at",
+                  [](EmulationConfig& c) { c.failover_at = Seconds(-5.0); });
+  expect_rejected("sample_period", [](EmulationConfig& c) {
+    c.sample_period = Seconds(-5.0);
+  });
+  expect_rejected("flex_power_fraction",
+                  [](EmulationConfig& c) { c.flex_power_fraction = 1.5; });
 }
 
 }  // namespace

@@ -329,6 +329,56 @@ TEST(SeedReplayTest, SameSeedReproducesIdenticalRun)
   }
 }
 
+TEST(RunFuzzSweepTest, SlotsMatchPerSeedRunsAtOneTwoAndSharedLanes)
+{
+  // The lane contract: whatever lanes run it, slot i of the sweep is the
+  // report of RunFuzzedScenario(config, first_seed + i).
+  const ScenarioConfig config;
+  constexpr std::uint64_t kFirstSeed = 100;
+  constexpr int kCount = 6;
+  std::vector<ScenarioReport> expected;
+  std::vector<std::string> expected_traces;
+  for (int i = 0; i < kCount; ++i) {
+    std::string trace;
+    expected.push_back(RunFuzzedScenario(
+        config, kFirstSeed + static_cast<std::uint64_t>(i), &trace));
+    expected_traces.push_back(std::move(trace));
+  }
+
+  for (const int threads : {1, 2, 0}) {
+    std::vector<std::string> traces;
+    const std::vector<ScenarioReport> reports =
+        RunFuzzSweep(config, kFirstSeed, kCount, threads, &traces);
+    ASSERT_EQ(reports.size(), expected.size()) << threads << " threads";
+    ASSERT_EQ(traces.size(), expected_traces.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      const ScenarioReport& a = expected[i];
+      const ScenarioReport& b = reports[i];
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", slot " +
+                   std::to_string(i));
+      EXPECT_EQ(a.events_executed, b.events_executed);
+      EXPECT_EQ(a.readings_delivered, b.readings_delivered);
+      EXPECT_EQ(a.overdraw_events, b.overdraw_events);
+      EXPECT_EQ(a.throttle_commands, b.throttle_commands);
+      EXPECT_EQ(a.shutdown_commands, b.shutdown_commands);
+      EXPECT_EQ(a.restore_commands, b.restore_commands);
+      EXPECT_EQ(a.uncap_commands, b.uncap_commands);
+      EXPECT_EQ(a.failed_commands, b.failed_commands);
+      EXPECT_EQ(a.worst_overload_fraction, b.worst_overload_fraction);
+      ASSERT_EQ(a.violations.size(), b.violations.size());
+      for (std::size_t v = 0; v < a.violations.size(); ++v) {
+        EXPECT_EQ(a.violations[v].at, b.violations[v].at);
+        EXPECT_EQ(a.violations[v].invariant, b.violations[v].invariant);
+        EXPECT_EQ(a.violations[v].message, b.violations[v].message);
+      }
+      EXPECT_EQ(a.violation_summary, b.violation_summary);
+      EXPECT_EQ(a.fault_trace, b.fault_trace);
+      EXPECT_EQ(expected_traces[i], traces[i]);
+    }
+  }
+  EXPECT_THROW(RunFuzzSweep(config, kFirstSeed, kCount, -1), ConfigError);
+}
+
 // ---------------------------------------------------------------------------
 // InvariantMonitor detectors
 // ---------------------------------------------------------------------------

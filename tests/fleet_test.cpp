@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "emulation/fleet_emulation.hpp"
 #include "emulation/room_emulation.hpp"
@@ -73,12 +74,27 @@ TEST(FleetEmulationTest, FleetOfOneMatchesMonolithicRun)
   EXPECT_EQ(solo.series.size(), laned.series.size());
 }
 
+/** Every field of two alert edges, the human-readable message included. */
+void
+ExpectSameEdge(const obs::AlertTransition& a, const obs::AlertTransition& b,
+               const std::string& where)
+{
+  EXPECT_EQ(a.t, b.t) << where;
+  EXPECT_EQ(a.rule, b.rule) << where;
+  EXPECT_EQ(a.from, b.from) << where;
+  EXPECT_EQ(a.to, b.to) << where;
+  EXPECT_EQ(a.value, b.value) << where;
+  EXPECT_EQ(a.message, b.message) << where;
+}
+
 TEST(FleetEmulationTest, FleetIsBitIdenticalAtOneTwoAndEightLanes)
 {
   // The acceptance bar: per-room lane-identity hashes, final report
-  // hashes, the merged alert timeline, and every rollup row agree
-  // across lane counts. The substation coupling is on, so the barrier
-  // feedback path is exercised too.
+  // hashes, every room's alert timeline and store, the merged alert
+  // timeline, and every rollup row agree across lane counts. The
+  // substation coupling is on, so the barrier feedback path is
+  // exercised too. A trace-variant sweep is this same engine with the
+  // substation off, so this is also the sweep's lane-identity test.
   const auto run = [](int threads) {
     FleetConfig config = SmallFleet(3, threads);
     config.substation = power::SubstationConfig::ForRooms(
@@ -106,6 +122,18 @@ TEST(FleetEmulationTest, FleetIsBitIdenticalAtOneTwoAndEightLanes)
       EXPECT_EQ(one.rooms[r].report.store_fingerprint,
                 other->rooms[r].report.store_fingerprint)
           << "room " << r;
+      const EmulationReport& a = one.rooms[r].report;
+      const EmulationReport& b = other->rooms[r].report;
+      EXPECT_EQ(a.alert_fingerprint, b.alert_fingerprint) << "room " << r;
+      EXPECT_EQ(a.alerts_fired, b.alerts_fired) << "room " << r;
+      EXPECT_EQ(a.store_samples, b.store_samples) << "room " << r;
+      ASSERT_EQ(a.alert_timeline.size(), b.alert_timeline.size())
+          << "room " << r;
+      for (std::size_t k = 0; k < a.alert_timeline.size(); ++k) {
+        ExpectSameEdge(a.alert_timeline[k], b.alert_timeline[k],
+                       "room " + std::to_string(r) + " edge " +
+                           std::to_string(k));
+      }
     }
     ASSERT_EQ(one.alert_timeline.size(), other->alert_timeline.size());
     for (std::size_t e = 0; e < one.alert_timeline.size(); ++e) {
@@ -114,6 +142,9 @@ TEST(FleetEmulationTest, FleetIsBitIdenticalAtOneTwoAndEightLanes)
                 other->alert_timeline[e].edge.t);
       EXPECT_EQ(one.alert_timeline[e].edge.rule,
                 other->alert_timeline[e].edge.rule);
+      ExpectSameEdge(one.alert_timeline[e].edge,
+                     other->alert_timeline[e].edge,
+                     "fleet edge " + std::to_string(e));
     }
     ASSERT_EQ(one.rollup.rows.size(), other->rollup.rows.size());
     for (std::size_t i = 0; i < one.rollup.rows.size(); ++i) {
@@ -126,6 +157,14 @@ TEST(FleetEmulationTest, FleetIsBitIdenticalAtOneTwoAndEightLanes)
   // The drill fired somewhere, so the merge actually moved edges.
   EXPECT_GT(one.alert_timeline.size(), 0u);
   EXPECT_EQ(one.events_executed, two.events_executed);
+  // ... and in every room: each variant saw the outage page fire.
+  for (std::size_t r = 0; r < one.rooms.size(); ++r)
+    EXPECT_GT(one.rooms[r].report.alerts_fired, 0u) << "room " << r;
+  // Distinct seeds produce distinct traces; the hash is not a constant.
+  for (std::size_t r = 1; r < one.rooms.size(); ++r) {
+    EXPECT_NE(one.rooms[r - 1].report_hash, one.rooms[r].report_hash)
+        << "rooms " << r - 1 << " and " << r;
+  }
 }
 
 TEST(FleetEmulationTest, EpochLengthDoesNotChangeRoomOutcomes)

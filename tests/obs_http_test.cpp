@@ -23,8 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hpp"
-#include "emulation/room_emulation.hpp"
-#include "emulation/sweep.hpp"
+#include "emulation/fleet_emulation.hpp"
 #include "obs/alerts.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
@@ -731,20 +730,22 @@ TEST(ObservabilityServerTest, HealthzDegradesOnlyOnPageSeverityAlerts)
 TEST(ConcurrentScrapeTest, SweepStaysBitIdenticalUnderScrapeLoad)
 {
   // The tentpole guarantee: a scraper hammering every endpoint while a
-  // parallel sweep runs cannot change a single sample. Placement solves
-  // are node-budgeted (not wall-clock-budgeted), so the baseline and
-  // the scraped runs are comparable bit-for-bit.
-  emulation::SweepConfig sweep;
-  sweep.base.setup_duration = Seconds(30.0);
-  sweep.base.failover_at = Seconds(120.0);
-  sweep.base.restore_at = Seconds(150.0);
-  sweep.base.end_at = Seconds(180.0);
-  sweep.base.seed = 2021;
-  sweep.base.placement_solve_seconds = 1e9;
-  sweep.base.placement_max_nodes = 2000;
-  sweep.variants = 2;
+  // parallel sweep (a fleet with the substation off) runs cannot change
+  // a single sample. Placement solves are node-budgeted (not
+  // wall-clock-budgeted), so the baseline and the scraped runs are
+  // comparable bit-for-bit.
+  emulation::FleetConfig sweep;
+  sweep.room.setup_duration = Seconds(30.0);
+  sweep.room.failover_at = Seconds(120.0);
+  sweep.room.restore_at = Seconds(150.0);
+  sweep.room.end_at = Seconds(180.0);
+  sweep.room.seed = 2021;
+  sweep.room.placement_solve_seconds = 1e9;
+  sweep.room.placement_max_nodes = 2000;
+  sweep.rooms = 2;
   sweep.threads = 1;
-  const emulation::SweepResult baseline = emulation::RunEmulationSweep(sweep);
+  const emulation::FleetReport baseline =
+      emulation::FleetEmulation(sweep).Run();
 
   LiveHub hub;
   WatchdogConfig wd_config;
@@ -782,11 +783,12 @@ TEST(ConcurrentScrapeTest, SweepStaysBitIdenticalUnderScrapeLoad)
     }
   });
 
-  sweep.base.live = &hub;
-  sweep.base.watchdog = &watchdog;
-  sweep.base.solver_live = &solver_live;
+  // Every room publishes through its own EmulationConfig::live hook.
+  sweep.room.live = &hub;
+  sweep.room.watchdog = &watchdog;
+  sweep.room.solver_live = &solver_live;
   sweep.threads = 2;
-  const emulation::SweepResult scraped = emulation::RunEmulationSweep(sweep);
+  const emulation::FleetReport scraped = emulation::FleetEmulation(sweep).Run();
 
   // The acceptance surface: a live /metrics scrape carries valid
   // exposition with pool utilization, solver progress, and phase-timer
@@ -807,11 +809,10 @@ TEST(ConcurrentScrapeTest, SweepStaysBitIdenticalUnderScrapeLoad)
   scraper.join();
   server.Stop();
 
-  EXPECT_EQ(scraped.sample_hash, baseline.sample_hash);
-  ASSERT_EQ(scraped.reports.size(), baseline.reports.size());
-  for (std::size_t i = 0; i < baseline.reports.size(); ++i) {
-    EXPECT_EQ(emulation::HashEmulationReport(scraped.reports[i]),
-              emulation::HashEmulationReport(baseline.reports[i]))
+  EXPECT_EQ(scraped.fleet_hash, baseline.fleet_hash);
+  ASSERT_EQ(scraped.rooms.size(), baseline.rooms.size());
+  for (std::size_t i = 0; i < baseline.rooms.size(); ++i) {
+    EXPECT_EQ(scraped.rooms[i].report_hash, baseline.rooms[i].report_hash)
         << "variant " << i;
   }
   // The scrape load and the publishes were real, not vacuous.
