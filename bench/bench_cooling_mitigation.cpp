@@ -44,8 +44,7 @@ main()
     Watts load = MegaWatts(9.6);
     Watts cut(0.0);
     cooling::CoolingFailureHandler handler(
-        queue, domain, cooling::CoolingMitigationConfig{},
-        [&] { return load - cut; },
+        queue, domain, [&] { return load - cut; },
         [&](Watts needed) { cut = std::max(cut, needed); });
     handler.Start();
     double peak_temp = domain.temperature_c();

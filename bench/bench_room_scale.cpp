@@ -37,7 +37,6 @@
 #include "emulation/room_emulation.hpp"
 #include "obs/http_export.hpp"
 #include "obs/profiler.hpp"
-#include "solver/branch_and_bound.hpp"
 
 namespace {
 
@@ -90,8 +89,6 @@ main()
   // scraper (or plain curl) can watch the ladder progress in real time.
   // Strictly observer-only — timings and hashes are unaffected.
   obs::LiveHub live_hub;
-  obs::StallWatchdog watchdog;
-  static solver::LiveSolverStats solver_live;
   obs::ObservabilityServer* live_server = nullptr;
   if (const char* port = std::getenv("FLEX_LIVE_PORT");
       port != nullptr && *port != '\0') {
@@ -100,26 +97,10 @@ main()
     server_config.run_info = {{"bench", "room_scale"},
                               {"smoke", smoke ? "1" : "0"}};
     static obs::ObservabilityServer server(live_hub, server_config);
-    server.SetWatchdog(&watchdog);
     server.SetProfiler(&obs::Profiler::Global());
-    server.AddLiveGauge("flex_solver_active", [] {
-      return solver_live.active() ? 1.0 : 0.0;
-    });
-    server.AddLiveGauge("flex_solver_wave_nodes", [] {
-      return static_cast<double>(solver_live.wave_nodes.load());
-    });
-    server.AddLiveGauge("flex_solver_open_nodes", [] {
-      return static_cast<double>(solver_live.open_nodes.load());
-    });
-    server.AddLiveGauge("flex_solver_nodes_explored", [] {
-      return static_cast<double>(solver_live.nodes_explored.load());
-    });
     if (server.Start()) {
       live_server = &server;
-      watchdog.Start();
       base.live = &live_hub;
-      base.watchdog = &watchdog;
-      base.solver_live = &solver_live;
       std::printf("live metrics on http://localhost:%d/metrics\n",
                   server.port());
     }
@@ -310,7 +291,6 @@ main()
                 static_cast<unsigned long long>(
                     live_server->requests_served()),
                 static_cast<unsigned long long>(live_hub.publish_count()));
-    watchdog.Stop();
     live_server->Stop();
   }
 

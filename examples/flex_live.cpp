@@ -38,7 +38,6 @@
 #include "obs/http_export.hpp"
 #include "obs/observability.hpp"
 #include "obs/profiler.hpp"
-#include "solver/branch_and_bound.hpp"
 
 int
 main()
@@ -47,8 +46,6 @@ main()
 
   obs::Observability observability;
   obs::LiveHub hub;
-  obs::StallWatchdog watchdog;
-  watchdog.Start();
 
   obs::ObservabilityServerConfig server_config;
   if (const char* port = std::getenv("FLEX_LIVE_PORT");
@@ -56,29 +53,7 @@ main()
     server_config.port = std::atoi(port);
   server_config.run_info = {{"example", "flex_live"}, {"seed", "2021"}};
   obs::ObservabilityServer server(hub, server_config);
-  server.SetWatchdog(&watchdog);
   server.SetProfiler(&obs::Profiler::Global());
-  solver::LiveSolverStats solver_live;
-  server.AddLiveGauge("flex_solver_active", [&solver_live] {
-    return solver_live.active() ? 1.0 : 0.0;
-  });
-  server.AddLiveGauge("flex_solver_wave_nodes", [&solver_live] {
-    return static_cast<double>(solver_live.wave_nodes.load());
-  });
-  server.AddLiveGauge("flex_solver_open_nodes", [&solver_live] {
-    return static_cast<double>(solver_live.open_nodes.load());
-  });
-  server.AddLiveGauge("flex_solver_nodes_explored", [&solver_live] {
-    return static_cast<double>(solver_live.nodes_explored.load());
-  });
-  server.AddLiveGauge("flex_solver_basis_hit_rate", [&solver_live] {
-    const double attempts =
-        static_cast<double>(solver_live.basis_reuse_attempts.load());
-    return attempts > 0.0
-               ? static_cast<double>(solver_live.basis_reuse_hits.load()) /
-                     attempts
-               : 0.0;
-  });
   if (!server.Start()) {
     std::fprintf(stderr, "failed to start HTTP server\n");
     return 1;
@@ -90,8 +65,6 @@ main()
   emulation::EmulationConfig config;
   config.obs = &observability;
   config.live = &hub;
-  config.watchdog = &watchdog;
-  config.solver_live = &solver_live;
   // The alerting walkthrough: history + rules on every sample tick, a
   // telemetry outage injected mid-failover to trip TelemetryStalled,
   // and a forensic bundle dumped on the firing edge.
@@ -155,7 +128,6 @@ main()
     std::this_thread::sleep_for(std::chrono::seconds(seconds));
   }
 
-  watchdog.Stop();
   server.Stop();
   return report.safety_violated ? 1 : 0;
 }

@@ -6,6 +6,14 @@
 
 namespace flex::actuation {
 
+namespace {
+
+/** Lognormal action latency: ~0.8 s median, ~2 s p99.9. */
+constexpr double kLatencyLogMean = -0.25;   ///< mu of underlying normal (log s)
+constexpr double kLatencyLogSigma = 0.28;   ///< sigma of underlying normal
+
+}  // namespace
+
 RackManager::RackManager(sim::EventQueue& queue, int rack_id,
                          RackManagerConfig config, Rng rng)
     : queue_(queue), rack_id_(rack_id), config_(config), rng_(rng)
@@ -26,8 +34,7 @@ RackManager::RackManager(sim::EventQueue& queue, int rack_id,
 Seconds
 RackManager::DrawLatency(Kind kind)
 {
-  const double base =
-      rng_.LogNormal(config_.latency_log_mean, config_.latency_log_sigma);
+  const double base = rng_.LogNormal(kLatencyLogMean, kLatencyLogSigma);
   // Powering a rack back on includes boot time; caps/shutdowns are fast
   // out-of-band commands.
   const double scale = kind == Kind::kRestore ? 30.0 : 1.0;

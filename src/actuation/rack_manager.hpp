@@ -32,11 +32,8 @@ struct RackState {
   std::optional<Watts> power_cap;
 };
 
-/** Latency / failure knobs for rack managers. */
+/** Failure knobs for rack managers. */
 struct RackManagerConfig {
-  /** Lognormal action latency; defaults give ~0.8 s median, ~2 s p99.9. */
-  double latency_log_mean = -0.25;   ///< mu of underlying normal (log s)
-  double latency_log_sigma = 0.28;   ///< sigma of underlying normal
   /** Probability an action is lost because the RM is unreachable. */
   double unreachable_probability = 0.0;
   /** Optional instrumentation sink (null: not instrumented). */

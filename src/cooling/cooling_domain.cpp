@@ -9,17 +9,35 @@
 
 namespace flex::cooling {
 
+namespace {
+
+/** Heat removal capacity of each cooling unit. */
+constexpr Watts kUnitCapacity = MegaWatts(3.2);
+/** Thermal inertia of the room (J per degree C). */
+constexpr double kThermalMassJPerC = 1.0e8;
+/** Supply temperature with adequate cooling. */
+constexpr double kSupplyTemperatureC = 22.0;
+/** Relaxation time back toward supply temperature when cooled. */
+constexpr Seconds kCooldownTau = Seconds(120.0);
+
+/** Mitigation check cadence. */
+constexpr Seconds kCheckPeriod = Seconds(15.0);
+/** Time for workload migration to another cooling domain to complete. */
+constexpr Seconds kMigrationDelay = Minutes(3.0);
+/** Fraction of the heat load that migration can move away. */
+constexpr double kMigratableFraction = 0.4;
+/** Engage Flex capping when overheat is closer than this. */
+constexpr Seconds kFlexEngageThreshold = Minutes(2.0);
+
+}  // namespace
+
 CoolingDomain::CoolingDomain(CoolingDomainConfig config)
     : config_(config),
       unit_failed_(static_cast<std::size_t>(config.num_units), false),
-      temperature_c_(config.supply_temperature_c)
+      temperature_c_(kSupplyTemperatureC)
 {
   FLEX_REQUIRE(config_.num_units >= 1, "need at least one cooling unit");
-  FLEX_REQUIRE(config_.unit_capacity > Watts(0.0),
-               "unit capacity must be positive");
-  FLEX_REQUIRE(config_.thermal_mass_j_per_c > 0.0,
-               "thermal mass must be positive");
-  FLEX_REQUIRE(config_.max_safe_temperature_c > config_.supply_temperature_c,
+  FLEX_REQUIRE(config_.max_safe_temperature_c > kSupplyTemperatureC,
                "safe temperature must exceed supply temperature");
 }
 
@@ -43,7 +61,7 @@ CoolingDomain::healthy_units() const
 Watts
 CoolingDomain::AvailableCooling() const
 {
-  return config_.unit_capacity * static_cast<double>(healthy_units());
+  return kUnitCapacity * static_cast<double>(healthy_units());
 }
 
 bool
@@ -61,12 +79,12 @@ CoolingDomain::Advance(Watts load, Seconds dt)
   if (load > cooling) {
     // Deficit: the room heats with the uncooled remainder.
     const double deficit = (load - cooling).value();
-    temperature_c_ += deficit * dt.value() / config_.thermal_mass_j_per_c;
+    temperature_c_ += deficit * dt.value() / kThermalMassJPerC;
   } else {
     // Headroom: relax toward the supply temperature.
-    const double decay = std::exp(-dt.value() / config_.cooldown_tau.value());
-    temperature_c_ = config_.supply_temperature_c +
-                     (temperature_c_ - config_.supply_temperature_c) * decay;
+    const double decay = std::exp(-dt.value() / kCooldownTau.value());
+    temperature_c_ = kSupplyTemperatureC +
+                     (temperature_c_ - kSupplyTemperatureC) * decay;
   }
 }
 
@@ -80,25 +98,21 @@ CoolingDomain::TimeToOverheat(Watts load) const
     return Seconds(0.0);
   const double deficit = (load - cooling).value();
   const double headroom_c = config_.max_safe_temperature_c - temperature_c_;
-  return Seconds(headroom_c * config_.thermal_mass_j_per_c / deficit);
+  return Seconds(headroom_c * kThermalMassJPerC / deficit);
 }
 
 CoolingFailureHandler::CoolingFailureHandler(
     sim::EventQueue& queue, CoolingDomain& domain,
-    CoolingMitigationConfig config, std::function<Watts()> load_source,
+    std::function<Watts()> load_source,
     std::function<void(Watts)> request_power_cut)
     : queue_(queue),
       domain_(domain),
-      config_(config),
       load_source_(std::move(load_source)),
       request_power_cut_(std::move(request_power_cut))
 {
   FLEX_REQUIRE(static_cast<bool>(load_source_), "null load source");
   FLEX_REQUIRE(static_cast<bool>(request_power_cut_),
                "null power-cut callback");
-  FLEX_REQUIRE(config_.migratable_fraction >= 0.0 &&
-                   config_.migratable_fraction <= 1.0,
-               "migratable fraction must be in [0, 1]");
 }
 
 Watts
@@ -112,7 +126,7 @@ CoolingFailureHandler::Start()
 {
   FLEX_REQUIRE(!running_, "handler already started");
   running_ = true;
-  sim::SchedulePeriodic(queue_, config_.check_period, [this] {
+  sim::SchedulePeriodic(queue_, kCheckPeriod, [this] {
     if (!running_)
       return false;
     Check();
@@ -143,8 +157,8 @@ CoolingFailureHandler::Check()
   // Temperature rise is gradual, so this usually completes in time.
   if (!migration_pending_ && migrated_ <= Watts(0.0)) {
     migration_pending_ = true;
-    const Watts moved = load * config_.migratable_fraction;
-    queue_.Schedule(config_.migration_delay, [this, moved] {
+    const Watts moved = load * kMigratableFraction;
+    queue_.Schedule(kMigrationDelay, [this, moved] {
       migrated_ = moved;
       migration_pending_ = false;
     });
@@ -155,10 +169,9 @@ CoolingFailureHandler::Check()
   const Seconds to_overheat = domain_.TimeToOverheat(load);
   const bool migration_will_save_us =
       migration_pending_ &&
-      to_overheat.value() >
-          config_.migration_delay.value() + config_.check_period.value();
+      to_overheat.value() > kMigrationDelay.value() + kCheckPeriod.value();
   if (!migration_will_save_us &&
-      to_overheat.value() <= config_.flex_engage_threshold.value()) {
+      to_overheat.value() <= kFlexEngageThreshold.value()) {
     ++flex_engagements_;
     request_power_cut_(load - cooling);
   }

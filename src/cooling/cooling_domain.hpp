@@ -26,16 +26,8 @@ namespace flex::cooling {
 struct CoolingDomainConfig {
   /** Cooling units (CRAHs/chillers); capacity is N+redundant sized. */
   int num_units = 4;
-  /** Heat removal capacity of each unit. */
-  Watts unit_capacity = MegaWatts(3.2);
-  /** Thermal inertia of the room (J per degree C). */
-  double thermal_mass_j_per_c = 1.0e8;
-  /** Supply temperature with adequate cooling. */
-  double supply_temperature_c = 22.0;
   /** Temperature above which IT equipment is at risk. */
   double max_safe_temperature_c = 35.0;
-  /** Relaxation time back toward supply temperature when cooled. */
-  Seconds cooldown_tau = Seconds(120.0);
 };
 
 /**
@@ -78,18 +70,6 @@ class CoolingDomain {
   double temperature_c_;
 };
 
-/** Mitigation ladder tuning. */
-struct CoolingMitigationConfig {
-  /** Check cadence. */
-  Seconds check_period = Seconds(15.0);
-  /** Time for workload migration to another cooling domain to complete. */
-  Seconds migration_delay = Minutes(3.0);
-  /** Fraction of the heat load that migration can move away. */
-  double migratable_fraction = 0.4;
-  /** Engage Flex capping when overheat is closer than this. */
-  Seconds flex_engage_threshold = Minutes(2.0);
-};
-
 /**
  * The Section VI mitigation ladder: on a cooling deficit, first migrate
  * workloads to another cooling domain; only if the room would still
@@ -103,7 +83,6 @@ class CoolingFailureHandler {
    *        migration alone cannot prevent overheating
    */
   CoolingFailureHandler(sim::EventQueue& queue, CoolingDomain& domain,
-                        CoolingMitigationConfig config,
                         std::function<Watts()> load_source,
                         std::function<void(Watts)> request_power_cut);
 
@@ -124,7 +103,6 @@ class CoolingFailureHandler {
 
   sim::EventQueue& queue_;
   CoolingDomain& domain_;
-  CoolingMitigationConfig config_;
   std::function<Watts()> load_source_;
   std::function<void(Watts)> request_power_cut_;
   bool running_ = false;

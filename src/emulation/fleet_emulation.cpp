@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "obs/http_export.hpp"
 
 namespace flex::emulation {
 
@@ -45,9 +44,9 @@ FleetEmulation::FleetEmulation(FleetConfig config)
     EmulationConfig room_config = config_.room;
     room_config.seed = config_.room.seed + static_cast<std::uint64_t>(r);
     room_config.obs = nullptr;  // the registry is single-threaded
-    // live / watchdog deliberately stay shared across lanes: LiveHub is
-    // a thread-safe last-writer-wins mailbox and each room registers
-    // its own watchdog heartbeat.
+    // live deliberately stays shared across lanes: LiveHub is a
+    // thread-safe last-writer-wins mailbox and each room registers its
+    // own watchdog heartbeat.
     rooms_.push_back(std::make_unique<RoomEmulation>(std::move(room_config)));
     rooms_.back()->StartTimeline();
   }
@@ -181,7 +180,6 @@ FleetEmulation::MergeBarrier()
   rollup_.rows[idx_.substation_overload].value = substation.overload_fraction;
   rollup_.rows[idx_.substation_utilization].value = substation.utilization;
   rollup_.rows[idx_.total_mw].value = total_mw;
-  PublishRollup();
 }
 
 void
@@ -221,13 +219,6 @@ FleetEmulation::BuildRollup()
   idx_.substation_utilization = index_of("fleet.substation_utilization");
   idx_.total_mw = index_of("fleet.total_rack_mw");
   rollup_built_ = true;
-}
-
-void
-FleetEmulation::PublishRollup()
-{
-  if (config_.live != nullptr)
-    config_.live->PublishMetrics(rollup_);
 }
 
 FleetReport

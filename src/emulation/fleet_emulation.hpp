@@ -19,8 +19,7 @@
  *   - room loads sum into the shared-substation check (power/
  *     substation.hpp), whose overload verdict feeds back to each room
  *     as a purely observational gauge,
- *   - a fixed-row fleet metrics rollup is updated in place and
- *     published to the LiveHub.
+ *   - a fixed-row fleet metrics rollup is updated in place.
  *
  * Determinism: rooms never share mutable state while stepping, every
  * cross-room read happens at a barrier in serial room order, and
@@ -65,8 +64,6 @@ struct FleetConfig {
    * publishes the overload verdict back to each room's metric plane.
    */
   power::SubstationConfig substation;
-  /** Optional live mailbox for the fleet rollup snapshot. Not owned. */
-  obs::LiveHub* live = nullptr;
 };
 
 /** One alert edge in the merged fleet timeline. */
@@ -115,7 +112,7 @@ struct FleetReport {
   /** lane_busy / (lanes * step_wall): 1.0 = perfectly balanced lanes. */
   double lane_utilization = 0.0;
 
-  /** The final fleet rollup (the rows /metrics sees via the LiveHub). */
+  /** The final fleet rollup: deterministic fleet-level metric rows. */
   obs::MetricsSnapshot rollup;
 };
 
@@ -147,7 +144,6 @@ class FleetEmulation {
   void MergeBarrier();
   /** Builds the fixed-row rollup once; later barriers update in place. */
   void BuildRollup();
-  void PublishRollup();
 
   FleetConfig config_;
   common::Lanes lanes_;

@@ -20,40 +20,6 @@ using telemetry::DeviceId;
 using telemetry::DeviceKind;
 using workload::Category;
 
-namespace {
-
-/**
- * Calls @p emit(name, value) for the gauges of the optional live sinks
- * (solver progress, stall watchdog). Both snapshot branches of
- * BuildLiveSnapshot publish exactly this list.
- */
-template <typename Emit>
-void
-EmitSinkGauges(const EmulationConfig& config, Emit&& emit)
-{
-  if (config.solver_live != nullptr) {
-    const solver::LiveSolverStats& s = *config.solver_live;
-    const auto live = [&emit](const char* name,
-                              const std::atomic<std::int64_t>& v) {
-      emit(name, static_cast<double>(v.load(std::memory_order_relaxed)));
-    };
-    live("solver.live.basis_reuse_attempts", s.basis_reuse_attempts);
-    live("solver.live.basis_reuse_hits", s.basis_reuse_hits);
-    live("solver.live.dual_pivots", s.dual_pivots);
-    live("solver.live.lp_solves", s.lp_solves);
-    live("solver.live.nodes_explored", s.nodes_explored);
-    live("solver.live.open_nodes", s.open_nodes);
-    live("solver.live.warm_dual_restarts", s.warm_dual_restarts);
-    live("solver.live.waves", s.waves);
-  }
-  if (config.watchdog != nullptr) {
-    emit("watchdog.stall_events",
-         static_cast<double>(config.watchdog->stall_events()));
-  }
-}
-
-}  // namespace
-
 RoomEmulation::RoomEmulation(EmulationConfig config)
     : config_(config),
       topology_(config.room),
@@ -77,6 +43,10 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
                "sample_period must be positive");
   FLEX_REQUIRE(config_.num_controllers >= 1,
                "num_controllers must be at least 1");
+  FLEX_REQUIRE(config_.placement_solve_seconds > 0.0,
+               "placement_solve_seconds must be positive");
+  FLEX_REQUIRE(config_.placement_max_nodes >= 0,
+               "placement_max_nodes must not be negative");
   FLEX_REQUIRE(config_.failed_ups >= 0 &&
                    config_.failed_ups < topology_.NumUpses(),
                "failed UPS out of range");
@@ -90,17 +60,14 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
   BuildRoom();
   // Register with the watchdog only after BuildRoom: the placement
   // solve is a legitimately long silent phase, not a stall.
-  if (config_.watchdog != nullptr) {
-    watchdog_id_ = config_.watchdog->RegisterThread(
+  if (config_.live != nullptr) {
+    watchdog_id_ = config_.live->watchdog().RegisterThread(
         "emulation-seed-" + std::to_string(config_.seed));
   }
   if (config_.alerts.enabled) {
-    ts_store_ = std::make_unique<obs::TimeSeriesStore>(config_.alerts.store);
-    std::vector<obs::AlertRule> rules = config_.alerts.rules;
-    if (rules.empty())
-      rules = obs::BuiltinAlertRules();
-    alert_engine_ =
-        std::make_unique<obs::AlertEngine>(ts_store_.get(), std::move(rules));
+    ts_store_ = std::make_unique<obs::TimeSeriesStore>();
+    alert_engine_ = std::make_unique<obs::AlertEngine>(
+        ts_store_.get(), obs::BuiltinAlertRules());
     if (config_.obs != nullptr)
       alert_engine_->SetRecorder(&config_.obs->recorder());
     if (!config_.alerts.forensics_root.empty()) {
@@ -113,7 +80,11 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
   }
 }
 
-RoomEmulation::~RoomEmulation() = default;
+RoomEmulation::~RoomEmulation()
+{
+  if (config_.obs != nullptr)
+    config_.obs->UnbindClock(queue_);
+}
 
 void
 RoomEmulation::BuildRoom()
@@ -158,7 +129,7 @@ RoomEmulation::BuildRoom()
 
   offline::FlexOfflinePolicy policy = offline::FlexOfflinePolicy::Short(
       config_.placement_solve_seconds, config_.placement_max_nodes,
-      config_.solver_live);
+      config_.live != nullptr ? &config_.live->solver() : nullptr);
   placement_ = policy.Place(topology_, trace);
   layout_ = offline::BuildRackLayout(topology_, placement_);
   FLEX_CHECK_MSG(!layout_.empty(), "placement produced no racks");
@@ -300,7 +271,7 @@ RoomEmulation::BuildRoom()
                          -1.0);
   for (UpsId u = 0; u < topology_.NumUpses(); ++u) {
     batteries_.emplace_back(power::BatteryConfig::ForBatteryLife(
-        config_.room.battery_life, topology_.UpsCapacity(u)));
+        power::kRoomBatteryLife, topology_.UpsCapacity(u)));
     batteries_.back().Bind(config_.obs, u);
   }
 }
@@ -569,9 +540,10 @@ RoomEmulation::BuildLiveSnapshot()
       metrics.gauge("fleet.substation_overload_fraction")
           .Set(fleet_overload_fraction_);
     }
-    EmitSinkGauges(config_, [&metrics](const char* name, double value) {
-      metrics.gauge(name).Set(value);
-    });
+    if (config_.live != nullptr) {
+      metrics.gauge("watchdog.stall_events")
+          .Set(static_cast<double>(config_.live->watchdog().stall_events()));
+    }
     return metrics.Snapshot();
   }
 
@@ -596,9 +568,10 @@ RoomEmulation::BuildLiveSnapshot()
   }
   builder.Counter("pipeline.readings_delivered",
                   static_cast<double>(pipeline_->delivered_count()));
-  EmitSinkGauges(config_, [&builder](const char* name, double value) {
-    builder.Gauge(name, value);
-  });
+  if (config_.live != nullptr) {
+    builder.Gauge("watchdog.stall_events",
+                  static_cast<double>(config_.live->watchdog().stall_events()));
+  }
   obs::MetricsSnapshot snapshot;
   builder.Build(queue_.Now().value(), &snapshot);
   return snapshot;
@@ -648,8 +621,6 @@ RoomEmulation::DumpAlertBundle(const obs::AlertStatus& status,
 void
 RoomEmulation::PublishLive(const obs::MetricsSnapshot& snapshot)
 {
-  if (config_.watchdog != nullptr && watchdog_id_ >= 0)
-    config_.watchdog->Beat(watchdog_id_);
   if (config_.live == nullptr)
     return;
 
@@ -658,6 +629,7 @@ RoomEmulation::PublishLive(const obs::MetricsSnapshot& snapshot)
   // copies. Nothing here feeds back into simulated state, so a scraper
   // (or the absence of one) cannot change the run.
   obs::LiveHub& live = *config_.live;
+  live.watchdog().Beat(watchdog_id_);
   live.PublishMetrics(snapshot);
   if (config_.obs != nullptr) {
     live.PublishTraces(config_.obs->tracer().traces());
@@ -925,8 +897,8 @@ RoomEmulation::Finish()
   // BuildLiveSnapshot only reads here — the history store is not
   // re-sampled, so the fingerprints above stay the report's truth.
   PublishLive(BuildLiveSnapshot());
-  if (config_.watchdog != nullptr && watchdog_id_ >= 0)
-    config_.watchdog->MarkDone(watchdog_id_);
+  if (config_.live != nullptr)
+    config_.live->watchdog().MarkDone(watchdog_id_);
   return report_;
 }
 

@@ -42,12 +42,7 @@
 
 namespace flex::obs {
 class LiveHub;
-class StallWatchdog;
 }  // namespace flex::obs
-
-namespace flex::solver {
-struct LiveSolverStats;
-}  // namespace flex::solver
 
 namespace flex::emulation {
 
@@ -92,13 +87,15 @@ struct EmulationConfig {
   int num_controllers = 3;  ///< multi-primary replicas
   /**
    * Per-batch wall-clock budget for the Flex-Offline placement MILP
-   * that builds the room. Solves that converge within the budget are
-   * deterministic; budget-limited solves are not, so sweeps that need
-   * bit-identity should keep this high enough to converge.
+   * that builds the room; must be positive. Solves that converge within
+   * the budget are deterministic; budget-limited solves are not, so
+   * sweeps that need bit-identity should keep this high enough to
+   * converge.
    */
   double placement_solve_seconds = 2.0;
   /**
-   * Node budget per placement batch solve; 0 keeps the solver default.
+   * Node budget per placement batch solve; 0 keeps the solver default,
+   * negative values are rejected.
    * Unlike the wall-clock budget above, a node budget truncates the
    * search at the same point on every machine, so determinism tests and
    * sweeps should set a finite node budget together with an effectively
@@ -133,31 +130,19 @@ struct EmulationConfig {
   obs::Observability* obs = nullptr;
 
   /**
-   * Optional live observability mailbox (obs/http_export.hpp). Every
+   * Optional live observability plane (obs/http_export.hpp). Every
    * sample tick publishes snapshot copies — metrics (the obs registry's
    * when obs is set, a synthesized minimum otherwise), reaction-trace
    * and flight-recorder tails, and a health rollup — that an HTTP
-   * scraper reads from its own thread. Publishing copies state *out*;
+   * scraper reads from its own thread. The room also registers one
+   * heartbeat (named by seed) with the hub's watchdog and beats it
+   * from the sample loop, and its placement solves report progress
+   * into the hub's solver stats. Everything copies state *out*;
    * nothing is ever read back, so wiring a hub cannot change a single
    * simulated event. Safe to share one hub across parallel sweep lanes
    * (last writer wins). Not owned.
    */
   obs::LiveHub* live = nullptr;
-
-  /**
-   * Optional stall watchdog. The harness registers one heartbeat entry
-   * per RoomEmulation (named by seed) and beats it from the sample
-   * loop, so a wedged sim thread is flagged on /healthz. Not owned.
-   */
-  obs::StallWatchdog* watchdog = nullptr;
-
-  /**
-   * Optional live solver-progress sink for the placement MILP solves
-   * that build the room (wave occupancy, open nodes, warm-basis hits).
-   * The solver only ever writes it; the HTTP plane reads it through
-   * AddLiveGauge callbacks. Not owned.
-   */
-  solver::LiveSolverStats* solver_live = nullptr;
 
   /**
    * Deterministic time-series history + alert rules (obs/alerts.hpp).
@@ -350,7 +335,7 @@ class RoomEmulation : public telemetry::PowerSource {
    * the live publisher so both see identical values.
    */
   obs::MetricsSnapshot BuildLiveSnapshot();
-  /** Copies fresh snapshots into config_.live / beats the watchdog. */
+  /** Beats the hub's watchdog and copies fresh snapshots into it. */
   void PublishLive(const obs::MetricsSnapshot& snapshot);
   /** One-time forensic dump when a rule fires (alerts.forensics_root). */
   void DumpAlertBundle(const obs::AlertStatus& status,
@@ -408,7 +393,7 @@ class RoomEmulation : public telemetry::PowerSource {
   std::unique_ptr<ScaleOutModel> sr_scale_out_;
 
   power::UpsId failed_ups_ = -1;
-  int watchdog_id_ = -1;  ///< heartbeat slot in config_.watchdog
+  int watchdog_id_ = -1;  ///< heartbeat slot in config_.live's watchdog
   // Epoch-bounded driving state.
   bool timeline_started_ = false;
   bool finished_ = false;

@@ -6,12 +6,21 @@
 
 namespace flex::emulation {
 
+namespace {
+
+/** Time to spin up replacement capacity in the other AZ. */
+constexpr Seconds kSpinUpDelay = Seconds(90.0);
+/** Fraction of lost capacity the remote AZ can absorb (>= 1 = all). */
+constexpr double kRemoteHeadroomFraction = 1.0;
+/** Local boot time after the all-clear restores the racks. */
+constexpr Seconds kLocalRecoveryDelay = Seconds(45.0);
+
+}  // namespace
+
 ScaleOutModel::ScaleOutModel(sim::EventQueue& queue, ScaleOutConfig config)
     : queue_(queue), config_(std::move(config))
 {
   FLEX_REQUIRE(config_.local_racks > 0, "service needs local racks");
-  FLEX_REQUIRE(config_.remote_headroom_fraction >= 0.0,
-               "remote headroom must be non-negative");
 }
 
 void
@@ -24,7 +33,7 @@ ScaleOutModel::OnNotification(const online::PowerEmergencyNotification& n)
     // are serving again.
     emergency_active_ = false;
     const std::uint64_t generation = ++generation_;
-    queue_.Schedule(config_.local_recovery_delay, [this, generation] {
+    queue_.Schedule(kLocalRecoveryDelay, [this, generation] {
       if (generation != generation_)
         return;  // a newer emergency superseded this recovery
       down_racks_.clear();
@@ -40,13 +49,13 @@ ScaleOutModel::OnNotification(const online::PowerEmergencyNotification& n)
   // Spin up replacements in the other AZ, bounded by remote headroom.
   const int wanted = static_cast<int>(
       std::min<double>(static_cast<double>(down_racks_.size()),
-                       config_.remote_headroom_fraction *
+                       kRemoteHeadroomFraction *
                            static_cast<double>(config_.local_racks)));
   if (wanted > remote_target_) {
     remote_target_ = wanted;
     const int delta = wanted;
     const std::uint64_t generation = ++generation_;
-    queue_.Schedule(config_.spin_up_delay, [this, generation, delta] {
+    queue_.Schedule(kSpinUpDelay, [this, generation, delta] {
       if (generation != generation_ || !emergency_active_)
         return;
       remote_active_ = std::max(remote_active_, delta);

@@ -28,12 +28,6 @@ struct ScaleOutConfig {
   std::string workload = "terasort";
   /** Racks the service runs locally (its nominal capacity). */
   int local_racks = 0;
-  /** Time to spin up replacement capacity in the other AZ. */
-  Seconds spin_up_delay = Seconds(90.0);
-  /** Fraction of lost capacity the remote AZ can absorb (>= 1 = all). */
-  double remote_headroom_fraction = 1.0;
-  /** Local boot time after the all-clear restores the racks. */
-  Seconds local_recovery_delay = Seconds(45.0);
 };
 
 /**

@@ -10,8 +10,7 @@ namespace flex::fault {
 
 using telemetry::DeviceKind;
 
-FaultFuzzer::FaultFuzzer(ScenarioShape shape, FuzzerConfig config)
-    : shape_(shape), config_(config)
+FaultFuzzer::FaultFuzzer(ScenarioShape shape) : shape_(shape)
 {
   FLEX_REQUIRE(shape_.num_ups >= 2, "fuzzing needs a redundant UPS level");
   FLEX_REQUIRE(shape_.num_racks >= 1, "fuzzing needs racks");
@@ -22,9 +21,7 @@ FaultFuzzer::FaultFuzzer(ScenarioShape shape, FuzzerConfig config)
   FLEX_REQUIRE(shape_.num_controllers >= 1, "fuzzing needs a controller");
   FLEX_REQUIRE(
       shape_.horizon.value() >
-          (config_.warmup + config_.max_failover_duration +
-           config_.settle_tail)
-              .value(),
+          (kWarmup + kMaxFailoverDuration + kSettleTail).value(),
       "horizon too short for even one failover");
 }
 
@@ -37,17 +34,16 @@ FaultFuzzer::SamplePlan(std::uint64_t seed) const
   Rng rng(seed);
   FaultPlan plan;
   const double horizon = shape_.horizon.value();
-  const double latest = horizon - config_.settle_tail.value();
+  const double latest = horizon - kSettleTail.value();
 
   // 1. UPS failovers: strictly sequential windows with a recovery gap.
   const int failovers =
-      static_cast<int>(rng.UniformInt(0, config_.max_failovers));
+      static_cast<int>(rng.UniformInt(0, kMaxFailovers));
   double next_start =
-      rng.Uniform(config_.warmup.value(), config_.warmup.value() + 12.0);
+      rng.Uniform(kWarmup.value(), kWarmup.value() + 12.0);
   for (int i = 0; i < failovers; ++i) {
     const double duration =
-        rng.Uniform(config_.min_failover_duration.value(),
-                    config_.max_failover_duration.value());
+        rng.Uniform(kMinFailoverDuration.value(), kMaxFailoverDuration.value());
     const int target = static_cast<int>(rng.UniformInt(0, shape_.num_ups - 1));
     if (next_start + duration > latest)
       break;
@@ -57,14 +53,13 @@ FaultFuzzer::SamplePlan(std::uint64_t seed) const
     event.target = target;
     event.duration = Seconds(duration);
     plan.Add(event);
-    next_start += duration + config_.failover_gap.value() +
-                  rng.Uniform(0.0, 8.0);
+    next_start += duration + kFailoverGap.value() + rng.Uniform(0.0, 8.0);
   }
 
   // 2. Meter faults: at most one faulty physical meter per device, so
   // the 2-of-3 median quorum always survives.
   const int meter_faults =
-      static_cast<int>(rng.UniformInt(0, config_.max_meter_faults));
+      static_cast<int>(rng.UniformInt(0, kMaxMeterFaults));
   std::set<std::pair<int, int>> used_devices;  // (kind, index)
   for (int i = 0; i < meter_faults; ++i) {
     const int device = static_cast<int>(
@@ -74,8 +69,7 @@ FaultFuzzer::SamplePlan(std::uint64_t seed) const
         static_cast<int>(rng.UniformInt(0, shape_.meters_per_device - 1));
     const double start = rng.Uniform(5.0, latest - 10.0);
     const double duration = rng.Uniform(10.0, 50.0);
-    const double drift = rng.Uniform(-config_.max_drift_rate,
-                                     config_.max_drift_rate);
+    const double drift = rng.Uniform(-kMaxDriftRate, kMaxDriftRate);
     const bool is_ups = device < shape_.num_ups;
     const std::pair<int, int> key{is_ups ? 0 : 1,
                                   is_ups ? device : device - shape_.num_ups};
@@ -95,7 +89,7 @@ FaultFuzzer::SamplePlan(std::uint64_t seed) const
   }
 
   // 3. One poller crash at most (the sibling keeps polling).
-  if (rng.Bernoulli(config_.poller_crash_probability)) {
+  if (rng.Bernoulli(kPollerCrashProbability)) {
     FaultEvent event;
     event.at = Seconds(rng.Uniform(5.0, latest - 10.0));
     event.kind = FaultKind::kPollerCrash;
@@ -105,7 +99,7 @@ FaultFuzzer::SamplePlan(std::uint64_t seed) const
   }
 
   // 4. One bus outage at most (the sibling keeps delivering).
-  if (rng.Bernoulli(config_.bus_outage_probability)) {
+  if (rng.Bernoulli(kBusOutageProbability)) {
     FaultEvent event;
     event.at = Seconds(rng.Uniform(5.0, latest - 10.0));
     event.kind = FaultKind::kBusOutage;
@@ -115,18 +109,18 @@ FaultFuzzer::SamplePlan(std::uint64_t seed) const
   }
 
   // 5. Bus congestion (bounded extra lag; delivery remains ordered).
-  if (rng.Bernoulli(config_.bus_delay_probability)) {
+  if (rng.Bernoulli(kBusDelayProbability)) {
     FaultEvent event;
     event.at = Seconds(rng.Uniform(5.0, latest - 10.0));
     event.kind = FaultKind::kBusDelay;
     event.target = static_cast<int>(rng.UniformInt(0, shape_.num_buses - 1));
-    event.magnitude = rng.Uniform(0.1, config_.max_bus_delay.value());
+    event.magnitude = rng.Uniform(0.1, kMaxBusDelay.value());
     event.duration = Seconds(rng.Uniform(10.0, 40.0));
     plan.Add(event);
   }
 
   // 6. At-least-once redelivery storms (controllers must be idempotent).
-  if (rng.Bernoulli(config_.bus_duplicate_probability)) {
+  if (rng.Bernoulli(kBusDuplicateProbability)) {
     FaultEvent event;
     event.at = Seconds(rng.Uniform(5.0, latest - 15.0));
     event.kind = FaultKind::kBusDuplicate;
@@ -137,13 +131,12 @@ FaultFuzzer::SamplePlan(std::uint64_t seed) const
 
   // 7. Slow rack managers (commands land late but land).
   const int rm_timeouts =
-      static_cast<int>(rng.UniformInt(0, config_.max_rack_manager_timeouts));
+      static_cast<int>(rng.UniformInt(0, kMaxRackManagerTimeouts));
   std::set<int> slow_racks;
   for (int i = 0; i < rm_timeouts; ++i) {
     const int rack = static_cast<int>(rng.UniformInt(0, shape_.num_racks - 1));
     const double start = rng.Uniform(5.0, latest - 10.0);
-    const double extra =
-        rng.Uniform(0.5, config_.max_rack_manager_extra.value());
+    const double extra = rng.Uniform(0.5, kMaxRackManagerExtra.value());
     const double duration = rng.Uniform(10.0, 40.0);
     if (!slow_racks.insert(rack).second)
       continue;
@@ -158,9 +151,9 @@ FaultFuzzer::SamplePlan(std::uint64_t seed) const
 
   // 8. At most one unreachable rack manager — the room's headroom is
   // sized so the controllers can recover around one silent rack.
-  if (rng.Bernoulli(config_.rack_manager_unreachable_probability)) {
+  if (rng.Bernoulli(kRackManagerUnreachableProbability)) {
     FaultEvent event;
-    event.at = Seconds(rng.Uniform(config_.warmup.value(), latest - 25.0));
+    event.at = Seconds(rng.Uniform(kWarmup.value(), latest - 25.0));
     event.kind = FaultKind::kRackManagerUnreachable;
     event.target = static_cast<int>(rng.UniformInt(0, shape_.num_racks - 1));
     event.duration = Seconds(rng.Uniform(8.0, 25.0));
@@ -169,7 +162,7 @@ FaultFuzzer::SamplePlan(std::uint64_t seed) const
 
   // 9. Controller replica crash — never all replicas at once.
   if (shape_.num_controllers >= 2 &&
-      rng.Bernoulli(config_.controller_pause_probability)) {
+      rng.Bernoulli(kControllerPauseProbability)) {
     FaultEvent event;
     event.at = Seconds(rng.Uniform(5.0, latest - 10.0));
     event.kind = FaultKind::kControllerPause;

@@ -39,41 +39,42 @@ struct ScenarioShape {
   Seconds horizon{120.0};
 };
 
-/** Envelope bounds; defaults encode the paper's tolerated fault model. */
-struct FuzzerConfig {
-  /** UPS failovers are sequential — never concurrent — per xN/y design. */
-  int max_failovers = 2;
-  /** No fault begins before telemetry has warmed up. */
-  Seconds warmup{12.0};
-  /** Quiet tail so the room can settle before the run ends. */
-  Seconds settle_tail{15.0};
-  Seconds min_failover_duration{8.0};
-  Seconds max_failover_duration{16.0};
-  /**
-   * Minimum quiet time between a failover's repair and the next
-   * failover, sized so restores (~25 s boot) finish in between.
-   */
-  Seconds failover_gap{45.0};
-  /** At most one faulty physical meter per device (quorum survives). */
-  int max_meter_faults = 3;
-  double max_drift_rate = 0.02;  ///< 1/s; ~2%/s calibration drift
-  double poller_crash_probability = 0.5;   ///< ≤1 of 2 pollers
-  double bus_outage_probability = 0.5;     ///< ≤1 of 2 buses
-  double bus_delay_probability = 0.5;
-  Seconds max_bus_delay{1.0};
-  double bus_duplicate_probability = 0.5;
-  int max_rack_manager_timeouts = 2;
-  Seconds max_rack_manager_extra{3.0};
-  double rack_manager_unreachable_probability = 0.4;  ///< ≤1 rack
-  double controller_pause_probability = 0.5;  ///< ≤ replicas − 1
-};
+/*
+ * The tolerated fault envelope every sampled plan stays inside (the
+ * paper's fault model). Property tests read these bounds back.
+ */
+/** UPS failovers are sequential — never concurrent — per xN/y design. */
+inline constexpr int kMaxFailovers = 2;
+/** No fault begins before telemetry has warmed up. */
+inline constexpr Seconds kWarmup{12.0};
+/** Quiet tail so the room can settle before the run ends. */
+inline constexpr Seconds kSettleTail{15.0};
+inline constexpr Seconds kMinFailoverDuration{8.0};
+inline constexpr Seconds kMaxFailoverDuration{16.0};
+/**
+ * Minimum quiet time between a failover's repair and the next
+ * failover, sized so restores (~25 s boot) finish in between.
+ */
+inline constexpr Seconds kFailoverGap{45.0};
+/** At most one faulty physical meter per device (quorum survives). */
+inline constexpr int kMaxMeterFaults = 3;
+inline constexpr double kMaxDriftRate = 0.02;  ///< 1/s; ~2%/s calibration drift
+inline constexpr double kPollerCrashProbability = 0.5;  ///< ≤1 of 2 pollers
+inline constexpr double kBusOutageProbability = 0.5;    ///< ≤1 of 2 buses
+inline constexpr double kBusDelayProbability = 0.5;
+inline constexpr Seconds kMaxBusDelay{1.0};
+inline constexpr double kBusDuplicateProbability = 0.5;
+inline constexpr int kMaxRackManagerTimeouts = 2;
+inline constexpr Seconds kMaxRackManagerExtra{3.0};
+inline constexpr double kRackManagerUnreachableProbability = 0.4;  ///< ≤1 rack
+inline constexpr double kControllerPauseProbability = 0.5;  ///< ≤ replicas − 1
 
 /**
  * Samples fault plans for a fixed room shape.
  */
 class FaultFuzzer {
  public:
-  explicit FaultFuzzer(ScenarioShape shape, FuzzerConfig config = {});
+  explicit FaultFuzzer(ScenarioShape shape);
 
   /**
    * Samples one plan. Same seed ⇒ byte-identical plan. The result is
@@ -82,11 +83,9 @@ class FaultFuzzer {
   FaultPlan SamplePlan(std::uint64_t seed) const;
 
   const ScenarioShape& shape() const { return shape_; }
-  const FuzzerConfig& config() const { return config_; }
 
  private:
   ScenarioShape shape_;
-  FuzzerConfig config_;
 };
 
 }  // namespace flex::fault

@@ -7,6 +7,22 @@
 
 namespace flex::fault {
 
+namespace {
+
+/**
+ * How long the room may have been unsafe before a release decision
+ * counts as a violation of (c). Covers end-to-end telemetry latency:
+ * a release racing a brand-new failover inside this window is an
+ * unavoidable (and self-correcting) stale-data decision.
+ */
+constexpr Seconds kReleaseGrace = Seconds(5.0);
+/** Deadline for (d): sustained overload must see some action by then. */
+constexpr Seconds kResponseDeadline = Seconds(15.0);
+/** Relative slack on the load fraction before "unsafe" (meter noise). */
+constexpr double kOverloadEpsilon = 1e-9;
+
+}  // namespace
+
 InvariantMonitor::InvariantMonitor(
     sim::EventQueue& queue, const power::RoomTopology& topology,
     std::vector<workload::Category> rack_categories,
@@ -111,7 +127,7 @@ InvariantMonitor::Check()
     const double fraction = capacity > 0.0 ? loads[u].value() / capacity : 0.0;
     if (fraction > worst_fraction_)
       worst_fraction_ = fraction;
-    if (fraction > 1.0 + config_.overload_epsilon) {
+    if (fraction > 1.0 + kOverloadEpsilon) {
       any_overloaded = true;
       if (overload_since_[u] < 0.0)
         overload_since_[u] = now;
@@ -177,13 +193,13 @@ InvariantMonitor::Check()
     // A release decided while the room has been unsafe longer than the
     // telemetry-staleness grace window means the controller released
     // without real headroom: invariant (c).
-    if (unsafe_for > config_.release_grace.value()) {
+    if (unsafe_for > kReleaseGrace.value()) {
       char buffer[128];
       std::snprintf(buffer, sizeof(buffer),
                     "%zu release command(s) issued while room unsafe for "
                     "%.2fs (> %.2fs grace)",
                     releases - seen_release_commands_, unsafe_for,
-                    config_.release_grace.value());
+                    kReleaseGrace.value());
       AddViolation("unsafe-release", buffer);
     }
     seen_release_commands_ = releases;
@@ -191,13 +207,13 @@ InvariantMonitor::Check()
 
   // (d) A sustained overload must be answered by *some* replica.
   // Overcorrection is acceptable; silence past the deadline is not.
-  if (!missed_reported_ && unsafe_for > config_.response_deadline.value() &&
+  if (!missed_reported_ && unsafe_for > kResponseDeadline.value() &&
       !AnyControllerActed()) {
     char buffer[128];
     std::snprintf(buffer, sizeof(buffer),
                   "room unsafe for %.2fs (> %.2fs deadline) with no "
                   "controller action in force",
-                  unsafe_for, config_.response_deadline.value());
+                  unsafe_for, kResponseDeadline.value());
     AddViolation("missed-overload", buffer);
     missed_reported_ = true;
   }

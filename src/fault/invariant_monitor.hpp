@@ -37,19 +37,8 @@
 
 namespace flex::fault {
 
-/** Monitor tuning. */
+/** Monitor wiring. */
 struct MonitorConfig {
-  /**
-   * How long the room may have been unsafe before a release decision
-   * counts as a violation of (c). Covers end-to-end telemetry latency:
-   * a release racing a brand-new failover inside this window is an
-   * unavoidable (and self-correcting) stale-data decision.
-   */
-  Seconds release_grace = Seconds(5.0);
-  /** Deadline for (d): sustained overload must see some action by then. */
-  Seconds response_deadline = Seconds(15.0);
-  /** Relative slack on the load fraction before "unsafe" (meter noise). */
-  double overload_epsilon = 1e-9;
   /** Optional instrumentation sink (null: not instrumented). */
   obs::Observability* obs = nullptr;
 };

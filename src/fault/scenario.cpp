@@ -16,6 +16,9 @@ using workload::Category;
 
 namespace {
 
+/** Per-rack allocation (12 racks × 50 kW = 600 kW provisioned). */
+constexpr Watts kRackAllocation = KiloWatts(50.0);
+
 /** 3N/2 room sized to the scenario shape. */
 power::RoomConfig
 BuildRoomConfig(const ScenarioConfig& config)
@@ -127,8 +130,8 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
     m.category = categories_[static_cast<std::size_t>(r)];
     m.workload = WorkloadNameFor(m.category);
     m.pdu_pair = topology_.PduPairOfRow(r / topology_.RacksPerRow());
-    m.allocated = config_.rack_allocation;
-    m.flex_power = config_.rack_allocation * config_.flex_power_fraction;
+    m.allocated = kRackAllocation;
+    m.flex_power = kRackAllocation * config_.flex_power_fraction;
     managed.push_back(std::move(m));
   }
 
@@ -152,17 +155,18 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
   }
 
   if (config_.obs != nullptr && config_.alerts.enabled) {
-    ts_store_ = std::make_unique<obs::TimeSeriesStore>(config_.alerts.store);
-    std::vector<obs::AlertRule> rules = config_.alerts.rules;
-    if (rules.empty())
-      rules = obs::BuiltinAlertRules();
-    alert_engine_ =
-        std::make_unique<obs::AlertEngine>(ts_store_.get(), std::move(rules));
+    ts_store_ = std::make_unique<obs::TimeSeriesStore>();
+    alert_engine_ = std::make_unique<obs::AlertEngine>(
+        ts_store_.get(), obs::BuiltinAlertRules());
     alert_engine_->SetRecorder(&config_.obs->recorder());
   }
 }
 
-FaultScenario::~FaultScenario() = default;
+FaultScenario::~FaultScenario()
+{
+  if (config_.obs != nullptr)
+    config_.obs->UnbindClock(queue_);
+}
 
 Watts
 FaultScenario::TrueRackPower(int rack_id) const
@@ -170,7 +174,7 @@ FaultScenario::TrueRackPower(int rack_id) const
   const actuation::RackState& state = plane_->rack(rack_id).state();
   if (!state.powered_on)
     return Watts(0.0);
-  Watts demand = config_.rack_allocation *
+  Watts demand = kRackAllocation *
                  utilization_[static_cast<std::size_t>(rack_id)];
   if (state.power_cap && demand > *state.power_cap)
     demand = *state.power_cap;

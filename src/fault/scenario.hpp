@@ -41,8 +41,6 @@ struct ScenarioConfig {
   ScenarioShape shape;
   /** Rated capacity of each UPS. */
   Watts ups_capacity = KiloWatts(200.0);
-  /** Per-rack allocation (12 racks × 50 kW = 600 kW provisioned). */
-  Watts rack_allocation = KiloWatts(50.0);
   /** Flex power (lowest cap) as a fraction of allocation. */
   double flex_power_fraction = 0.5;
   /** Per-rack base utilization: truncated normal over [min, max]. */

@@ -197,15 +197,13 @@ AlertRule UpsOverloadRule(double for_s = 0.0);
 std::vector<AlertRule> BuiltinAlertRules();
 
 /**
- * Copyable harness wiring: store shape + rule set, embedded in
- * EmulationConfig / ScenarioConfig so sweep variants carry it by value.
+ * Copyable harness wiring, embedded in EmulationConfig / ScenarioConfig
+ * so sweep variants carry it by value. An enabled harness evaluates
+ * BuiltinAlertRules() over a default-shaped TimeSeriesStore.
  */
 struct AlertsConfig {
   /** Off by default: existing harnesses are unchanged until opted in. */
   bool enabled = false;
-  TimeSeriesConfig store;
-  /** Empty means BuiltinAlertRules(). */
-  std::vector<AlertRule> rules;
   /**
    * When non-empty, harnesses that own an Observability dump a
    * forensic bundle under this directory the first time a rule fires.

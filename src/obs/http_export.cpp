@@ -260,7 +260,7 @@ HttpQueryParam(const std::string& query, const std::string& key,
 
 ObservabilityServer::ObservabilityServer(LiveHub& hub,
                                          ObservabilityServerConfig config)
-    : hub_(hub), config_(std::move(config)), http_(config_.http)
+    : hub_(hub), config_(std::move(config))
 {
   http_.Route("/metrics", [this](const HttpRequest&) {
     HttpResponse response;
@@ -370,6 +370,27 @@ ObservabilityServer::RenderMetrics() const
     out << name << " " << json::Num(sample()) << "\n";
   }
 
+  // Placement-solve progress of the harnesses publishing to the hub;
+  // relaxed atomic loads only, like the live gauges above.
+  const solver::LiveSolverStats& solver = hub_.solver();
+  const auto count = [&out](const char* name,
+                            const std::atomic<std::int64_t>& value) {
+    out << "# TYPE flex_solver_" << name << " gauge\n";
+    out << "flex_solver_" << name << " "
+        << value.load(std::memory_order_relaxed) << "\n";
+  };
+  out << "# TYPE flex_solver_active gauge\n";
+  out << "flex_solver_active " << (solver.active() ? 1 : 0) << "\n";
+  count("waves", solver.waves);
+  count("wave_nodes", solver.wave_nodes);
+  count("open_nodes", solver.open_nodes);
+  count("nodes_explored", solver.nodes_explored);
+  count("lp_solves", solver.lp_solves);
+  count("basis_reuse_attempts", solver.basis_reuse_attempts);
+  count("basis_reuse_hits", solver.basis_reuse_hits);
+  count("dual_pivots", solver.dual_pivots);
+  count("warm_dual_restarts", solver.warm_dual_restarts);
+
   // Prometheus-convention ALERTS series: one constant-1 sample per
   // pending/firing rule, plus rollup gauges, from the last published
   // alert-engine snapshot.
@@ -396,22 +417,20 @@ ObservabilityServer::RenderMetrics() const
   out << "# TYPE flex_log_suppressed_total counter\n";
   out << "flex_log_suppressed_total " << LogSuppressedTotal() << "\n";
 
-  if (watchdog_ != nullptr) {
-    const auto threads = watchdog_->SnapshotThreads();
-    out << "# TYPE flex_watchdog_threads gauge\n";
-    out << "flex_watchdog_threads " << threads.size() << "\n";
-    out << "# TYPE flex_watchdog_stalled gauge\n";
-    out << "flex_watchdog_stalled " << (watchdog_->any_stalled() ? 1 : 0)
-        << "\n";
-    out << "# TYPE flex_watchdog_stall_events_total counter\n";
-    out << "flex_watchdog_stall_events_total " << watchdog_->stall_events()
-        << "\n";
-    out << "# TYPE flex_watchdog_silent_seconds gauge\n";
-    for (const auto& thread : threads) {
-      out << "flex_watchdog_silent_seconds{thread=\""
-          << EscapeLabelValue(thread.name) << "\"} "
-          << json::Num(thread.silent_seconds) << "\n";
-    }
+  const StallWatchdog& watchdog = hub_.watchdog();
+  const auto threads = watchdog.SnapshotThreads();
+  out << "# TYPE flex_watchdog_threads gauge\n";
+  out << "flex_watchdog_threads " << threads.size() << "\n";
+  out << "# TYPE flex_watchdog_stalled gauge\n";
+  out << "flex_watchdog_stalled " << (watchdog.any_stalled() ? 1 : 0) << "\n";
+  out << "# TYPE flex_watchdog_stall_events_total counter\n";
+  out << "flex_watchdog_stall_events_total " << watchdog.stall_events()
+      << "\n";
+  out << "# TYPE flex_watchdog_silent_seconds gauge\n";
+  for (const auto& thread : threads) {
+    out << "flex_watchdog_silent_seconds{thread=\""
+        << EscapeLabelValue(thread.name) << "\"} "
+        << json::Num(thread.silent_seconds) << "\n";
   }
 
   if (profiler_ != nullptr) {
@@ -447,7 +466,8 @@ ObservabilityServer::RenderHealth(int* http_status) const
 {
   const HealthSnapshot health = hub_.LatestHealth();
   const AlertsSnapshot alerts = hub_.LatestAlerts();
-  const bool stalled = watchdog_ != nullptr && watchdog_->any_stalled();
+  const StallWatchdog& watchdog = hub_.watchdog();
+  const bool stalled = watchdog.any_stalled();
   // Firing warn/info alerts are reported but do not degrade the probe;
   // only page severity (like a violation or a stall) answers 503.
   const bool paging =
@@ -468,24 +488,21 @@ ObservabilityServer::RenderHealth(int* http_status) const
       << (alerts.firing > 0 ? AlertSeverityName(alerts.worst_firing)
                             : "none")
       << "\"";
-  if (watchdog_ != nullptr) {
-    out << ",\"forensic_hint\":\""
-        << json::EscapeJson(watchdog_->config().forensic_hint) << "\"";
-    out << ",\"threads\":[";
-    bool first = true;
-    for (const auto& thread : watchdog_->SnapshotThreads()) {
-      if (!first)
-        out << ",";
-      first = false;
-      out << "{\"name\":\"" << json::EscapeJson(thread.name) << "\""
-          << ",\"silent_seconds\":" << json::Num(thread.silent_seconds)
-          << ",\"stalled\":" << (thread.stalled ? "true" : "false")
-          << ",\"done\":" << (thread.done ? "true" : "false")
-          << ",\"beats\":" << thread.beats << "}";
-    }
-    out << "]";
+  out << ",\"forensic_hint\":\""
+      << json::EscapeJson(watchdog.config().forensic_hint) << "\"";
+  out << ",\"threads\":[";
+  bool first = true;
+  for (const auto& thread : watchdog.SnapshotThreads()) {
+    if (!first)
+      out << ",";
+    first = false;
+    out << "{\"name\":\"" << json::EscapeJson(thread.name) << "\""
+        << ",\"silent_seconds\":" << json::Num(thread.silent_seconds)
+        << ",\"stalled\":" << (thread.stalled ? "true" : "false")
+        << ",\"done\":" << (thread.done ? "true" : "false")
+        << ",\"beats\":" << thread.beats << "}";
   }
-  out << "}\n";
+  out << "]}\n";
   return out.str();
 }
 

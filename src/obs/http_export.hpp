@@ -19,10 +19,11 @@
  *
  * Endpoints served by ObservabilityServer:
  *   /metrics  - Prometheus text exposition: the last published registry
- *               snapshot, live process gauges (thread-pool utilization,
- *               solver wave occupancy via AddLiveGauge), profiler phase
- *               histograms, watchdog + log-suppression counters, and a
- *               flex_build_info series carrying run-info labels.
+ *               snapshot, live process gauges (thread-pool utilization
+ *               via AddLiveGauge), the hub's solver progress
+ *               (flex_solver_*), profiler phase histograms, watchdog +
+ *               log-suppression counters, and a flex_build_info series
+ *               carrying run-info labels.
  *   /healthz  - JSON health rollup (published invariant status +
  *               watchdog state); HTTP 503 when unhealthy or stalled.
  *   /trace    - last-N reaction episodes as a JSON array of TraceToJson
@@ -50,6 +51,7 @@
 #include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "solver/live_stats.hpp"
 
 namespace flex::common {
 class ThreadPool;
@@ -73,9 +75,22 @@ struct HealthSnapshot {
  * wins), which is exactly right for concurrent sweep lanes sharing one
  * hub: the scrape sees *a* recent lane's state, and the lanes never
  * coordinate — determinism stays untouched.
+ *
+ * The hub also owns the live plane's two shared sinks: the stall
+ * watchdog every publishing loop heartbeats into, and the solver
+ * progress its harnesses' placement solves write. Both are
+ * write-only from the harness side.
  */
 class LiveHub {
  public:
+  explicit LiveHub(WatchdogConfig watchdog = {})
+      : watchdog_(std::move(watchdog)) {}
+
+  /** Heartbeats of the loops publishing here (one per room). */
+  StallWatchdog& watchdog() { return watchdog_; }
+  /** Progress of the placement solves of the harnesses publishing here. */
+  solver::LiveSolverStats& solver() { return solver_; }
+
   void PublishMetrics(const MetricsSnapshot& snapshot);
   MetricsSnapshot LatestMetrics() const;
 
@@ -112,6 +127,8 @@ class LiveHub {
   AlertsSnapshot alerts_;
   TimeSeriesSnapshot series_;
   std::atomic<std::uint64_t> publishes_{0};
+  StallWatchdog watchdog_;
+  solver::LiveSolverStats solver_;
 };
 
 /**
@@ -135,8 +152,6 @@ struct ObservabilityServerConfig {
   int port = 0;
   /** Run-info labels stamped onto the flex_build_info series. */
   std::vector<std::pair<std::string, std::string>> run_info;
-  /** Connection-handling limits passed through to the HTTP server. */
-  HttpServerConfig http;
 };
 
 /**
@@ -147,9 +162,10 @@ bool HttpQueryParam(const std::string& query, const std::string& key,
                     std::string* value);
 
 /**
- * Binds a LiveHub (plus optional watchdog / profiler / live gauges) to
- * the four HTTP endpoints. The Render* methods are public so tests and
- * exporters can exercise the exact endpoint bodies without a socket.
+ * Binds a LiveHub (plus optional profiler / live gauges) to the HTTP
+ * endpoints; the hub's watchdog and solver progress are always served.
+ * The Render* methods are public so tests and exporters can exercise
+ * the exact endpoint bodies without a socket.
  */
 class ObservabilityServer {
  public:
@@ -158,23 +174,29 @@ class ObservabilityServer {
 
   /**
    * Registers a gauge sampled at scrape time. @p sample runs on the
-   * server thread and must only read atomics (thread-pool counters,
-   * solver live stats) — that contract is what keeps scrapes
-   * observer-only. Call before Start().
+   * server thread and must only read atomics (thread-pool counters) —
+   * that contract is what keeps scrapes observer-only. Call before
+   * Start().
    */
   void AddLiveGauge(std::string name, std::function<double()> sample);
 
   /** Convenience: flex_pool_{size,running,queued} + steals gauges. */
   void WireThreadPool(const common::ThreadPool& pool);
 
-  /** Watchdog surfaced in /healthz and /metrics; not owned. */
-  void SetWatchdog(const StallWatchdog* watchdog) { watchdog_ = watchdog; }
-
   /** Profiler whose phase histograms join /metrics; not owned. */
   void SetProfiler(const Profiler* profiler) { profiler_ = profiler; }
 
-  bool Start() { return http_.Start(config_.port); }
-  void Stop() { http_.Stop(); }
+  /** Starts serving and the hub's watchdog checker; false if bind fails. */
+  bool Start() {
+    if (!http_.Start(config_.port))
+      return false;
+    hub_.watchdog().Start();
+    return true;
+  }
+  void Stop() {
+    http_.Stop();
+    hub_.watchdog().Stop();
+  }
   int port() const { return http_.port(); }
   bool running() const { return http_.running(); }
   std::uint64_t requests_served() const { return http_.requests_served(); }
@@ -202,7 +224,6 @@ class ObservabilityServer {
  private:
   LiveHub& hub_;
   ObservabilityServerConfig config_;
-  const StallWatchdog* watchdog_ = nullptr;
   const Profiler* profiler_ = nullptr;
   std::vector<std::pair<std::string, std::function<double()>>> live_gauges_;
   HttpServer http_;

@@ -189,6 +189,7 @@ class MetricsRegistry {
 
   /** Binds / replaces the clock used to stamp snapshots. */
   void SetClock(const sim::EventQueue* clock) { clock_ = clock; }
+  const sim::EventQueue* clock() const { return clock_; }
 
   /** Finds or creates; throws ConfigError on a kind mismatch. */
   Counter& counter(const std::string& name);

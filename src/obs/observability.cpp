@@ -17,4 +17,13 @@ Observability::BindClock(const sim::EventQueue& queue)
   SetLogClock(&queue);
 }
 
+void
+Observability::UnbindClock(const sim::EventQueue& queue)
+{
+  if (metrics_.clock() == &queue)
+    metrics_.SetClock(nullptr);
+  if (GetLogClock() == &queue)
+    SetLogClock(nullptr);
+}
+
 }  // namespace flex::obs

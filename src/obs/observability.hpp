@@ -42,6 +42,13 @@ class Observability {
    */
   void BindClock(const sim::EventQueue& queue);
 
+  /**
+   * Clears the registry and logger clocks that still point at @p queue.
+   * A harness calls this before its queue dies, so later snapshots and
+   * log lines never read a destroyed queue.
+   */
+  void UnbindClock(const sim::EventQueue& queue);
+
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 

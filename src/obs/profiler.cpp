@@ -10,6 +10,9 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/** Stall-watchdog checker-thread poll period. */
+constexpr std::chrono::duration<double> kCheckerPollPeriod{0.25};
+
 std::int64_t
 NowNanos()
 {
@@ -186,11 +189,9 @@ StallWatchdog::Stop()
 void
 StallWatchdog::CheckerLoop()
 {
-  const auto period = std::chrono::duration<double>(
-      std::max(0.01, config_.poll_period_seconds));
   while (!stop_.load(std::memory_order_acquire)) {
     CheckNow();
-    std::this_thread::sleep_for(period);
+    std::this_thread::sleep_for(kCheckerPollPeriod);
   }
 }
 

@@ -118,8 +118,6 @@ class ScopedPhaseTimer {
 struct WatchdogConfig {
   /** A registered thread silent for longer than this is stalled. */
   double threshold_seconds = 5.0;
-  /** Checker-thread poll period. */
-  double poll_period_seconds = 0.25;
   /**
    * Forensic pointer included in stall logs and `/healthz` — typically
    * the freshest forensic-bundle directory or flight-recorder dump the

@@ -15,6 +15,18 @@ using telemetry::DeviceKind;
 using telemetry::DeviceReading;
 using workload::Category;
 
+namespace {
+
+/**
+ * Minimum time between decision waves. Telemetry lags enforcement, so
+ * re-deciding on every reading would overcorrect heavily; the cooldown
+ * gives actions time to land and show up in the data. Overcorrection
+ * across waves (and across replicas) remains possible and safe.
+ */
+constexpr Seconds kActionCooldown = Seconds(4.0);
+
+}  // namespace
+
 FlexController::FlexController(sim::EventQueue& queue,
                                const power::RoomTopology& topology,
                                std::vector<ManagedRack> racks,
@@ -42,7 +54,6 @@ FlexController::FlexController(sim::EventQueue& queue,
     FLEX_REQUIRE(rack.rack_id >= 0, "negative rack id");
     max_rack_id = std::max(max_rack_id, rack.rack_id);
   }
-  rack_power_.assign(static_cast<std::size_t>(max_rack_id) + 1, std::nullopt);
   rack_forecasts_ = RackPowerForecasterBank(max_rack_id + 1);
 
   if (config_.obs != nullptr) {
@@ -73,14 +84,10 @@ FlexController::OnReading(const DeviceReading& reading)
     MaybeRelease();
   } else {
     if (reading.device.index < 0 ||
-        static_cast<std::size_t>(reading.device.index) >= rack_power_.size())
+        reading.device.index >= rack_forecasts_.num_racks())
       return;
-    rack_power_[static_cast<std::size_t>(reading.device.index)] =
-        reading.value;
-    if (config_.use_forecaster) {
-      rack_forecasts_.Observe(reading.device.index, reading.sampled_at,
-                              reading.value);
-    }
+    rack_forecasts_.Observe(reading.device.index, reading.sampled_at,
+                            reading.value);
   }
 }
 
@@ -103,13 +110,12 @@ FlexController::BuildDecisionInput() const
     snapshot.workload = rack.workload;
     snapshot.category = rack.category;
     snapshot.pdu_pair = rack.pdu_pair;
-    // Prefer a forecast projected to now (or the raw reading); fall back
-    // to the conservative allocation, which only ever over-corrects.
-    std::optional<Watts> estimate =
-        config_.use_forecaster
-            ? rack_forecasts_.Forecast(rack.rack_id, queue_.Now())
-            : rack_power_[static_cast<std::size_t>(rack.rack_id)];
-    snapshot.current_power = estimate.value_or(rack.allocated);
+    // A Holt level+trend forecast projected to the decision instant
+    // (raw readings are ~2 s stale by then; Section IV-D); fall back to
+    // the conservative allocation, which only ever over-corrects.
+    snapshot.current_power =
+        rack_forecasts_.Forecast(rack.rack_id, queue_.Now())
+            .value_or(rack.allocated);
     snapshot.flex_power = rack.flex_power;
     input.racks.push_back(std::move(snapshot));
   }
@@ -149,8 +155,7 @@ FlexController::EvaluateOverdraw(const DeviceReading& reading)
              "replica %d detected overdraw on UPS %d", replica_id_,
              overloaded_ups);
   }
-  if ((detected_at - last_enforce_).value() <
-      config_.action_cooldown.value())
+  if ((detected_at - last_enforce_).value() < kActionCooldown.value())
     return;  // let in-flight actions land and surface in telemetry
 
   const auto decide_start = std::chrono::steady_clock::now();

@@ -55,19 +55,6 @@ struct ControllerConfig {
   double release_headroom = 0.05;
   /** How long conditions must look healthy before releasing. */
   Seconds release_delay = Seconds(30.0);
-  /**
-   * Minimum time between decision waves. Telemetry lags enforcement, so
-   * re-deciding on every reading would overcorrect heavily; the cooldown
-   * gives actions time to land and show up in the data. Overcorrection
-   * across waves (and across replicas) remains possible and safe.
-   */
-  Seconds action_cooldown = Seconds(4.0);
-  /**
-   * Estimate rack power with a Holt level+trend forecaster projected to
-   * the decision instant instead of the raw last reading (Section IV-D
-   * offers both options). Raw readings are ~2 s stale by decision time.
-   */
-  bool use_forecaster = true;
   /** Optional instrumentation sink (null: not instrumented). */
   obs::Observability* obs = nullptr;
 };
@@ -135,9 +122,8 @@ class FlexController {
   NotificationBus* notifications_;  // optional; not owned
   std::set<std::string> notified_workloads_;
 
-  /** Latest telemetry per device. */
+  /** Latest UPS telemetry; per-rack power is forecast, not stored. */
   std::vector<std::optional<Watts>> ups_power_;
-  std::vector<std::optional<Watts>> rack_power_;
   RackPowerForecasterBank rack_forecasts_;
 
   std::set<int> acted_racks_;

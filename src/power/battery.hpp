@@ -27,12 +27,6 @@ struct BatteryConfig {
   Joules usable_energy;
   /** Recharge rate while the UPS runs at or below rated power. */
   Watts recharge_power;
-  /**
-   * Peukert-style exponent: drain scales as overload^k, so deep
-   * overloads exhaust the battery disproportionately fast. ~2 matches
-   * the Fig. 6 anchors (10 s at 133%, ~1 s at 200%, end of life).
-   */
-  double peukert_exponent = 2.08;
 
   /**
    * Calibrated so the time-to-trip at the worst-case 4N/3 failover load

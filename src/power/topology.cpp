@@ -31,7 +31,7 @@ RoomConfig::EmulationRoom()
 }
 
 RoomTopology::RoomTopology(const RoomConfig& config)
-    : config_(config), trip_curve_(TripCurve::ForBatteryLife(config.battery_life))
+    : config_(config), trip_curve_(TripCurve::ForBatteryLife(kRoomBatteryLife))
 {
   FLEX_REQUIRE(config_.num_ups >= 2, "need at least two UPSes");
   FLEX_REQUIRE(config_.redundancy_y >= 1 &&

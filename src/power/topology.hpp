@@ -25,6 +25,12 @@ using UpsId = int;
 using PduPairId = int;
 using RowId = int;
 
+/**
+ * Battery aging every room's trip curves and UPS batteries are built
+ * for: end of life, the paper's worst case (Fig. 6).
+ */
+inline constexpr BatteryLife kRoomBatteryLife = BatteryLife::kEndOfLife;
+
 /** Configuration for building a RoomTopology. */
 struct RoomConfig {
   /** Number of UPSes (the "x" in xN/y). */
@@ -39,8 +45,6 @@ struct RoomConfig {
   int rows_per_pdu_pair = 3;
   /** Rack positions available per row. */
   int racks_per_row = 20;
-  /** Battery aging for the trip curves. */
-  BatteryLife battery_life = BatteryLife::kEndOfLife;
   /**
    * Rating of each PDU. PDU pairs are 2N-redundant (Fig. 2): either PDU
    * must carry the whole pair load alone if its sibling fails, so the

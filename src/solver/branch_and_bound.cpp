@@ -27,6 +27,19 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
  */
 constexpr int kPropagatePasses = 3;
 
+/** Relative gap at which the incumbent is reported kOptimal. */
+constexpr double kGapTolerance = 1e-6;
+
+/** A value within this of an integer counts as integral. */
+constexpr double kIntegralityTolerance = 1e-6;
+
+/**
+ * Nodes popped per wave. Deliberately independent of the thread
+ * count so determinism never depends on the pool width; larger
+ * waves expose more parallelism but prune slightly less eagerly.
+ */
+constexpr int kWaveSize = 8;
+
 using Clock = std::chrono::steady_clock;
 
 /**
@@ -148,7 +161,7 @@ BranchAndBoundSolver::Solve(const Model& model) const
   if (live != nullptr)
     live->solves_started.fetch_add(1, std::memory_order_relaxed);
   const double sense = model.sense() == Sense::kMaximize ? 1.0 : -1.0;
-  const SimplexSolver lp(options_.lp);
+  const SimplexSolver lp;
 
   // Presolve shrinks the model once, up front; the search then runs
   // entirely in the reduced variable space. Incumbents are postsolved
@@ -203,9 +216,8 @@ BranchAndBoundSolver::Solve(const Model& model) const
   // dives). Slots are positional, not thread-identified: task i of a
   // wave always uses workspace i, so no two concurrent tasks can share
   // a buffer no matter which pool lane picks them up.
-  const int wave_capacity = std::max(1, options_.wave_size);
   std::vector<SimplexWorkspace> workspaces(
-      static_cast<std::size_t>(wave_capacity) + 1);
+      static_cast<std::size_t>(kWaveSize) + 1);
   SimplexWorkspace& serial_ws = workspaces.back();
 
   double incumbent_max = -kInf;  // incumbent objective, maximize orientation
@@ -267,7 +279,7 @@ BranchAndBoundSolver::Solve(const Model& model) const
   };
 
   auto integral = [&](const std::vector<double>& x) {
-    return PickBranchVariable(search, x, options_.integrality_tolerance) < 0;
+    return PickBranchVariable(search, x, kIntegralityTolerance) < 0;
   };
 
   /**
@@ -341,8 +353,7 @@ BranchAndBoundSolver::Solve(const Model& model) const
     for (int step = 0; step < options_.dive_depth; ++step) {
       if (Clock::now() > deadline)
         return;
-      const int j =
-          PickBranchVariable(search, x, options_.integrality_tolerance);
+      const int j = PickBranchVariable(search, x, kIntegralityTolerance);
       if (j < 0) {
         accept_incumbent(x);
         return;
@@ -463,8 +474,7 @@ BranchAndBoundSolver::Solve(const Model& model) const
     }
     best_bound_max = open.top()->bound;
     if (incumbent_max > -kInf &&
-        RelativeGap(best_bound_max, incumbent_max) <=
-            options_.gap_tolerance) {
+        RelativeGap(best_bound_max, incumbent_max) <= kGapTolerance) {
       // Best open bound already proves the incumbent (near-)optimal.
       best_bound_max = std::max(best_bound_max, incumbent_max);
       break;
@@ -478,7 +488,7 @@ BranchAndBoundSolver::Solve(const Model& model) const
     const std::int64_t budget_left =
         options_.max_nodes - result.nodes_explored;
     const int want = static_cast<int>(
-        std::min<std::int64_t>(wave_capacity, budget_left));
+        std::min<std::int64_t>(kWaveSize, budget_left));
     wave_nodes.clear();
     while (static_cast<int>(wave_nodes.size()) < want && !open.empty()) {
       std::shared_ptr<const Node> node = open.top();
@@ -517,10 +527,10 @@ BranchAndBoundSolver::Solve(const Model& model) const
     constexpr int kMaxChain = 2;
     std::vector<int> slot_of(count, -1);
     std::vector<signed char> slot_claims(
-        static_cast<std::size_t>(wave_capacity), 0);
+        static_cast<std::size_t>(kWaveSize), 0);
     for (std::size_t i = 0; i < count; ++i) {
       const int pref = wave_nodes[i]->pref_slot;
-      if (pref >= 0 && pref < wave_capacity &&
+      if (pref >= 0 && pref < kWaveSize &&
           slot_claims[static_cast<std::size_t>(pref)] < kMaxChain) {
         slot_of[i] = pref;
         ++slot_claims[static_cast<std::size_t>(pref)];
@@ -537,13 +547,13 @@ BranchAndBoundSolver::Solve(const Model& model) const
       slot_claims[next] = 1;
     }
     std::vector<std::vector<std::size_t>> chain_of_slot(
-        static_cast<std::size_t>(wave_capacity));
+        static_cast<std::size_t>(kWaveSize));
     for (std::size_t i = 0; i < count; ++i)
       chain_of_slot[static_cast<std::size_t>(slot_of[i])].push_back(i);
 
     std::vector<std::function<void()>> tasks;
     tasks.reserve(count);
-    for (int slot = 0; slot < wave_capacity; ++slot) {
+    for (int slot = 0; slot < kWaveSize; ++slot) {
       const std::vector<std::size_t>& chain =
           chain_of_slot[static_cast<std::size_t>(slot)];
       if (chain.empty())
@@ -634,8 +644,8 @@ BranchAndBoundSolver::Solve(const Model& model) const
       if (node_bound <= incumbent_max + 1e-9)
         continue;  // cannot improve the incumbent
 
-      const int j = PickBranchVariable(search, wr.lp.x,
-                                       options_.integrality_tolerance);
+      const int j =
+          PickBranchVariable(search, wr.lp.x, kIntegralityTolerance);
       if (j < 0) {
         accept_incumbent(wr.lp.x);
         continue;
@@ -687,7 +697,7 @@ BranchAndBoundSolver::Solve(const Model& model) const
   result.bound = sense * best_bound_max;
   if (incumbent_max > -kInf) {
     result.gap = RelativeGap(best_bound_max, incumbent_max);
-    result.status = result.gap <= options_.gap_tolerance + 1e-12
+    result.status = result.gap <= kGapTolerance + 1e-12
                         ? MipStatus::kOptimal
                         : MipStatus::kFeasible;
   } else {

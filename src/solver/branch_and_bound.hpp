@@ -22,10 +22,10 @@
 #ifndef FLEX_SOLVER_BRANCH_AND_BOUND_HPP_
 #define FLEX_SOLVER_BRANCH_AND_BOUND_HPP_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "solver/live_stats.hpp"
 #include "solver/model.hpp"
 #include "solver/simplex.hpp"
 #include "solver/solver_trace.hpp"
@@ -77,37 +77,6 @@ struct MipResult {
 };
 
 /**
- * Live solve progress, published as plain atomics so an observability
- * scraper on another thread can sample a running solve without locks.
- *
- * flex_solver deliberately does not link flex_obs, so this struct is
- * the solver's entire observability surface: the search loop stores
- * into it at wave boundaries (and the LP callback counts solves), and
- * the HTTP exporter reads it through AddLiveGauge callbacks. Stores and
- * loads are relaxed — each field is an independent progress indicator,
- * not a consistent snapshot, which is all a utilization gauge needs.
- */
-struct LiveSolverStats {
-  std::atomic<std::int64_t> solves_started{0};
-  std::atomic<std::int64_t> solves_finished{0};
-  std::atomic<std::int64_t> waves{0};           ///< waves launched (all solves)
-  std::atomic<std::int64_t> wave_nodes{0};      ///< nodes in the current wave
-  std::atomic<std::int64_t> open_nodes{0};      ///< frontier size after merge
-  std::atomic<std::int64_t> nodes_explored{0};
-  std::atomic<std::int64_t> lp_solves{0};
-  std::atomic<std::int64_t> basis_reuse_attempts{0};
-  std::atomic<std::int64_t> basis_reuse_hits{0};
-  std::atomic<std::int64_t> dual_pivots{0};         ///< dual-simplex pivots
-  std::atomic<std::int64_t> warm_dual_restarts{0};  ///< dual-repaired warms
-
-  /** True while at least one Solve() is inside its search loop. */
-  bool active() const {
-    return solves_started.load(std::memory_order_relaxed) >
-           solves_finished.load(std::memory_order_relaxed);
-  }
-};
-
-/**
  * Best-first branch-and-bound with LP bounding and greedy diving.
  */
 class BranchAndBoundSolver {
@@ -115,8 +84,6 @@ class BranchAndBoundSolver {
   struct Options {
     double time_budget_seconds = 60.0;  ///< wall-clock cutoff
     std::int64_t max_nodes = 200000;    ///< node cutoff
-    double gap_tolerance = 1e-6;        ///< relative gap for kOptimal
-    double integrality_tolerance = 1e-6;
     int dive_depth = 64;                ///< greedy dive length for incumbents
     /**
      * Run presolve once before the root relaxation and search the
@@ -136,12 +103,6 @@ class BranchAndBoundSolver {
      */
     int threads = 0;
     /**
-     * Nodes popped per wave. Deliberately independent of the thread
-     * count so determinism never depends on the pool width; larger
-     * waves expose more parallelism but prune slightly less eagerly.
-     */
-    int wave_size = 8;
-    /**
      * Pool override for tests and embedders; when null and the resolved
      * thread count exceeds 1, ThreadPool::Shared() is used. Not owned.
      */
@@ -153,7 +114,6 @@ class BranchAndBoundSolver {
      * own heuristic.
      */
     std::vector<double> warm_start;
-    SimplexSolver::Options lp;
     /**
      * Optional convergence trace the solve appends to (root, every new
      * incumbent, every trace_node_interval nodes, termination). Not

@@ -41,13 +41,19 @@ constexpr double kInfeasibilityTolerance = 1e-6;
  * never enters the basis (a "flip" of a fixed variable would loop). */
 constexpr double kFixedTolerance = 1e-12;
 
+/** Pricing and stall tolerance: reduced costs, objective progress and
+ * ratio steps within this of zero count as zero. */
+constexpr double kTolerance = 1e-9;
+
+/** Forrest–Tomlin updates between scheduled refactorizations. */
+constexpr int kRefactorInterval = 64;
+
 /** Extraction refactorizes ("polishes") only when at least this many
  * Forrest–Tomlin updates have accumulated; warm re-solves extract
- * straight from the loaded factors. Sits just under the periodic
- * refactor interval (64): the FT stability test bounds per-update
- * drift, so polishing more eagerly than the iteration loop itself
- * refactorizes only burns the refactorizations the adoption/patch
- * routes exist to avoid. */
+ * straight from the loaded factors. Sits just under kRefactorInterval:
+ * the FT stability test bounds per-update drift, so polishing more
+ * eagerly than the iteration loop itself refactorizes only burns the
+ * refactorizations the adoption/patch routes exist to avoid. */
 constexpr int kPolishUpdateThreshold = 48;
 
 /** Process-wide basis snapshot ids; only equality is ever consulted. */
@@ -71,11 +77,8 @@ enum VarState : signed char {
  */
 class RevisedSolver {
  public:
-  RevisedSolver(const Model& model, SimplexWorkspace& ws,
-                const SimplexSolver::Options& options)
-      : model_(model), ws_(ws), tol_(options.tolerance),
-        refactor_interval_(std::max(1, options.refactor_interval)),
-        max_iterations_(options.max_iterations)
+  RevisedSolver(const Model& model, SimplexWorkspace& ws)
+      : model_(model), ws_(ws)
   {
   }
 
@@ -111,9 +114,8 @@ class RevisedSolver {
 
   const Model& model_;
   SimplexWorkspace& ws_;
-  const double tol_;
-  int refactor_interval_;  ///< mutable: the safe-mode retry shrinks it
-  const int max_iterations_;
+  /** The safe-mode retry shrinks it. */
+  int refactor_interval_ = kRefactorInterval;
 
   int n_ = 0;          ///< structural columns (model variables)
   int m_ = 0;          ///< rows (model constraints)
@@ -799,7 +801,8 @@ RevisedSolver::PriceEntering(bool bland, bool phase_one, double* reduced_cost)
     const double rc = ReducedCost(j, phase_one);
     const bool can_increase = s == kAtLower || s == kFreeAtZero;
     const bool can_decrease = s == kAtUpper || s == kFreeAtZero;
-    if ((can_increase && rc < -tol_) || (can_decrease && rc > tol_)) {
+    if ((can_increase && rc < -kTolerance) ||
+        (can_decrease && rc > kTolerance)) {
       *d = rc;
       return true;
     }
@@ -819,7 +822,7 @@ RevisedSolver::PriceEntering(bool bland, bool phase_one, double* reduced_cost)
   int scanned = 0;
   while (scanned < limit) {
     int best = -1;
-    double best_score = tol_;
+    double best_score = kTolerance;
     for (int t = 0; t < window && scanned < limit; ++t, ++scanned) {
       const int j = cursor;
       cursor = cursor + 1 == limit ? 0 : cursor + 1;
@@ -986,7 +989,7 @@ RevisedSolver::Iterate(bool phase_one, int max_iters, int& iterations)
     }
 
     const double objective = Objective(phase_one);
-    if (objective < last_objective - tol_) {
+    if (objective < last_objective - kTolerance) {
       stalled = 0;
       last_objective = objective;
     } else {
@@ -1195,7 +1198,7 @@ RevisedSolver::IterateDual(int max_iters, int& iterations)
     }
     // Bland mode is sticky: once a degenerate stall forced it, leaving
     // it on a single improving step could re-enter the same cycle.
-    if (bland || best_ratio <= tol_)
+    if (bland || best_ratio <= kTolerance)
       ++degenerate;
     else
       degenerate = 0;
@@ -1252,9 +1255,7 @@ RevisedSolver::Solve(const BoundOverrides& overrides,
   FLEX_REQUIRE(overrides.empty() || static_cast<int>(overrides.size()) == n_,
                "bound overrides must be empty or cover every variable");
 
-  const int max_iters = max_iterations_ > 0
-                            ? max_iterations_
-                            : 50 * (n_ + 3 * m_) + 1000;
+  const int max_iters = 50 * (n_ + 3 * m_) + 1000;
   int iterations = 0;
   LpStatus status = LpStatus::kIterationLimit;
   bool solved = false;
@@ -1469,7 +1470,7 @@ SimplexSolver::SolveWithBounds(const Model& model,
 {
   SimplexWorkspace local;
   SimplexWorkspace& ws = workspace != nullptr ? *workspace : local;
-  RevisedSolver solver(model, ws, options_);
+  RevisedSolver solver(model, ws);
   return solver.Solve(overrides, warm_basis, basis_out);
 }
 

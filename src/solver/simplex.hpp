@@ -162,15 +162,6 @@ struct SimplexWorkspace {
  */
 class SimplexSolver {
  public:
-  struct Options {
-    double tolerance = 1e-9;        ///< pivoting / feasibility tolerance
-    int max_iterations = 0;         ///< 0 = automatic (50 * (rows + cols))
-    int refactor_interval = 64;     ///< eta updates between refactorizations
-  };
-
-  SimplexSolver() = default;
-  explicit SimplexSolver(Options options) : options_(options) {}
-
   /** Solves the LP relaxation of @p model. */
   LpResult Solve(const Model& model) const;
 
@@ -194,9 +185,6 @@ class SimplexSolver {
                            SimplexWorkspace* workspace,
                            const SimplexBasis* warm_basis,
                            SimplexBasis* basis_out) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace flex::solver

@@ -7,6 +7,22 @@
 
 namespace flex::telemetry {
 
+namespace {
+
+/** Stagger between pollers so they do not sample in lockstep. */
+constexpr Seconds kPollerStagger = Seconds(0.4);
+/** Meter-to-poller network latency. */
+constexpr Seconds kNetworkLatency = Milliseconds(60.0);
+/** Pub/sub delivery latency (poller to subscriber). */
+constexpr Seconds kBusLatency = Milliseconds(250.0);
+/**
+ * Uniform jitter added on top of each delivery (network queueing and
+ * pub/sub batching variability; the paper's "windowing delay").
+ */
+constexpr Seconds kDeliveryJitter = Milliseconds(400.0);
+
+}  // namespace
+
 TelemetryPipeline::TelemetryPipeline(sim::EventQueue& queue,
                                      const PowerSource& source, int num_ups,
                                      int num_racks, PipelineConfig config,
@@ -88,7 +104,7 @@ TelemetryPipeline::Start()
   FLEX_REQUIRE(!running_, "pipeline already started");
   running_ = true;
   for (int poller = 0; poller < config_.num_pollers; ++poller) {
-    const Seconds stagger = config_.poller_stagger * static_cast<double>(poller);
+    const Seconds stagger = kPollerStagger * static_cast<double>(poller);
     // UPS schedule.
     queue_.Schedule(stagger, [this, poller] {
       if (!running_)
@@ -264,14 +280,14 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
     if (bus_failed_[static_cast<std::size_t>(bus)])
       continue;
     const Seconds delay =
-        config_.network_latency + config_.bus_latency +
+        kNetworkLatency + kBusLatency +
         bus_extra_delay_[static_cast<std::size_t>(bus)] +
-        Seconds(jitter_rng_.Uniform(0.0, config_.delivery_jitter.value()));
+        Seconds(jitter_rng_.Uniform(0.0, kDeliveryJitter.value()));
     bus_delay_scratch_[static_cast<std::size_t>(bus)] = delay;
     if (bus_duplicate_[static_cast<std::size_t>(bus)]) {
       bus_redelivery_scratch_[static_cast<std::size_t>(bus)] =
           delay +
-          Seconds(jitter_rng_.Uniform(0.0, config_.delivery_jitter.value()));
+          Seconds(jitter_rng_.Uniform(0.0, kDeliveryJitter.value()));
     }
   }
 

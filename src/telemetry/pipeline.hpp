@@ -81,17 +81,6 @@ struct PipelineConfig {
   int num_buses = 2;          ///< independent pub/sub systems
   Seconds ups_poll_period = Seconds(1.5);   ///< paper: ~1.5 s UPS telemetry
   Seconds rack_poll_period = Seconds(2.0);  ///< paper: ~2 s rack telemetry
-  /** Stagger between pollers so they do not sample in lockstep. */
-  Seconds poller_stagger = Seconds(0.4);
-  /** Meter-to-poller network latency. */
-  Seconds network_latency = Milliseconds(60.0);
-  /** Pub/sub delivery latency (poller to subscriber). */
-  Seconds bus_latency = Milliseconds(250.0);
-  /**
-   * Uniform jitter added on top of each delivery (network queueing and
-   * pub/sub batching variability; the paper's "windowing delay").
-   */
-  Seconds delivery_jitter = Milliseconds(400.0);
   MeterConfig meter;
   /** Optional instrumentation sink (null: not instrumented). */
   obs::Observability* obs = nullptr;

@@ -6,15 +6,26 @@
 
 namespace flex::workload {
 
+namespace {
+
+/**
+ * Maximum acceptable *average* power reduction across the racks, as a
+ * fraction of their draw, evaluated at high utilization (when
+ * Flex-Online may actually engage). Paper: 10-15%.
+ */
+constexpr double kMaxAverageReduction = 0.10;
+/**
+ * "High utilization" filter: only historical samples above this
+ * fraction of the rack allocation enter the estimate (capping only
+ * matters when racks are actually drawing).
+ */
+constexpr double kHighUtilizationThreshold = 0.70;
+
+}  // namespace
+
 FlexPowerEstimator::FlexPowerEstimator(FlexPowerEstimatorConfig config)
     : config_(config)
 {
-  FLEX_REQUIRE(config_.max_average_reduction >= 0.0 &&
-                   config_.max_average_reduction <= 1.0,
-               "max average reduction must be in [0, 1]");
-  FLEX_REQUIRE(config_.high_utilization_threshold >= 0.0 &&
-                   config_.high_utilization_threshold <= 1.0,
-               "high utilization threshold must be in [0, 1]");
   FLEX_REQUIRE(config_.min_fraction >= 0.0 &&
                    config_.min_fraction <= config_.max_fraction &&
                    config_.max_fraction <= 1.0,
@@ -29,7 +40,7 @@ FlexPowerEstimator::HighSamples(
   for (const double u : utilization_samples) {
     FLEX_REQUIRE(u >= 0.0 && u <= 1.5,
                  "utilization samples must be sane fractions");
-    if (u >= config_.high_utilization_threshold)
+    if (u >= kHighUtilizationThreshold)
       high.push_back(u);
   }
   return high;
@@ -60,14 +71,13 @@ FlexPowerEstimator::EstimateFraction(
   // Reduction is monotonically non-increasing in the cap fraction, so
   // bisect for the smallest acceptable fraction.
   if (AverageReductionAt(utilization_samples, config_.min_fraction) <=
-      config_.max_average_reduction)
+      kMaxAverageReduction)
     return config_.min_fraction;
   double lo = config_.min_fraction;   // too much reduction
   double hi = config_.max_fraction;   // no reduction (cap at allocation)
   for (int i = 0; i < 50; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (AverageReductionAt(utilization_samples, mid) <=
-        config_.max_average_reduction)
+    if (AverageReductionAt(utilization_samples, mid) <= kMaxAverageReduction)
       hi = mid;
     else
       lo = mid;

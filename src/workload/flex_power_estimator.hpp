@@ -21,18 +21,6 @@ namespace flex::workload {
 
 /** Tuning for the flex power estimator. */
 struct FlexPowerEstimatorConfig {
-  /**
-   * Maximum acceptable *average* power reduction across the racks, as a
-   * fraction of their draw, evaluated at high utilization (when
-   * Flex-Online may actually engage). Paper: 10-15%.
-   */
-  double max_average_reduction = 0.10;
-  /**
-   * "High utilization" filter: only historical samples above this
-   * fraction of the rack allocation enter the estimate (capping only
-   * matters when racks are actually drawing).
-   */
-  double high_utilization_threshold = 0.70;
   /** Search bounds for the resulting flex power fraction. */
   double min_fraction = 0.50;
   double max_fraction = 1.00;
@@ -50,7 +38,7 @@ class FlexPowerEstimator {
    * Given historical per-rack utilization samples (fractions of rack
    * allocation, pooled across the deployment's racks and time), returns
    * the smallest flex power fraction whose expected reduction at high
-   * utilization stays within the configured threshold.
+   * utilization stays within a 10% average reduction.
    *
    * Statistical multiplexing is what makes this work: capping a rack at
    * c only removes max(0, u - c) from samples above c, and averaging

@@ -6,6 +6,13 @@
 
 namespace flex::workload {
 
+namespace {
+
+/** Standard deviation of utilization across racks. */
+constexpr double kUtilizationStddev = 0.10;
+
+}  // namespace
+
 RackPowerModel::RackPowerModel(RackPowerModelConfig config) : config_(config)
 {
   FLEX_REQUIRE(config_.min_utilization >= 0.0 &&
@@ -22,7 +29,7 @@ RackPowerModel::Sample(const std::vector<Watts>& allocations, Rng& rng) const
   for (const Watts allocation : allocations) {
     FLEX_REQUIRE(allocation >= Watts(0.0), "negative rack allocation");
     const double util = rng.TruncatedNormal(
-        config_.mean_utilization, config_.stddev, config_.min_utilization,
+        config_.mean_utilization, kUtilizationStddev, config_.min_utilization,
         config_.max_utilization);
     draws.push_back(allocation * util);
   }

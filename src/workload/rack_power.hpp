@@ -21,8 +21,6 @@ namespace flex::workload {
 struct RackPowerModelConfig {
   /** Mean utilization of allocated rack power. */
   double mean_utilization = 0.72;
-  /** Standard deviation of utilization across racks. */
-  double stddev = 0.10;
   /** Truncation bounds. */
   double min_utilization = 0.30;
   double max_utilization = 1.00;

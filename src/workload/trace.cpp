@@ -1,6 +1,8 @@
 #include "trace.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -11,20 +13,6 @@ void
 TraceConfig::Validate() const
 {
   FLEX_REQUIRE(demand_multiple > 0.0, "demand multiple must be positive");
-  FLEX_REQUIRE(!deployment_sizes.empty() &&
-                   deployment_sizes.size() == size_weights.size(),
-               "deployment sizes and weights must align");
-  for (const int racks : deployment_sizes)
-    FLEX_REQUIRE(racks > 0, "deployment sizes must be positive");
-  double weight_sum = 0.0;
-  for (const double w : size_weights) {
-    FLEX_REQUIRE(w >= 0.0, "negative size weight");
-    weight_sum += w;
-  }
-  FLEX_REQUIRE(weight_sum > 0.0, "size weights must not all be zero");
-  FLEX_REQUIRE(!rack_powers.empty(), "need at least one rack power option");
-  for (const Watts w : rack_powers)
-    FLEX_REQUIRE(w > Watts(0.0), "rack powers must be positive");
   FLEX_REQUIRE(software_redundant_fraction >= 0.0 && capable_fraction >= 0.0,
                "category fractions must be non-negative");
   FLEX_REQUIRE(software_redundant_fraction + capable_fraction <= 1.0 + 1e-9,
@@ -37,6 +25,13 @@ TraceConfig::Validate() const
 
 namespace {
 
+/** Deployment rack-count choices and their weights (paper: mostly 20). */
+constexpr int kDeploymentSizes[] = {20, 10, 5};
+constexpr double kSizeWeights[] = {0.7, 0.2, 0.1};
+
+/** Per-rack power choices (paper: 14.4 kW and 17.2 kW). */
+constexpr Watts kRackPowers[] = {KiloWatts(14.4), KiloWatts(17.2)};
+
 /** Workload names per category; cycled to create multiple workloads. */
 const char* const kSoftwareRedundantNames[] = {"websearch", "analytics",
                                                "messaging"};
@@ -44,7 +39,7 @@ const char* const kCapableNames[] = {"iaas-vm", "paas-web", "internal-batch"};
 const char* const kNonCapableNames[] = {"gpu-train", "storage", "net-app"};
 
 int
-PickWeighted(const std::vector<double>& weights, Rng& rng)
+PickWeighted(std::span<const double> weights, Rng& rng)
 {
   double total = 0.0;
   for (const double w : weights)
@@ -95,11 +90,10 @@ GenerateTrace(const TraceConfig& config, Watts provisioned_power, Rng& rng)
 
     Deployment d;
     d.id = static_cast<DeploymentId>(trace.size());
-    const int size_index = PickWeighted(config.size_weights, rng);
-    d.num_racks = config.deployment_sizes[static_cast<std::size_t>(size_index)];
-    d.power_per_rack = config.rack_powers[static_cast<std::size_t>(
-        rng.UniformInt(0, static_cast<std::int64_t>(config.rack_powers.size()) -
-                              1))];
+    const int size_index = PickWeighted(kSizeWeights, rng);
+    d.num_racks = kDeploymentSizes[static_cast<std::size_t>(size_index)];
+    d.power_per_rack = kRackPowers[static_cast<std::size_t>(rng.UniformInt(
+        0, static_cast<std::int64_t>(std::size(kRackPowers)) - 1))];
     switch (category) {
       case 0:
         d.category = Category::kSoftwareRedundant;

@@ -26,13 +26,6 @@ struct TraceConfig {
   /** Demand as a multiple of provisioned power (paper: 1.15). */
   double demand_multiple = 1.15;
 
-  /** Deployment rack-count choices and their weights (paper: mostly 20). */
-  std::vector<int> deployment_sizes = {20, 10, 5};
-  std::vector<double> size_weights = {0.7, 0.2, 0.1};
-
-  /** Per-rack power choices (paper: 14.4 kW and 17.2 kW). */
-  std::vector<Watts> rack_powers = {KiloWatts(14.4), KiloWatts(17.2)};
-
   /** Category mix (paper Fig. 3 average: 13% / 56% / 31%). */
   double software_redundant_fraction = 0.13;
   double capable_fraction = 0.56;

@@ -101,7 +101,7 @@ class HandlerTest : public ::testing::Test {
   {
     load_ = load;
     handler_ = std::make_unique<CoolingFailureHandler>(
-        queue_, domain_, CoolingMitigationConfig{}, [this] { return load_; },
+        queue_, domain_, [this] { return load_; },
         [this](Watts cut) { last_cut_ = cut; });
     handler_->Start();
     // Thermal integration alongside the handler's checks.

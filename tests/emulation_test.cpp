@@ -365,6 +365,11 @@ TEST(RoomEmulationTest, ValidatesTimeline)
   });
   expect_rejected("flex_power_fraction",
                   [](EmulationConfig& c) { c.flex_power_fraction = 1.5; });
+  expect_rejected("placement_max_nodes",
+                  [](EmulationConfig& c) { c.placement_max_nodes = -1; });
+  expect_rejected("placement_solve_seconds", [](EmulationConfig& c) {
+    c.placement_solve_seconds = 0.0;
+  });
 }
 
 }  // namespace

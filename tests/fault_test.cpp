@@ -117,7 +117,6 @@ TEST(FaultFuzzerTest, PlansStayInsideToleratedEnvelope)
 {
   const ScenarioShape shape;
   const FaultFuzzer fuzzer{shape};
-  const FuzzerConfig& config = fuzzer.config();
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     const FaultPlan plan = fuzzer.SamplePlan(seed);
     std::vector<std::pair<double, double>> failovers;
@@ -129,7 +128,7 @@ TEST(FaultFuzzerTest, PlansStayInsideToleratedEnvelope)
     for (const FaultEvent& event : plan.events()) {
       EXPECT_GE(event.at.value(), 0.0);
       EXPECT_LE((event.at).value(),
-                shape.horizon.value() - config.settle_tail.value());
+                shape.horizon.value() - kSettleTail.value());
       switch (event.kind) {
         case FaultKind::kUpsFailover:
           EXPECT_LT(event.target, shape.num_ups);
@@ -145,7 +144,7 @@ TEST(FaultFuzzerTest, PlansStayInsideToleratedEnvelope)
                   .insert({static_cast<int>(event.device_kind), event.target})
                   .second)
               << "two meter faults on one device would break the quorum";
-          EXPECT_LE(std::abs(event.magnitude), config.max_drift_rate);
+          EXPECT_LE(std::abs(event.magnitude), kMaxDriftRate);
           break;
         case FaultKind::kPollerCrash:
           EXPECT_LT(event.target, shape.num_pollers);
@@ -156,14 +155,13 @@ TEST(FaultFuzzerTest, PlansStayInsideToleratedEnvelope)
           ++outages;
           break;
         case FaultKind::kBusDelay:
-          EXPECT_LE(event.magnitude, config.max_bus_delay.value());
+          EXPECT_LE(event.magnitude, kMaxBusDelay.value());
           break;
         case FaultKind::kBusDuplicate:
           break;
         case FaultKind::kRackManagerTimeout:
           EXPECT_LT(event.target, shape.num_racks);
-          EXPECT_LE(event.magnitude,
-                    config.max_rack_manager_extra.value());
+          EXPECT_LE(event.magnitude, kMaxRackManagerExtra.value());
           break;
         case FaultKind::kRackManagerUnreachable:
           EXPECT_LT(event.target, shape.num_racks);
@@ -179,8 +177,9 @@ TEST(FaultFuzzerTest, PlansStayInsideToleratedEnvelope)
     std::sort(failovers.begin(), failovers.end());
     for (std::size_t i = 1; i < failovers.size(); ++i) {
       EXPECT_GE(failovers[i].first,
-                failovers[i - 1].second + config.failover_gap.value() - 1e-9);
+                failovers[i - 1].second + kFailoverGap.value() - 1e-9);
     }
+    EXPECT_LE(failovers.size(), static_cast<std::size_t>(kMaxFailovers));
     EXPECT_LE(pollers, 1) << "one poller must survive";
     EXPECT_LE(outages, 1) << "one bus must survive";
     EXPECT_LE(unreachable, 1);

@@ -7,7 +7,8 @@
  * (fleet_test pins that timeline bit-identical across 1/2/8 lanes),
  * and a fault-scenario run whose only trigger is a fired alert must
  * dump a forensic bundle that flex_replay-style ReplayBundle
- * re-executes without divergence.
+ * re-executes without divergence. Both harnesses must also unbind the
+ * obs clocks they bound before their queues die.
  */
 #include <gtest/gtest.h>
 
@@ -21,6 +22,8 @@
 #include "fault/scenario.hpp"
 #include "obs/alerts.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/log.hpp"
+#include "obs/observability.hpp"
 #include "obs/timeseries.hpp"
 
 namespace flex {
@@ -426,6 +429,46 @@ TEST(AlertForensicsTest, DumpOnAlertOffLeavesNoBundle)
   EXPECT_GT(run.report.alerts_fired, 0u);
   EXPECT_TRUE(run.bundle_dir.empty())
       << "benign alert sprayed a bundle at " << run.bundle_dir;
+}
+
+TEST(HarnessClockTest, DestroyedHarnessesLeaveNoClockBehind)
+{
+  std::vector<std::string> lines;
+  obs::SetLogSink([&lines](obs::LogLevel, const std::string& line) {
+    lines.push_back(line);
+  });
+
+  // A recorded run binds the logger to its stack-local scenario's
+  // queue, which is gone once the run returns.
+  fault::ForensicsOptions options;
+  options.root_dir = ::testing::TempDir() + "harness-clock";
+  fault::RunRecordedScenario(fault::ScenarioConfig{}, 7, options);
+  EXPECT_EQ(obs::GetLogClock(), nullptr);
+  FLEX_LOG(obs::LogLevel::kWarn, "test", "after the recorded run");
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(lines.back().find(" t="), std::string::npos) << lines.back();
+
+  // A room bound to the caller's Observability must leave neither the
+  // logger nor the caller's registry reading its queue.
+  obs::Observability observability;
+  {
+    emulation::EmulationConfig config;
+    config.setup_duration = Seconds(5.0);
+    config.failover_at = Seconds(10.0);
+    config.restore_at = Seconds(20.0);
+    config.end_at = Seconds(40.0);
+    config.placement_max_nodes = 20;
+    config.obs = &observability;
+    emulation::RoomEmulation room(config);
+    room.Run();
+    EXPECT_NE(obs::GetLogClock(), nullptr);
+    EXPECT_GT(observability.metrics().Snapshot().sim_time_seconds, 0.0);
+  }
+  EXPECT_EQ(obs::GetLogClock(), nullptr);
+  EXPECT_EQ(observability.metrics().Snapshot().sim_time_seconds, 0.0);
+  FLEX_LOG(obs::LogLevel::kWarn, "test", "after the room");
+  obs::SetLogSink({});
+  EXPECT_EQ(lines.back().find(" t="), std::string::npos) << lines.back();
 }
 
 }  // namespace

@@ -323,13 +323,12 @@ TEST(HttpServerTest, SlowDripClientAnswers408)
 
 TEST(HttpServerTest, HealthzTransitionsWithHubAndWatchdog)
 {
-  LiveHub hub;
-  ObservabilityServer server(hub);
   WatchdogConfig wd_config;
   wd_config.threshold_seconds = 0.05;
   wd_config.forensic_hint = "bundles/latest";
-  StallWatchdog watchdog(wd_config);
-  server.SetWatchdog(&watchdog);
+  LiveHub hub(wd_config);
+  ObservabilityServer server(hub);
+  StallWatchdog& watchdog = hub.watchdog();
   const int wd = watchdog.RegisterThread("unit-loop");
 
   // Healthy by default.
@@ -534,11 +533,12 @@ TEST(LiveSolverStatsTest, SolverPublishesProgressThroughLiveGauges)
   model.AddConstraint("capacity", weights, solver::Relation::kLessEqual,
                       10.0);
 
-  solver::LiveSolverStats live;
+  LiveHub hub;
+  const solver::LiveSolverStats& live = hub.solver();
   solver::BranchAndBoundSolver::Options options;
   options.threads = 1;
   options.presolve = false;
-  options.live = &live;
+  options.live = &hub.solver();
   const solver::MipResult result =
       solver::BranchAndBoundSolver(options).Solve(model);
   ASSERT_TRUE(result.HasSolution());
@@ -550,18 +550,7 @@ TEST(LiveSolverStatsTest, SolverPublishesProgressThroughLiveGauges)
   EXPECT_GE(live.lp_solves.load(), result.nodes_explored);
   EXPECT_EQ(live.wave_nodes.load(), 0);  // cleared on exit
 
-  LiveHub hub;
   ObservabilityServer server(hub);
-  server.AddLiveGauge("flex_solver_nodes_explored", [&live] {
-    return static_cast<double>(live.nodes_explored.load());
-  });
-  server.AddLiveGauge("flex_solver_basis_hit_rate", [&live] {
-    const double attempts =
-        static_cast<double>(live.basis_reuse_attempts.load());
-    return attempts > 0.0
-               ? static_cast<double>(live.basis_reuse_hits.load()) / attempts
-               : 0.0;
-  });
   const std::string text = server.RenderMetrics();
   ValidateExposition(text);
   EXPECT_NE(text.find("flex_solver_nodes_explored " +
@@ -747,27 +736,12 @@ TEST(ConcurrentScrapeTest, SweepStaysBitIdenticalUnderScrapeLoad)
   const emulation::FleetReport baseline =
       emulation::FleetEmulation(sweep).Run();
 
-  LiveHub hub;
   WatchdogConfig wd_config;
   wd_config.threshold_seconds = 60.0;  // generous: CI boxes stall briefly
-  StallWatchdog watchdog(wd_config);
-  solver::LiveSolverStats solver_live;
+  LiveHub hub(wd_config);
   ObservabilityServer server(hub);
-  server.SetWatchdog(&watchdog);
   server.SetProfiler(&Profiler::Global());
   server.WireThreadPool(common::ThreadPool::Shared());
-  server.AddLiveGauge("flex_solver_wave_nodes", [&solver_live] {
-    return static_cast<double>(solver_live.wave_nodes.load());
-  });
-  server.AddLiveGauge("flex_solver_nodes_explored", [&solver_live] {
-    return static_cast<double>(solver_live.nodes_explored.load());
-  });
-  server.AddLiveGauge("flex_solver_dual_pivots", [&solver_live] {
-    return static_cast<double>(solver_live.dual_pivots.load());
-  });
-  server.AddLiveGauge("flex_solver_warm_dual_restarts", [&solver_live] {
-    return static_cast<double>(solver_live.warm_dual_restarts.load());
-  });
   ASSERT_TRUE(server.Start());
   const int port = server.port();
 
@@ -783,27 +757,38 @@ TEST(ConcurrentScrapeTest, SweepStaysBitIdenticalUnderScrapeLoad)
     }
   });
 
-  // Every room publishes through its own EmulationConfig::live hook.
+  // The one hook: every room publishes, heartbeats and reports its
+  // placement progress through EmulationConfig::live alone.
   sweep.room.live = &hub;
-  sweep.room.watchdog = &watchdog;
-  sweep.room.solver_live = &solver_live;
   sweep.threads = 2;
   const emulation::FleetReport scraped = emulation::FleetEmulation(sweep).Run();
 
   // The acceptance surface: a live /metrics scrape carries valid
-  // exposition with pool utilization, solver progress, and phase-timer
-  // histograms, all while the sweep is bit-identical below.
+  // exposition with pool utilization, the hub's solver progress, and
+  // phase-timer histograms, all while the sweep is bit-identical below.
   const std::string metrics = server.RenderMetrics();
   ValidateExposition(metrics);
   EXPECT_NE(metrics.find("flex_pool_utilization"), std::string::npos);
   EXPECT_NE(metrics.find("flex_solver_wave_nodes"), std::string::npos);
-  EXPECT_NE(metrics.find("flex_solver_nodes_explored"), std::string::npos);
-  EXPECT_NE(metrics.find("flex_solver_dual_pivots"), std::string::npos);
-  EXPECT_NE(metrics.find("flex_solver_warm_dual_restarts"),
+  const std::string explored = "\nflex_solver_nodes_explored ";
+  const std::size_t at = metrics.find(explored);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GT(std::strtod(metrics.c_str() + at + explored.size(), nullptr), 0.0);
+  EXPECT_NE(metrics.find("\nflex_solver_dual_pivots "), std::string::npos);
+  EXPECT_NE(metrics.find("\nflex_solver_warm_dual_restarts "),
             std::string::npos);
   EXPECT_NE(metrics.find("flex_phase_wall_microseconds_bucket"),
             std::string::npos);
-  EXPECT_GT(solver_live.solves_finished.load(), 0);
+  EXPECT_GT(hub.solver().solves_finished.load(), 0);
+  // One heartbeat per room, each retired when its room finished.
+  const auto threads = hub.watchdog().SnapshotThreads();
+  ASSERT_EQ(threads.size(), static_cast<std::size_t>(sweep.rooms));
+  for (int r = 0; r < sweep.rooms; ++r) {
+    const auto& thread = threads[static_cast<std::size_t>(r)];
+    EXPECT_EQ(thread.name, "emulation-seed-" + std::to_string(2021 + r));
+    EXPECT_TRUE(thread.done) << thread.name;
+    EXPECT_GT(thread.beats, 0u) << thread.name;
+  }
 
   stop.store(true, std::memory_order_release);
   scraper.join();
@@ -819,7 +804,7 @@ TEST(ConcurrentScrapeTest, SweepStaysBitIdenticalUnderScrapeLoad)
   EXPECT_GT(scrapes.load(), 0u);
   EXPECT_GT(server.requests_served(), 0u);
   EXPECT_GT(hub.publish_count(), 0u);
-  EXPECT_FALSE(watchdog.any_stalled());
+  EXPECT_FALSE(hub.watchdog().any_stalled());
 }
 
 }  // namespace
