@@ -48,7 +48,7 @@ main()
         [&](Watts needed) { cut = std::max(cut, needed); });
     handler.Start();
     double peak_temp = domain.temperature_c();
-    sim::SchedulePeriodic(queue, Seconds(1.0), [&] {
+    queue.SchedulePeriodic(Seconds(1.0), [&] {
       // EffectiveLoad = raw load - flex cut (via load_source) - migrated.
       domain.Advance(handler.EffectiveLoad(), Seconds(1.0));
       peak_temp = std::max(peak_temp, domain.temperature_c());

@@ -58,15 +58,15 @@ main()
   pipeline.Stop();
   queue.RunUntil(Minutes(10.0) + Seconds(5.0));
 
-  const auto& samples = pipeline.latency_samples();
+  const RunLengthSummary& latency = pipeline.latency();
   std::printf("telemetry: %zu readings delivered over 10 minutes\n",
               pipeline.delivered_count());
   std::printf("%-34s %10s %10s\n", "metric", "paper", "measured");
   std::printf("%-34s %10s %8.2f s\n", "data latency p50", "-",
-              Percentile(samples, 50.0));
+              latency.Percentile(50.0));
   std::printf("%-34s %10s %8.2f s\n", "data latency p99", "-",
-              Percentile(samples, 99.0));
-  const double data_p999 = Percentile(samples, 99.9);
+              latency.Percentile(99.0));
+  const double data_p999 = latency.Percentile(99.9);
   std::printf("%-34s %10s %8.2f s\n", "data latency p99.9", "< 1.5 s",
               data_p999);
 

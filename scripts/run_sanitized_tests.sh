@@ -43,6 +43,9 @@ echo "run_sanitized_tests: focused obs/fault recorder pass"
 # preallocated rings under eviction pressure — classic off-by-one soil.
 "${build_dir}/tests/obs_timeseries_test" --gtest_brief=1
 "${build_dir}/tests/obs_alerts_test" --gtest_brief=1
+# The event kernel indexes its slot table and node pool by id bits and
+# runs periodic callbacks in place while they add slots.
+"${build_dir}/tests/sim_test" --gtest_brief=1
 # The fleet engine steps rooms on pool lanes and merges at epoch
 # barriers; its bit-identity suite doubles as a memory-safety probe of
 # the lane-local arenas and the serial merge path.

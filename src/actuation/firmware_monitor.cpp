@@ -31,7 +31,7 @@ FirmwareMonitor::Start()
 {
   FLEX_REQUIRE(!running_, "monitor already started");
   running_ = true;
-  sim::SchedulePeriodic(queue_, config_.probe_period, [this] {
+  queue_.SchedulePeriodic(config_.probe_period, [this] {
     if (!running_)
       return false;
     Sweep();

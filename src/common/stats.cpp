@@ -53,6 +53,44 @@ Percentile(std::vector<double> samples, double q)
   return samples[lo] + frac * (samples[hi] - samples[lo]);
 }
 
+void
+RunLengthSummary::Add(double value, std::size_t n)
+{
+  if (n == 0)
+    return;
+  count_ += n;
+  if (!runs_.empty() && runs_.back().value == value)
+    runs_.back().count += n;
+  else
+    runs_.push_back(Run{value, n});
+}
+
+double
+RunLengthSummary::Percentile(double q) const
+{
+  FLEX_REQUIRE(count_ > 0, "percentile of empty sample set");
+  FLEX_REQUIRE(q >= 0.0 && q <= 100.0, "percentile q must be in [0, 100]");
+  std::vector<Run> sorted = runs_;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Run& a, const Run& b) { return a.value < b.value; });
+  if (count_ == 1)
+    return sorted.front().value;
+  const double rank = q / 100.0 * static_cast<double>(count_ - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, count_ - 1);
+  const double frac = rank - static_cast<double>(lo);
+  // Sample position p lies in run i when seen <= p < seen + count_i.
+  std::size_t i = 0;
+  std::size_t seen = 0;
+  while (seen + sorted[i].count <= lo)
+    seen += sorted[i++].count;
+  const double lo_value = sorted[i].value;
+  while (seen + sorted[i].count <= hi)
+    seen += sorted[i++].count;
+  const double hi_value = sorted[i].value;
+  return lo_value + frac * (hi_value - lo_value);
+}
+
 BoxStats
 BoxStats::FromSamples(std::vector<double> samples)
 {

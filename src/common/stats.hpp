@@ -43,6 +43,40 @@ class RunningStats {
  */
 double Percentile(std::vector<double> samples, double q);
 
+/**
+ * Exact percentiles of a sample multiset that arrives in runs of equal
+ * values. Add(x, n) records n copies of x and extends the last run in
+ * O(1) when x equals its value, so a stream that repeats values in
+ * bursts (every reading of a telemetry batch has the same latency)
+ * costs memory per run, not per sample.
+ */
+class RunLengthSummary {
+ public:
+  /** Records @p n copies of @p value; n = 0 records nothing. */
+  void Add(double value, std::size_t n = 1);
+
+  /** Samples recorded. */
+  std::size_t count() const { return count_; }
+
+  /** Runs stored; the summary's memory is proportional to this. */
+  std::size_t run_count() const { return runs_.size(); }
+
+  /**
+   * Exactly flex::Percentile() of the expanded samples: the same ranks
+   * and the same interpolation, found by walking the value-sorted runs.
+   */
+  double Percentile(double q) const;
+
+ private:
+  struct Run {
+    double value;
+    std::size_t count;
+  };
+
+  std::vector<Run> runs_;  // in arrival order
+  std::size_t count_ = 0;
+};
+
 /** Five-number summary backing a boxplot, as the paper's Figs. 9 and 10. */
 struct BoxStats {
   double min = 0.0;

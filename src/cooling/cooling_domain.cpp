@@ -126,7 +126,7 @@ CoolingFailureHandler::Start()
 {
   FLEX_REQUIRE(!running_, "handler already started");
   running_ = true;
-  sim::SchedulePeriodic(queue_, kCheckPeriod, [this] {
+  queue_.SchedulePeriodic(kCheckPeriod, [this] {
     if (!running_)
       return false;
     Check();

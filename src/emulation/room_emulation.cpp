@@ -703,18 +703,18 @@ RoomEmulation::StartTimeline()
       2);
 
   // Workload stepping.
-  sim::SchedulePeriodic(queue_, config_.workload_step, [this] {
+  queue_.SchedulePeriodic(config_.workload_step, [this] {
     StepWorkloads();
     return queue_.Now() < config_.end_at;
   });
   // Sampling.
-  sim::SchedulePeriodic(queue_, config_.sample_period, [this] {
+  queue_.SchedulePeriodic(config_.sample_period, [this] {
     RecordSample();
     return queue_.Now() < config_.end_at;
   });
   // Dedicated high-resolution safety monitor: O(UPSes) per tick.
   if (config_.monitor_period.value() > 0.0) {
-    sim::SchedulePeriodic(queue_, config_.monitor_period, [this] {
+    queue_.SchedulePeriodic(config_.monitor_period, [this] {
       MonitorTick(agg_.UpsLoads());
       return queue_.Now() < config_.end_at;
     });
@@ -744,7 +744,7 @@ RoomEmulation::StartTimeline()
     });
   }
 
-  sim::SchedulePeriodic(queue_, Seconds(0.5), [this] {
+  queue_.SchedulePeriodic(Seconds(0.5), [this] {
     if (queue_.Now() < config_.failover_at)
       return true;
     if (time_to_safe_ >= 0.0)
@@ -763,7 +763,7 @@ RoomEmulation::StartTimeline()
   });
 
   // Track peak action counts (listener-maintained) during the episode.
-  sim::SchedulePeriodic(queue_, Seconds(1.0), [this] {
+  queue_.SchedulePeriodic(Seconds(1.0), [this] {
     report_.sr_shutdown_peak = std::max(report_.sr_shutdown_peak, off_count_);
     report_.capable_capped_peak =
         std::max(report_.capable_capped_peak, capped_count_);
@@ -835,10 +835,8 @@ RoomEmulation::Finish()
         static_cast<double>(report_.capable_capped_peak) /
         report_.capable_racks;
   }
-  if (!pipeline_->latency_samples().empty()) {
-    report_.data_latency_p999 =
-        Percentile(pipeline_->latency_samples(), 99.9);
-  }
+  if (pipeline_->latency().count() > 0)
+    report_.data_latency_p999 = pipeline_->latency().Percentile(99.9);
   for (const auto& controller : controllers_) {
     const online::ControllerStats& stats = controller->stats();
     report_.overdraw_events += stats.overdraw_events;

@@ -1,6 +1,7 @@
 #include "fault_injector.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -20,6 +21,13 @@ FaultInjector::FaultInjector(InjectorTargets targets)
 void
 FaultInjector::Validate(const FaultEvent& event) const
 {
+  // Non-finite values would reach the event queue as unreachable times
+  // (a bus lag of +inf parks every delivery at +inf).
+  FLEX_REQUIRE(std::isfinite(event.at.value()), "fault 'at' must be finite");
+  FLEX_REQUIRE(std::isfinite(event.duration.value()),
+               "fault 'duration' must be finite");
+  FLEX_REQUIRE(std::isfinite(event.magnitude),
+               "fault 'magnitude' must be finite");
   FLEX_REQUIRE(event.at.value() >= 0.0, "fault begins before t=0");
   FLEX_REQUIRE(event.duration.value() >= 0.0, "negative fault duration");
   const auto& config =

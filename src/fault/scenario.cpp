@@ -254,7 +254,7 @@ FaultScenario::Run(const FaultPlan& plan)
 
   pipeline_->Start();
   const Seconds horizon = config_.shape.horizon;
-  sim::SchedulePeriodic(queue_, config_.workload_step, [this, horizon] {
+  queue_.SchedulePeriodic(config_.workload_step, [this, horizon] {
     StepWorkloads();
     // The monitor→rule bridge: the registry snapshot carries the
     // monitor's invariants.violations counter (and every other metric)

@@ -3,18 +3,34 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace flex::sim {
 
-EventQueue::EventQueue() : buckets_(kNumBuckets) {}
+namespace {
+
+std::size_t
+SlotIndex(EventId id)
+{
+  return static_cast<std::size_t>(id & 0xffffffffu);
+}
+
+std::uint32_t
+SlotGeneration(EventId id)
+{
+  return static_cast<std::uint32_t>(id >> 32);
+}
+
+}  // namespace
+
+EventQueue::EventQueue() : bucket_heads_(kNumBuckets, kNil) {}
 
 EventId
 EventQueue::Schedule(Seconds delay, Callback callback)
 {
+  FLEX_REQUIRE(std::isfinite(delay.value()), "event 'delay' must be finite");
   FLEX_REQUIRE(delay.value() >= 0.0, "cannot schedule in the past");
   return ScheduleAt(now_ + delay, std::move(callback));
 }
@@ -22,12 +38,72 @@ EventQueue::Schedule(Seconds delay, Callback callback)
 EventId
 EventQueue::ScheduleAt(Seconds when, Callback callback)
 {
+  FLEX_REQUIRE(std::isfinite(when.value()), "event 'when' must be finite");
   FLEX_REQUIRE(when >= now_, "cannot schedule before the current time");
   FLEX_REQUIRE(static_cast<bool>(callback), "null event callback");
-  const EventId id = next_id_++;
-  Insert(Entry{when, next_sequence_++, id, std::move(callback)});
-  pending_.insert(id);
+  const EventId id = AcquireSlot();
+  SlotAt(SlotIndex(id)).callback = std::move(callback);
+  Insert(Entry{when, next_sequence_++, id});
   return id;
+}
+
+void
+EventQueue::SchedulePeriodic(Seconds period, PeriodicCallback callback)
+{
+  FLEX_REQUIRE(std::isfinite(period.value()) && period.value() > 0.0,
+               "periodic 'period' must be finite and positive");
+  FLEX_REQUIRE(static_cast<bool>(callback), "null periodic callback");
+  const EventId id = AcquireSlot();
+  Slot& slot = SlotAt(SlotIndex(id));
+  slot.period = period;
+  slot.tick = std::move(callback);
+  Insert(Entry{now_ + period, next_sequence_++, id});
+}
+
+EventId
+EventQueue::AcquireSlot()
+{
+  std::size_t index = 0;
+  if (!free_slots_.empty()) {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    FLEX_CHECK_MSG(slot_count_ <= std::numeric_limits<std::uint32_t>::max(),
+                   "event slot table full");
+    if (slot_count_ % kSlotChunk == 0)
+      slot_chunks_.push_back(std::make_unique<Slot[]>(kSlotChunk));
+    index = slot_count_++;
+  }
+  Slot& slot = SlotAt(index);
+  slot.live = true;
+  ++live_slots_;
+  return (static_cast<EventId>(slot.generation) << 32) | index;
+}
+
+void
+EventQueue::ReleaseSlot(EventId id)
+{
+  const std::size_t index = SlotIndex(id);
+  Slot& slot = SlotAt(index);
+  slot.live = false;
+  if (++slot.generation == 0)
+    slot.generation = 1;  // 0 is never issued
+  slot.period = Seconds(0.0);
+  slot.callback = nullptr;
+  slot.tick = nullptr;
+  free_slots_.push_back(static_cast<std::uint32_t>(index));
+  --live_slots_;
+}
+
+EventQueue::Slot*
+EventQueue::LiveSlot(EventId id)
+{
+  const std::size_t index = SlotIndex(id);
+  if (index >= slot_count_)
+    return nullptr;
+  Slot& slot = SlotAt(index);
+  return slot.live && slot.generation == SlotGeneration(id) ? &slot
+                                                             : nullptr;
 }
 
 void
@@ -36,7 +112,7 @@ EventQueue::Insert(Entry entry)
   const double when = entry.when.value();
   const double wheel_end = wheel_start_ + kNumBuckets * kBucketWidth;
   if (when >= wheel_end) {
-    far_heap_.push(std::move(entry));
+    far_heap_.push(entry);
     return;
   }
   // Events before wheel_start_ (scheduled after an advance rebased the
@@ -47,10 +123,25 @@ EventQueue::Insert(Entry entry)
     if (idx >= kNumBuckets)
       idx = kNumBuckets - 1;  // guard the when ~= wheel_end rounding edge
   }
-  buckets_[idx].push_back(std::move(entry));
-  ++wheel_entries_;
+  PushToBucket(idx, entry);
   if (idx < cursor_)
     cursor_ = idx;  // never let the cursor skip a newly earlier event
+}
+
+void
+EventQueue::PushToBucket(std::size_t bucket, const Entry& entry)
+{
+  std::uint32_t node = free_nodes_;
+  if (node != kNil) {
+    free_nodes_ = nodes_[node].next;
+  } else {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  // Order within a bucket is irrelevant: pops take the (when, seq) min.
+  nodes_[node] = Node{entry, bucket_heads_[bucket]};
+  bucket_heads_[bucket] = node;
+  ++wheel_entries_;
 }
 
 ObserverId
@@ -83,64 +174,72 @@ EventQueue::NotifyObservers(Seconds when)
 void
 EventQueue::Cancel(EventId id)
 {
-  // Lazy cancellation: the entry stays in its container and is skipped
-  // when reached because its id is no longer pending.
-  pending_.erase(id);
+  // The slot frees now; its entry goes stale and is dropped when a scan
+  // reaches it. Periodic timers stop only by returning false.
+  const Slot* slot = LiveSlot(id);
+  if (slot != nullptr && slot->period.value() == 0.0)
+    ReleaseSlot(id);
 }
 
 bool
 EventQueue::AdvanceWheel()
 {
-  // Prune cancelled events first so the wheel rebases onto a live one.
-  while (!far_heap_.empty() && pending_.count(far_heap_.top().id) == 0)
+  // Prune stale entries first so the wheel rebases onto a live one.
+  while (!far_heap_.empty() && LiveSlot(far_heap_.top().id) == nullptr)
     far_heap_.pop();
   if (far_heap_.empty())
     return false;
   wheel_start_ = far_heap_.top().when.value();
   cursor_ = 0;
+  // The earliest entry always moves, straight into bucket 0: far enough
+  // out, wheel_end rounds back to wheel_start_, and a rebase that moved
+  // nothing would spin forever.
+  PushToBucket(0, far_heap_.top());
+  far_heap_.pop();
   const double wheel_end = wheel_start_ + kNumBuckets * kBucketWidth;
   // Drain everything now inside the wheel window into buckets, keeping
   // the invariant that far_heap_ only holds events at or past wheel_end.
   while (!far_heap_.empty() && far_heap_.top().when.value() < wheel_end) {
-    Entry entry = far_heap_.top();
+    const Entry entry = far_heap_.top();
     far_heap_.pop();
-    if (pending_.count(entry.id) == 0)
-      continue;
-    Insert(std::move(entry));
+    if (LiveSlot(entry.id) != nullptr)
+      Insert(entry);
   }
   return true;
 }
 
-std::vector<EventQueue::Entry>*
-EventQueue::FindEarliest(std::size_t* index)
+std::uint32_t*
+EventQueue::FindEarliest()
 {
   for (;;) {
     while (wheel_entries_ > 0 && cursor_ < kNumBuckets) {
-      std::vector<Entry>& bucket = buckets_[cursor_];
-      // One pass: drop cancelled entries, track the live (when, seq) min.
-      std::size_t best = bucket.size();
-      std::size_t write = 0;
-      for (std::size_t read = 0; read < bucket.size(); ++read) {
-        if (pending_.count(bucket[read].id) == 0) {
+      // One pass: unlink stale entries, track the live (when, seq) min.
+      std::uint32_t* best = nullptr;
+      std::uint32_t* link = &bucket_heads_[cursor_];
+      while (*link != kNil) {
+        Node& node = nodes_[*link];
+        if (LiveSlot(node.entry.id) == nullptr) {
+          const std::uint32_t stale = *link;
+          *link = node.next;
+          node.next = free_nodes_;
+          free_nodes_ = stale;
           --wheel_entries_;
-          continue;  // cancelled: compact it away
+          continue;
         }
-        if (write != read)
-          bucket[write] = std::move(bucket[read]);
-        if (best == bucket.size() ||
-            bucket[write].when < bucket[best].when ||
-            (bucket[write].when == bucket[best].when &&
-             bucket[write].sequence < bucket[best].sequence))
-          best = write;
-        ++write;
+        if (best == nullptr) {
+          best = link;
+        } else {
+          const Entry& min = nodes_[*best].entry;
+          if (node.entry.when < min.when ||
+              (node.entry.when == min.when &&
+               node.entry.sequence < min.sequence))
+            best = link;
+        }
+        link = &node.next;
       }
-      bucket.resize(write);
-      if (bucket.empty()) {
-        ++cursor_;
-        continue;
-      }
-      *index = best;
-      return &bucket;
+      if (best != nullptr)
+        return best;
+      ++cursor_;
     }
     // Wheel exhausted (only tombstones may remain in passed buckets).
     if (!AdvanceWheel())
@@ -149,27 +248,44 @@ EventQueue::FindEarliest(std::size_t* index)
 }
 
 bool
-EventQueue::PopEarliest(double horizon, Entry& out)
+EventQueue::Dispatch(double horizon)
 {
-  std::size_t best = 0;
-  std::vector<Entry>* bucket = FindEarliest(&best);
-  if (bucket == nullptr || (*bucket)[best].when.value() > horizon)
+  std::uint32_t* link = FindEarliest();
+  if (link == nullptr || nodes_[*link].entry.when.value() > horizon)
     return false;
-  out = std::move((*bucket)[best]);
-  (*bucket)[best] = std::move(bucket->back());
-  bucket->pop_back();
+  const std::uint32_t node = *link;
+  const Entry entry = nodes_[node].entry;
+  *link = nodes_[node].next;
+  nodes_[node].next = free_nodes_;
+  free_nodes_ = node;
   --wheel_entries_;
-  pending_.erase(out.id);
+  now_ = entry.when;
+  Slot& slot = SlotAt(SlotIndex(entry.id));
+  if (slot.period.value() > 0.0) {
+    // A periodic timer runs in place (slots never move) and draws its
+    // next sequence number only after the callback returns.
+    if (slot.tick())
+      Insert(Entry{now_ + slot.period, next_sequence_++, entry.id});
+    else
+      ReleaseSlot(entry.id);
+  } else {
+    // A one-shot's slot is free before its callback runs, so the body
+    // moves out first: the callback may schedule into the same slot.
+    const Callback callback = std::move(slot.callback);
+    ReleaseSlot(entry.id);
+    callback();
+  }
+  ++executed_count_;
+  NotifyObservers(now_);
   return true;
 }
 
 Seconds
 EventQueue::NextEventTime()
 {
-  std::size_t best = 0;
-  const std::vector<Entry>* bucket = FindEarliest(&best);
-  return Seconds(bucket != nullptr ? (*bucket)[best].when.value()
-                                   : std::numeric_limits<double>::infinity());
+  const std::uint32_t* link = FindEarliest();
+  return Seconds(link != nullptr ? nodes_[*link].entry.when.value()
+                                 : std::numeric_limits<double>::infinity());
 }
 
 std::size_t
@@ -177,14 +293,8 @@ EventQueue::RunUntil(Seconds horizon)
 {
   FLEX_REQUIRE(horizon >= now_, "horizon is in the past");
   std::size_t executed = 0;
-  Entry entry;
-  while (PopEarliest(horizon.value(), entry)) {
-    now_ = entry.when;
-    entry.callback();
+  while (Dispatch(horizon.value()))
     ++executed;
-    ++executed_count_;
-    NotifyObservers(now_);
-  }
   now_ = horizon;
   return executed;
 }
@@ -192,14 +302,7 @@ EventQueue::RunUntil(Seconds horizon)
 bool
 EventQueue::Step()
 {
-  Entry entry;
-  if (!PopEarliest(std::numeric_limits<double>::infinity(), entry))
-    return false;
-  now_ = entry.when;
-  entry.callback();
-  ++executed_count_;
-  NotifyObservers(now_);
-  return true;
+  return Dispatch(std::numeric_limits<double>::infinity());
 }
 
 std::size_t
@@ -209,29 +312,6 @@ EventQueue::RunAll()
   while (Step())
     ++executed;
   return executed;
-}
-
-void
-SchedulePeriodic(EventQueue& queue, Seconds period,
-                 std::function<bool()> callback)
-{
-  FLEX_REQUIRE(period.value() > 0.0, "periodic events need positive period");
-  // Self-rescheduling wrapper; stops when the callback returns false.
-  struct Ticker {
-    EventQueue* queue;
-    Seconds period;
-    std::function<bool()> callback;
-
-    void
-    Run(const std::shared_ptr<Ticker>& self)
-    {
-      if (callback())
-        queue->Schedule(period, [self] { self->Run(self); });
-    }
-  };
-  auto ticker =
-      std::make_shared<Ticker>(Ticker{&queue, period, std::move(callback)});
-  queue.Schedule(period, [ticker] { ticker->Run(ticker); });
 }
 
 }  // namespace flex::sim

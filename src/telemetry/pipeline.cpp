@@ -110,7 +110,7 @@ TelemetryPipeline::Start()
       if (!running_)
         return;
       PollerTick(poller, DeviceKind::kUps);
-      sim::SchedulePeriodic(queue_, config_.ups_poll_period, [this, poller] {
+      queue_.SchedulePeriodic(config_.ups_poll_period, [this, poller] {
         if (!running_)
           return false;
         PollerTick(poller, DeviceKind::kUps);
@@ -122,7 +122,7 @@ TelemetryPipeline::Start()
       if (!running_)
         return;
       PollerTick(poller, DeviceKind::kRack);
-      sim::SchedulePeriodic(queue_, config_.rack_poll_period, [this, poller] {
+      queue_.SchedulePeriodic(config_.rack_poll_period, [this, poller] {
         if (!running_)
           return false;
         PollerTick(poller, DeviceKind::kRack);
@@ -208,31 +208,36 @@ TelemetryPipeline::SetBusDuplicate(int bus, bool duplicate)
   bus_duplicate_[static_cast<std::size_t>(bus)] = duplicate;
 }
 
-TelemetryPipeline::Batch*
+std::uint32_t
 TelemetryPipeline::AcquireBatch()
 {
   if (batch_free_.empty()) {
+    batch_free_.push_back(static_cast<std::uint32_t>(batch_arena_.size()));
     batch_arena_.push_back(std::make_unique<Batch>());
-    batch_free_.push_back(batch_arena_.back().get());
   }
-  Batch* batch = batch_free_.back();
+  const std::uint32_t index = batch_free_.back();
   batch_free_.pop_back();
-  batch->readings.clear();
-  batch->refs = 0;
-  return batch;
+  Batch& batch = *batch_arena_[index];
+  batch.readings.clear();
+  batch.refs = 0;
+  return index;
 }
 
 void
-TelemetryPipeline::DeliverBatch(Batch* batch, int bus)
+TelemetryPipeline::DeliverBatch(std::uint64_t key)
 {
-  for (const DeviceReading& original : batch->readings) {
+  const auto index = static_cast<std::uint32_t>(key >> 32);
+  const auto bus = static_cast<int>(key & 0xffffffffu);
+  Batch& batch = *batch_arena_[index];
+  // One poll instant, one delivery instant: a batch is one latency run.
+  latency_.Add((queue_.Now() - batch.readings.front().sampled_at).value(),
+               batch.readings.size());
+  for (const DeviceReading& original : batch.readings) {
     DeviceReading reading = original;
     reading.bus = bus;
     reading.delivered_at = queue_.Now();
     ++delivered_count_;
     const double latency = reading.DataLatency().value();
-    latency_stats_.Add(latency);
-    latency_samples_.push_back(latency);
     if (readings_delivered_metric_ != nullptr) {
       readings_delivered_metric_->Increment();
       publish_lag_metric_->Observe(latency);
@@ -245,8 +250,8 @@ TelemetryPipeline::DeliverBatch(Batch* batch, int bus)
     for (const Subscriber& subscriber : subscribers_)
       subscriber(reading);
   }
-  if (--batch->refs == 0)
-    batch_free_.push_back(batch);
+  if (--batch.refs == 0)
+    batch_free_.push_back(index);
 }
 
 void
@@ -291,8 +296,8 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
     }
   }
 
-  // Reads every device in @p ids into @p batch (quorum permitting).
-  const auto read_into = [&](const int i, Batch* batch) {
+  // Reads device @p i into @p batch (quorum permitting).
+  const auto read_into = [&](const int i, Batch& batch) {
     const DeviceId device{kind, i};
     const Watts truth = truth_scratch_[static_cast<std::size_t>(i)];
     const auto reading = MeterFor(device).Read(sampled_at, truth);
@@ -310,52 +315,57 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
     r.value = *reading;
     r.sampled_at = sampled_at;
     r.poller = poller;
-    batch->readings.push_back(r);
+    batch.readings.push_back(r);
   };
 
   // Publishes through every live bus; subscribers see duplicates, which
   // is intended (redundant delivery; controller actions are idempotent).
   // Deliveries share the pooled batch; the refcount returns it to the
   // free list after the last one lands.
-  const auto publish = [&](Batch* batch) {
-    if (batch->readings.empty()) {
-      batch_free_.push_back(batch);
+  const auto publish = [&](std::uint32_t index) {
+    Batch& batch = *batch_arena_[index];
+    if (batch.readings.empty()) {
+      batch_free_.push_back(index);
       return;
     }
     for (int bus = 0; bus < config_.num_buses; ++bus) {
       if (bus_failed_[static_cast<std::size_t>(bus)])
         continue;
-      const auto deliver = [this, batch, bus] { DeliverBatch(batch, bus); };
-      ++batch->refs;
+      const std::uint64_t key = (std::uint64_t{index} << 32) |
+                                static_cast<std::uint32_t>(bus);
+      const auto deliver = [this, key] { DeliverBatch(key); };
+      ++batch.refs;
       queue_.Schedule(bus_delay_scratch_[static_cast<std::size_t>(bus)],
                       deliver);
       if (bus_duplicate_[static_cast<std::size_t>(bus)]) {
         // At-least-once redelivery: the same batch lands a second time.
-        ++batch->refs;
+        ++batch.refs;
         queue_.Schedule(
             bus_redelivery_scratch_[static_cast<std::size_t>(bus)], deliver);
       }
     }
-    if (batch->refs == 0)
-      batch_free_.push_back(batch);  // every bus was down: nothing in flight
+    if (batch.refs == 0)
+      batch_free_.push_back(index);  // every bus was down: nothing in flight
   };
 
   if (kind == DeviceKind::kRack && !rack_poll_groups_.empty()) {
     // One batch — one delivery event per bus — per poll group.
     for (const std::vector<int>& group : rack_poll_groups_) {
-      Batch* batch = AcquireBatch();
-      batch->readings.reserve(group.size());
+      const std::uint32_t index = AcquireBatch();
+      Batch& batch = *batch_arena_[index];
+      batch.readings.reserve(group.size());
       for (const int i : group)
         read_into(i, batch);
-      publish(batch);
+      publish(index);
     }
     return;
   }
-  Batch* batch = AcquireBatch();
-  batch->readings.reserve(static_cast<std::size_t>(count));
+  const std::uint32_t index = AcquireBatch();
+  Batch& batch = *batch_arena_[index];
+  batch.readings.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i)
     read_into(i, batch);
-  publish(batch);
+  publish(index);
 }
 
 }  // namespace flex::telemetry

@@ -11,6 +11,7 @@
 #ifndef FLEX_TELEMETRY_PIPELINE_HPP_
 #define FLEX_TELEMETRY_PIPELINE_HPP_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -144,13 +145,12 @@ class TelemetryPipeline {
   /** Count of readings delivered to subscribers so far. */
   std::size_t delivered_count() const { return delivered_count_; }
 
-  /** Latency statistics over delivered readings. */
-  const RunningStats& latency_stats() const { return latency_stats_; }
-
-  /** Raw latency samples (seconds), for percentile reporting. */
-  const std::vector<double>& latency_samples() const {
-    return latency_samples_;
-  }
+  /**
+   * Data latency (seconds) of every delivered reading, for exact
+   * percentile reporting. A delivered batch adds at most one run: its
+   * readings share one sampling instant and one delivery instant.
+   */
+  const RunLengthSummary& latency() const { return latency_; }
 
   const PipelineConfig& config() const { return config_; }
 
@@ -167,7 +167,8 @@ class TelemetryPipeline {
    * pipeline and cycle through a free list; `refs` counts scheduled bus
    * deliveries still holding the batch, and the last delivery returns it
    * to the free list. Steady-state polling therefore performs no
-   * per-tick allocations once the arena and scratch buffers are warm.
+   * per-tick allocations once the arena and scratch buffers are warm
+   * (tests/alloc_test.cpp checks this).
    */
   struct Batch {
     std::vector<DeviceReading> readings;
@@ -179,10 +180,15 @@ class TelemetryPipeline {
   /** One poller samples every device of @p kind and publishes. */
   void PollerTick(int poller, DeviceKind kind);
 
-  /** Pops a batch from the free list (or grows the arena). */
-  Batch* AcquireBatch();
-  /** Delivers @p batch on @p bus and releases it when refs hits zero. */
-  void DeliverBatch(Batch* batch, int bus);
+  /** Pops a batch from the free list (or grows the arena). @return index. */
+  std::uint32_t AcquireBatch();
+  /**
+   * Delivers the batch and bus packed in @p key (arena index << 32 |
+   * bus) and releases the batch when refs hits zero. One packed word
+   * keeps the delivery closure at 16 trivially-copyable bytes, which
+   * std::function stores without allocating.
+   */
+  void DeliverBatch(std::uint64_t key);
 
   sim::EventQueue& queue_;
   const PowerSource& source_;
@@ -207,14 +213,13 @@ class TelemetryPipeline {
   // ticks; truth_scratch_ holds one tick's ground-truth powers, and the
   // bus scratch vectors hold the tick's shared per-bus delivery delays.
   std::vector<std::unique_ptr<Batch>> batch_arena_;
-  std::vector<Batch*> batch_free_;
+  std::vector<std::uint32_t> batch_free_;  // arena indices
   std::vector<Watts> truth_scratch_;
   std::vector<Seconds> bus_delay_scratch_;
   std::vector<Seconds> bus_redelivery_scratch_;
 
   std::size_t delivered_count_ = 0;
-  RunningStats latency_stats_;
-  std::vector<double> latency_samples_;
+  RunLengthSummary latency_;
 
   // Cached metric objects (registry lookups stay off the hot path).
   obs::Counter* readings_delivered_metric_ = nullptr;

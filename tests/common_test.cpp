@@ -5,11 +5,13 @@
  */
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -247,6 +249,60 @@ TEST(StatsTest, PercentileInterpolates)
   EXPECT_DOUBLE_EQ(Percentile(xs, 50.0), 2.5);
   EXPECT_THROW(Percentile({}, 50.0), ConfigError);
   EXPECT_THROW(Percentile(xs, 101.0), ConfigError);
+}
+
+TEST(StatsTest, RunLengthSummaryMatchesPercentileBitForBit)
+{
+  // Random multisets with heavy duplicates: runs of a few values from a
+  // small pool, inserted in shuffled order, so equal values arrive both
+  // adjacent (one run) and scattered (many runs).
+  Rng rng(2021);
+  const double qs[] = {0.0, 25.0, 50.0, 99.0, 99.9, 100.0};
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> pool(
+        static_cast<std::size_t>(rng.UniformInt(1, 6)));
+    for (double& value : pool)
+      value = rng.Uniform(0.0, 2.0);
+    // Built grouped by value, then shuffled.
+    std::vector<std::pair<double, std::size_t>> runs;
+    for (const double value : pool) {
+      for (auto r = rng.UniformInt(1, 8); r > 0; --r) {
+        runs.emplace_back(value,
+                          static_cast<std::size_t>(rng.UniformInt(1, 30)));
+      }
+    }
+    rng.Shuffle(runs);
+
+    RunLengthSummary summary;
+    std::vector<double> expanded;
+    for (const auto& [value, n] : runs) {
+      // Half the runs arrive whole, half one sample at a time.
+      if (rng.Bernoulli(0.5)) {
+        summary.Add(value, n);
+      } else {
+        for (std::size_t k = 0; k < n; ++k)
+          summary.Add(value);
+      }
+      expanded.insert(expanded.end(), n, value);
+    }
+    ASSERT_EQ(summary.count(), expanded.size());
+    EXPECT_LE(summary.run_count(), runs.size());
+    for (const double q : qs) {
+      EXPECT_EQ(summary.Percentile(q), Percentile(expanded, q))
+          << "trial " << trial << " q " << q;
+    }
+  }
+
+  RunLengthSummary one;
+  one.Add(0.7);
+  one.Add(0.3, 0);  // records nothing
+  ASSERT_EQ(one.count(), 1u);
+  for (const double q : qs)
+    EXPECT_EQ(one.Percentile(q), Percentile({0.7}, q));
+
+  const RunLengthSummary empty;
+  EXPECT_THROW(empty.Percentile(50.0), ConfigError);
+  EXPECT_THROW(one.Percentile(101.0), ConfigError);
 }
 
 TEST(StatsTest, BoxStatsFiveNumberSummary)

@@ -105,7 +105,7 @@ class HandlerTest : public ::testing::Test {
         [this](Watts cut) { last_cut_ = cut; });
     handler_->Start();
     // Thermal integration alongside the handler's checks.
-    sim::SchedulePeriodic(queue_, Seconds(1.0), [this] {
+    queue_.SchedulePeriodic(Seconds(1.0), [this] {
       domain_.Advance(handler_->EffectiveLoad(), Seconds(1.0));
       return true;
     });

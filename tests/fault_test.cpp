@@ -6,8 +6,11 @@
  * forensic-bundle dump/replay loop built on top of them.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -204,6 +207,53 @@ TEST(FaultInjectorTest, RejectsOutOfRangeTargets)
   FaultPlan bad_time;
   bad_time.Add(MakeEvent(-1.0, FaultKind::kPollerCrash, 0, 1.0));
   EXPECT_THROW(injector.Arm(bad_time), ConfigError);
+  EXPECT_EQ(injector.scheduled_count(), 0);
+}
+
+TEST(FaultInjectorTest, RejectsNonFiniteFieldsInsteadOfHanging)
+{
+  // A bundle line whose magnitude overflows (strtod reads 1e999 as
+  // +inf) would lag every delivery on the bus to +inf, a time the event
+  // kernel cannot reach. Validation must reject it and name the field.
+  const auto bundle_line = [](const std::string& magnitude) {
+    return "{\"at\":5,\"kind\":" +
+           std::to_string(static_cast<int>(FaultKind::kBusDelay)) +
+           ",\"target\":0,\"device_kind\":0,\"meter_index\":0,"
+           "\"magnitude\":" +
+           magnitude + ",\"duration\":10}\n";
+  };
+  const auto error_of = [](const std::function<void()>& run) {
+    try {
+      run();
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlanJsonl(bundle_line("1e999"), &plan, &error))
+      << error;
+  ASSERT_TRUE(std::isinf(plan.events()[0].magnitude));
+  EXPECT_NE(error_of([&] { FaultScenario({}, 1).Run(plan); })
+                .find("'magnitude'"),
+            std::string::npos);
+  // The same bundle with a finite lag runs to the end.
+  ASSERT_TRUE(ParseFaultPlanJsonl(bundle_line("2.5"), &plan, &error))
+      << error;
+  EXPECT_GT(FaultScenario({}, 1).Run(plan).readings_delivered, 0u);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  FaultScenario scenario({}, 1);
+  FaultInjector injector(scenario.targets());
+  FaultPlan late;
+  late.Add(MakeEvent(inf, FaultKind::kPollerCrash, 0, 1.0));
+  EXPECT_NE(error_of([&] { injector.Arm(late); }).find("'at'"),
+            std::string::npos);
+  FaultPlan endless;
+  endless.Add(MakeEvent(1.0, FaultKind::kPollerCrash, 0, inf));
+  EXPECT_NE(error_of([&] { injector.Arm(endless); }).find("'duration'"),
+            std::string::npos);
   EXPECT_EQ(injector.scheduled_count(), 0);
 }
 

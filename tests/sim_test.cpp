@@ -4,9 +4,12 @@
  */
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -117,12 +120,19 @@ TEST(EventQueueTest, CancelPreventsExecution)
 TEST(EventQueueTest, CancelIsIdempotentAndToleratesBadIds)
 {
   EventQueue q;
+  int fired = 0;
   const EventId id = q.Schedule(Seconds(1.0), [] {});
+  const EventId kept = q.Schedule(Seconds(1.0), [&] { ++fired; });
   q.Cancel(id);
   q.Cancel(id);
+  // Generations start at 1, so no event has id 0 and callers may hold 0
+  // to mean "no event": cancelling it leaves every live event alone.
+  EXPECT_NE(kept, 0u);
   q.Cancel(0);
   q.Cancel(9999);
+  EXPECT_EQ(q.PendingCount(), 1u);
   EXPECT_NO_THROW(q.RunAll());
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueueTest, EventsCanScheduleMoreEvents)
@@ -173,7 +183,7 @@ TEST(EventQueueTest, PeriodicTicksUntilCallbackReturnsFalse)
 {
   EventQueue q;
   int ticks = 0;
-  SchedulePeriodic(q, Seconds(1.5), [&] {
+  q.SchedulePeriodic(Seconds(1.5), [&] {
     ++ticks;
     return ticks < 4;
   });
@@ -186,7 +196,7 @@ TEST(EventQueueTest, PeriodicTickSpacingMatchesPeriod)
 {
   EventQueue q;
   std::vector<double> times;
-  SchedulePeriodic(q, Seconds(2.0), [&] {
+  q.SchedulePeriodic(Seconds(2.0), [&] {
     times.push_back(q.Now().value());
     return times.size() < 3;
   });
@@ -208,6 +218,117 @@ TEST(EventQueueTest, PendingCountTracksLiveEvents)
   q.RunAll();
   EXPECT_EQ(q.PendingCount(), 0u);
   EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, RejectsNonFiniteTimesInsteadOfHanging)
+{
+  // A +inf entry is one the wheel can never rebase onto: once the wheel
+  // drained, RunUntil would spin instead of returning.
+  EventQueue q;
+  int fired = 0;
+  q.Schedule(Seconds(1.0), [&] { ++fired; });
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto error_of = [](const std::function<void()>& schedule) {
+    try {
+      schedule();
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(error_of([&] { q.ScheduleAt(Seconds(inf), [] {}); }).find("when"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { q.ScheduleAt(Seconds(nan), [] {}); }).find("when"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { q.Schedule(Seconds(inf), [] {}); }).find("delay"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] {
+              q.SchedulePeriodic(Seconds(inf), [] { return true; });
+            }).find("period"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] {
+              q.SchedulePeriodic(Seconds(nan), [] { return true; });
+            }).find("period"),
+            std::string::npos);
+  EXPECT_EQ(q.PendingCount(), 1u);
+  EXPECT_EQ(q.RunUntil(Seconds(10.0)), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTest, HugeFiniteTimesStillAdvanceTheWheel)
+{
+  // At 1e300 s the wheel's end rounds back to its start; the rebase must
+  // still move the earliest event into the wheel.
+  EventQueue q;
+  std::vector<double> fired;
+  q.Schedule(Seconds(1.0), [&] { fired.push_back(q.Now().value()); });
+  q.ScheduleAt(Seconds(1e300), [&] { fired.push_back(q.Now().value()); });
+  q.ScheduleAt(Seconds(1e300), [&] { fired.push_back(-q.Now().value()); });
+  EXPECT_EQ(q.RunUntil(Seconds(10.0)), 1u);
+  EXPECT_EQ(q.RunAll(), 2u);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 1e300, -1e300}));
+}
+
+TEST(EventQueueTest, PeriodicCallbackCanInstallPeriodicTimers)
+{
+  // Each outer tick installs enough timers to grow the slot table while
+  // its own callback runs. The outer closure is 16 trivially-copyable
+  // bytes, which std::function keeps inside the slot itself: had the
+  // slot moved, reading the captured `state` after the installs would
+  // touch freed memory (the sanitized suite reports it).
+  struct State {
+    int outer = 0;
+    std::vector<std::pair<double, int>> inner;  // (time, label)
+  } state;
+  EventQueue q;
+  q.SchedulePeriodic(Seconds(1.0), [&q, &state] {
+    for (int i = 0; i < 300; ++i) {
+      const int label = state.outer * 1000 + i;
+      q.SchedulePeriodic(Seconds(0.5), [&q, &state, label] {
+        state.inner.push_back({q.Now().value(), label});
+        return false;
+      });
+    }
+    return ++state.outer < 3;
+  });
+  q.RunAll();
+  EXPECT_EQ(state.outer, 3);
+  ASSERT_EQ(state.inner.size(), 900u);
+  for (std::size_t k = 0; k < state.inner.size(); ++k) {
+    const int round = static_cast<int>(k / 300);
+    EXPECT_EQ(state.inner[k].first, round + 1.5);
+    EXPECT_EQ(state.inner[k].second, round * 1000 + static_cast<int>(k % 300));
+  }
+  EXPECT_EQ(q.executed_count(), 903u);
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, CancellingAStaleIdSparesTheSlotsNextEvent)
+{
+  EventQueue q;
+  int first = 0;
+  int second = 0;
+  int third = 0;
+  const EventId fired = q.Schedule(Seconds(1.0), [&] { ++first; });
+  q.RunUntil(Seconds(2.0));
+  // The fired event's slot is the one reused, under a new generation.
+  const EventId reused = q.Schedule(Seconds(1.0), [&] { ++second; });
+  ASSERT_EQ(fired & 0xffffffffu, reused & 0xffffffffu);
+  ASSERT_NE(fired, reused);
+  q.Cancel(fired);
+  EXPECT_EQ(q.PendingCount(), 1u);
+  // Same for a cancelled id: its slot's next tenant survives a re-cancel.
+  q.Cancel(reused);
+  const EventId tenant = q.Schedule(Seconds(1.0), [&] { ++third; });
+  ASSERT_EQ(reused & 0xffffffffu, tenant & 0xffffffffu);
+  q.Cancel(reused);
+  q.Cancel(fired);
+  EXPECT_EQ(q.PendingCount(), 1u);
+  q.RunAll();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(third, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +594,7 @@ TEST(EventQueueCalendarTest, PeriodicTicksAcrossManyWheelRotations)
   EventQueue q;
   int ticks = 0;
   double last = 0.0;
-  SchedulePeriodic(q, Seconds(1.7), [&] {
+  q.SchedulePeriodic(Seconds(1.7), [&] {
     ++ticks;
     EXPECT_NEAR(q.Now().value() - last, 1.7, 1e-9);
     last = q.Now().value();
@@ -499,8 +620,9 @@ TEST(EventQueueCalendarTest, CancelFarFutureEvent)
 /**
  * Reference pending-event set for the randomized trace test: a std::map
  * keyed on (when, id) — ids grow monotonically, so equal timestamps run
- * FIFO — with cancel-if-pending. Deliberately naive; it shares no code
- * with the calendar wheel it checks.
+ * FIFO — with cancel-if-pending, and periodic timers as one-shots that
+ * reschedule themselves after their callback returns. Deliberately
+ * naive; it shares no code with the calendar wheel it checks.
  */
 class ReferenceQueue {
  public:
@@ -513,6 +635,13 @@ class ReferenceQueue {
                     std::move(callback));
     pending_.insert(next_id_);
     return next_id_++;
+  }
+
+  void
+  SchedulePeriodic(Seconds period, std::function<bool()> callback)
+  {
+    timers_.push_back(std::move(callback));
+    ScheduleTick(period, timers_.size() - 1);
   }
 
   void Cancel(EventId id) { pending_.erase(id); }
@@ -543,8 +672,18 @@ class ReferenceQueue {
     node.mapped()();
   }
 
+  void
+  ScheduleTick(Seconds period, std::size_t timer)
+  {
+    Schedule(period, [this, period, timer] {
+      if (timers_[timer]())
+        ScheduleTick(period, timer);
+    });
+  }
+
   std::map<std::pair<double, EventId>, std::function<void()>> events_;
   std::set<EventId> pending_;
+  std::deque<std::function<bool()>> timers_;  // stable under push_back
   Seconds now_{0.0};
   EventId next_id_ = 1;
 };
@@ -552,36 +691,67 @@ class ReferenceQueue {
 TEST(EventQueueEquivalenceTest, RandomizedTraceMatchesBetweenImpls)
 {
   // Drive the calendar queue and the naive reference with the same
-  // pseudo-random schedule / cancel / horizon workload and require
-  // identical execution traces.
+  // pseudo-random schedule / periodic / cancel / horizon workload and
+  // require identical execution traces. Horizons, periods and part of
+  // the delays sit on a quarter-second grid (exact in binary), so
+  // periodic ticks, one-shots and horizons coincide.
   const auto drive = [](auto& q, std::uint64_t seed) {
     Rng rng(seed);
     std::vector<std::pair<double, int>> trace;
-    std::vector<EventId> live;
+    std::vector<EventId> live;  // one-shot ids, fired ones included
     int label = 0;
+    const auto grid = [&rng](std::int64_t steps) {
+      return 0.25 * static_cast<double>(rng.UniformInt(0, steps));
+    };
     for (int round = 0; round < 50; ++round) {
       const int burst = static_cast<int>(rng.UniformInt(1, 8));
       for (int i = 0; i < burst; ++i) {
-        // Mix sub-bucket, cross-bucket, and far-future delays.
-        const double delay = rng.Bernoulli(0.2)
-                                 ? rng.Uniform(60.0, 300.0)
-                                 : rng.Uniform(0.0, 10.0);
+        // Mix sub-bucket, cross-bucket, far-future and on-grid delays.
+        double delay = 0.0;
+        if (rng.Bernoulli(0.2))
+          delay = rng.Uniform(60.0, 300.0);
+        else if (rng.Bernoulli(0.4))
+          delay = grid(40);
+        else
+          delay = rng.Uniform(0.0, 10.0);
         const int this_label = label++;
         live.push_back(q.Schedule(Seconds(delay), [&trace, &q, this_label] {
           trace.push_back({q.Now().value(), this_label});
         }));
       }
+      // A periodic timer that stops after k ticks; an echoing one
+      // schedules a one-shot one period out from each tick, which ties
+      // its next tick and must fire first.
+      if (rng.Bernoulli(0.4)) {
+        const Seconds period(0.25 + grid(11));
+        const int ticks = static_cast<int>(rng.UniformInt(1, 10));
+        const bool echo = rng.Bernoulli(0.5);
+        const int this_label = label++;
+        q.SchedulePeriodic(
+            period,
+            [&trace, &q, this_label, period, ticks, echo, n = 0]() mutable {
+              trace.push_back({q.Now().value(), this_label});
+              if (echo) {
+                q.Schedule(period, [&trace, &q, this_label] {
+                  trace.push_back({q.Now().value(), -1 - this_label});
+                });
+              }
+              return ++n < ticks;
+            });
+      }
+      // Cancels may hit fired ids whose slots hold newer events.
       while (!live.empty() && rng.Bernoulli(0.3)) {
         const std::size_t victim = static_cast<std::size_t>(
             rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
         q.Cancel(live[victim]);
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
       }
-      q.RunUntil(q.Now() + Seconds(rng.Uniform(0.0, 20.0)));
+      q.RunUntil(q.Now() + Seconds(grid(80)));
     }
     q.RunAll();
     return trace;
   };
+  std::size_t ties = 0;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     EventQueue calendar;
     ReferenceQueue reference;
@@ -589,7 +759,10 @@ TEST(EventQueueEquivalenceTest, RandomizedTraceMatchesBetweenImpls)
     EXPECT_FALSE(expected.empty());
     EXPECT_EQ(drive(calendar, seed), expected)
         << "trace diverged at seed " << seed;
+    for (std::size_t i = 1; i < expected.size(); ++i)
+      ties += expected[i].first == expected[i - 1].first ? 1 : 0;
   }
+  EXPECT_GT(ties, 0u) << "the drive no longer produces equal timestamps";
 }
 
 }  // namespace
