@@ -9,6 +9,8 @@
  * get flagged — the Section IV-C and Section VI production story.
  */
 #include <cstdio>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "actuation/firmware_monitor.hpp"
@@ -150,7 +152,6 @@ main()
   std::vector<online::ManagedRack> managed;
   for (int i = 0; i < 8; ++i) {
     online::ManagedRack rack;
-    rack.rack_id = i;
     rack.workload = i < 4 ? "sr" : "cap";
     rack.category = i < 4 ? workload::Category::kSoftwareRedundant
                           : workload::Category::kNonRedundantCapable;
@@ -161,8 +162,11 @@ main()
   }
   online::ControllerConfig controller_config;
   controller_config.obs = &observability;
-  online::FlexController controller(drill_queue, topology, managed,
-                                    drill_plane, {}, controller_config, 0);
+  online::FlexController controller(
+      drill_queue, topology,
+      std::make_shared<const std::vector<online::ManagedRack>>(
+          std::move(managed)),
+      drill_plane, {}, controller_config, 0);
   drill_pipeline.Subscribe([&](const telemetry::DeviceReading& reading) {
     controller.OnReading(reading);
   });

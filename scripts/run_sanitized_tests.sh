@@ -46,6 +46,13 @@ echo "run_sanitized_tests: focused obs/fault recorder pass"
 # The event kernel indexes its slot table and node pool by id bits and
 # runs periodic callbacks in place while they add slots.
 "${build_dir}/tests/sim_test" --gtest_brief=1
+# Room-wide state is stored once: physical meters sit in one flat array
+# indexed by device x meter, consensus reads sort a fixed stack buffer,
+# rack managers reach their plane through a back pointer, and the
+# controller replicas index one shared rack table by rack id.
+"${build_dir}/tests/telemetry_test" --gtest_brief=1
+"${build_dir}/tests/actuation_test" --gtest_brief=1
+"${build_dir}/tests/online_test" --gtest_brief=1
 # The fleet engine steps rooms on pool lanes and merges at epoch
 # barriers; its bit-identity suite doubles as a memory-safety probe of
 # the lane-local arenas and the serial merge path.

@@ -14,21 +14,19 @@ constexpr double kLatencyLogSigma = 0.28;   ///< sigma of underlying normal
 
 }  // namespace
 
-RackManager::RackManager(sim::EventQueue& queue, int rack_id,
-                         RackManagerConfig config, Rng rng)
-    : queue_(queue), rack_id_(rack_id), config_(config), rng_(rng)
+RackManager::RackManager(ActuationPlane& plane, int rack_id, Rng rng)
+    : plane_(&plane), rng_(rng), rack_id_(rack_id)
 {
-  FLEX_REQUIRE(config_.unreachable_probability >= 0.0 &&
-                   config_.unreachable_probability <= 1.0,
-               "unreachable probability must be in [0, 1]");
-  if (config_.obs != nullptr) {
-    obs::MetricsRegistry& metrics = config_.obs->metrics();
-    commands_metric_ = &metrics.counter("actuation.commands");
-    failed_metric_ = &metrics.counter("actuation.failed_commands");
-    dropped_metric_ = &metrics.counter("actuation.dropped_commands");
-    latency_metric_ = &metrics.histogram("actuation.action_latency_s");
-    recorder_ = &config_.obs->recorder();
-  }
+}
+
+RackState
+RackManager::state() const
+{
+  RackState state;
+  state.powered_on = powered_on_;
+  if (has_cap_)
+    state.power_cap = cap_;
+  return state;
 }
 
 Seconds
@@ -52,49 +50,54 @@ void
 RackManager::Execute(Kind kind, std::optional<Watts> cap, Completion done)
 {
   FLEX_REQUIRE(static_cast<bool>(done), "null completion callback");
-  if (commands_metric_ != nullptr)
-    commands_metric_->Increment();
-  if (recorder_ != nullptr)
-    recorder_->Record(queue_.Now(), obs::RecordKind::kRackCommand, rack_id_,
-                      static_cast<int>(kind),
-                      cap.has_value() ? cap->value() : 0.0);
-  if (unreachable_ || rng_.Bernoulli(config_.unreachable_probability)) {
+  ActuationPlane& plane = *plane_;
+  if (plane.commands_metric_ != nullptr)
+    plane.commands_metric_->Increment();
+  if (plane.recorder_ != nullptr)
+    plane.recorder_->Record(plane.queue_.Now(), obs::RecordKind::kRackCommand,
+                            rack_id_, static_cast<int>(kind),
+                            cap.has_value() ? cap->value() : 0.0);
+  if (unreachable_ ||
+      rng_.Bernoulli(plane.config_.unreachable_probability)) {
     // The command is lost; report failure after a timeout-ish delay so
     // callers see realistic failure detection latency.
-    if (dropped_metric_ != nullptr)
-      dropped_metric_->Increment();
-    queue_.Schedule(Seconds(2.0) + extra_latency_, [done] { done(false); });
+    if (plane.dropped_metric_ != nullptr)
+      plane.dropped_metric_->Increment();
+    plane.queue_.Schedule(Seconds(2.0) + extra_latency_,
+                          [done] { done(false); });
     return;
   }
   const Seconds latency = DrawLatency(kind) + extra_latency_;
   const bool stale = firmware_stale_;
-  queue_.Schedule(latency, [this, kind, cap, done, latency, stale] {
-    action_latencies_.push_back(latency.value());
-    if (latency_metric_ != nullptr)
-      latency_metric_->Observe(latency.value());
+  plane.queue_.Schedule(latency, [this, kind, cap, done, latency, stale] {
+    ActuationPlane& plane = *plane_;
+    plane.action_latencies_.push_back(latency.value());
+    if (plane.latency_metric_ != nullptr)
+      plane.latency_metric_->Observe(latency.value());
     if (stale) {
       // Regression: the RM acknowledges but the action has no effect.
-      if (failed_metric_ != nullptr)
-        failed_metric_->Increment();
+      if (plane.failed_metric_ != nullptr)
+        plane.failed_metric_->Increment();
       done(false);
       return;
     }
     switch (kind) {
       case Kind::kThrottle:
-        state_.power_cap = cap;
+        cap_ = *cap;
+        has_cap_ = true;
         break;
       case Kind::kShutdown:
-        state_.powered_on = false;
+        powered_on_ = false;
         break;
       case Kind::kRemoveCap:
-        state_.power_cap.reset();
+        has_cap_ = false;
         break;
       case Kind::kRestore:
-        state_.powered_on = true;
+        powered_on_ = true;
         break;
     }
-    if (state_listener_)
-      state_listener_(rack_id_);
+    if (plane.state_listener_)
+      plane.state_listener_(rack_id_);
     done(true);
   });
 }
@@ -126,12 +129,24 @@ RackManager::Restore(Completion done)
 
 ActuationPlane::ActuationPlane(sim::EventQueue& queue, int num_racks,
                                RackManagerConfig config, std::uint64_t seed)
+    : queue_(queue), config_(config)
 {
   FLEX_REQUIRE(num_racks >= 0, "negative rack count");
+  FLEX_REQUIRE(config_.unreachable_probability >= 0.0 &&
+                   config_.unreachable_probability <= 1.0,
+               "rack_manager unreachable_probability must be in [0, 1]");
+  if (config_.obs != nullptr) {
+    obs::MetricsRegistry& metrics = config_.obs->metrics();
+    commands_metric_ = &metrics.counter("actuation.commands");
+    failed_metric_ = &metrics.counter("actuation.failed_commands");
+    dropped_metric_ = &metrics.counter("actuation.dropped_commands");
+    latency_metric_ = &metrics.histogram("actuation.action_latency_s");
+    recorder_ = &config_.obs->recorder();
+  }
   Rng seed_rng(seed);
   racks_.reserve(static_cast<std::size_t>(num_racks));
   for (int i = 0; i < num_racks; ++i)
-    racks_.emplace_back(queue, i, config, seed_rng.Fork());
+    racks_.push_back(RackManager(*this, i, seed_rng.Fork()));
 }
 
 RackManager&
@@ -148,24 +163,6 @@ ActuationPlane::rack(int rack_id) const
   FLEX_REQUIRE(rack_id >= 0 && rack_id < num_racks(),
                "rack id out of range");
   return racks_[static_cast<std::size_t>(rack_id)];
-}
-
-void
-ActuationPlane::SetStateListener(RackManager::StateListener listener)
-{
-  for (RackManager& rack : racks_)
-    rack.SetStateListener(listener);
-}
-
-std::vector<double>
-ActuationPlane::AllActionLatencies() const
-{
-  std::vector<double> all;
-  for (const RackManager& rack : racks_) {
-    all.insert(all.end(), rack.action_latencies().begin(),
-               rack.action_latencies().end());
-  }
-  return all;
 }
 
 }  // namespace flex::actuation

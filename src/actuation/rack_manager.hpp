@@ -13,8 +13,10 @@
 #ifndef FLEX_ACTUATION_RACK_MANAGER_HPP_
 #define FLEX_ACTUATION_RACK_MANAGER_HPP_
 
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,6 +42,8 @@ struct RackManagerConfig {
   obs::Observability* obs = nullptr;
 };
 
+class ActuationPlane;
+
 /**
  * One rack's out-of-band controller.
  *
@@ -47,16 +51,15 @@ struct RackManagerConfig {
  * queue after the action latency, reporting success. Commands are
  * idempotent (re-throttling an already-capped rack simply overwrites the
  * cap), which is what lets Flex run multiple controller replicas safely.
+ *
+ * A rack manager stores only what differs per rack: its RNG stream, its
+ * power state and its fault flags. The event queue, the config, the
+ * state listener, the metrics and the latency samples are its plane's,
+ * held once per room.
  */
 class RackManager {
  public:
-  RackManager(sim::EventQueue& queue, int rack_id, RackManagerConfig config,
-              Rng rng);
-
   using Completion = std::function<void(bool success)>;
-
-  /** Notified with the rack id after a command changes this rack's state. */
-  using StateListener = std::function<void(int rack_id)>;
 
   /** Installs an absolute power cap (RAPL-like). */
   void Throttle(Watts cap, Completion done);
@@ -67,20 +70,8 @@ class RackManager {
   /** Powers the rack back on (boot takes longer than a cap action). */
   void Restore(Completion done);
 
-  const RackState& state() const { return state_; }
+  RackState state() const;
   int rack_id() const { return rack_id_; }
-
-  /**
-   * Installs the state-change hook (one per rack; pass an empty function
-   * to detach). Fires after a successful command mutates state(), at the
-   * command's completion time on the event queue — the moment the rack's
-   * electrical draw actually changes. RoomEmulation uses it to apply
-   * incremental power deltas instead of rescanning the room.
-   */
-  void SetStateListener(StateListener listener)
-  {
-    state_listener_ = std::move(listener);
-  }
 
   // --- Failure injection & monitoring hooks -------------------------------
 
@@ -105,25 +96,70 @@ class RackManager {
   /** Re-flashes firmware (clears the stale flag). */
   void RedeployFirmware() { firmware_stale_ = false; }
 
-  /** Latency samples of completed actions (seconds). */
-  const std::vector<double>& action_latencies() const {
-    return action_latencies_;
-  }
-
  private:
+  friend class ActuationPlane;
   enum class Kind { kThrottle, kShutdown, kRemoveCap, kRestore };
+
+  RackManager(ActuationPlane& plane, int rack_id, Rng rng);
 
   void Execute(Kind kind, std::optional<Watts> cap, Completion done);
   Seconds DrawLatency(Kind kind);
 
-  sim::EventQueue& queue_;
-  int rack_id_;
-  RackManagerConfig config_;
+  ActuationPlane* plane_;
   Rng rng_;
-  RackState state_;
+  Watts cap_;  // the active cap while has_cap_
+  Seconds extra_latency_{0.0};
+  int rack_id_;
+  bool powered_on_ = true;
+  bool has_cap_ = false;
   bool unreachable_ = false;
   bool firmware_stale_ = false;
-  Seconds extra_latency_{0.0};
+};
+
+/**
+ * All rack managers of a room, plus the state they share: the event
+ * queue, the config, the state listener, the metric handles and the
+ * pooled action latencies.
+ */
+class ActuationPlane {
+ public:
+  /** Notified with the rack id after a command changes that rack's state. */
+  using StateListener = std::function<void(int rack_id)>;
+
+  ActuationPlane(sim::EventQueue& queue, int num_racks,
+                 RackManagerConfig config, std::uint64_t seed);
+
+  // Rack managers point back at their plane.
+  ActuationPlane(const ActuationPlane&) = delete;
+  ActuationPlane& operator=(const ActuationPlane&) = delete;
+
+  RackManager& rack(int rack_id);
+  const RackManager& rack(int rack_id) const;
+  int num_racks() const { return static_cast<int>(racks_.size()); }
+
+  /** Latency samples of every completed action, in completion order (s). */
+  const std::vector<double>& action_latencies() const {
+    return action_latencies_;
+  }
+
+  /**
+   * Installs the state-change hook for every rack (pass an empty
+   * function to detach). Fires after a successful command mutates a
+   * rack's state(), at the command's completion time on the event queue
+   * — the moment the rack's electrical draw actually changes.
+   * RoomEmulation uses it to apply incremental power deltas instead of
+   * rescanning the room.
+   */
+  void SetStateListener(StateListener listener)
+  {
+    state_listener_ = std::move(listener);
+  }
+
+ private:
+  friend class RackManager;
+
+  sim::EventQueue& queue_;
+  RackManagerConfig config_;
   StateListener state_listener_;
   std::vector<double> action_latencies_;
 
@@ -133,27 +169,7 @@ class RackManager {
   obs::Counter* dropped_metric_ = nullptr;
   obs::Histogram* latency_metric_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
-};
 
-/**
- * All rack managers of a room plus aggregate statistics.
- */
-class ActuationPlane {
- public:
-  ActuationPlane(sim::EventQueue& queue, int num_racks,
-                 RackManagerConfig config, std::uint64_t seed);
-
-  RackManager& rack(int rack_id);
-  const RackManager& rack(int rack_id) const;
-  int num_racks() const { return static_cast<int>(racks_.size()); }
-
-  /** Pooled action-latency samples across all racks (seconds). */
-  std::vector<double> AllActionLatencies() const;
-
-  /** Installs @p listener on every rack (see RackManager::SetStateListener). */
-  void SetStateListener(RackManager::StateListener listener);
-
- private:
   std::vector<RackManager> racks_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -19,12 +20,27 @@ WallSeconds(std::chrono::steady_clock::time_point start)
       .count();
 }
 
+/**
+ * Most merge barriers one run may take. A shorter epoch is rejected:
+ * tiny epochs make no progress (1e-300 s steps advance the clock in
+ * subnormal increments), and a barrier per microsecond of a 1,000 s
+ * timeline is already far past useful.
+ */
+constexpr double kMaxFleetBarriers = 1e6;
+
 /** Rejects fleet shapes that cannot run, before any lane exists. */
 FleetConfig
 Validated(FleetConfig config)
 {
   FLEX_REQUIRE(config.rooms >= 1, "fleet needs at least one room");
-  FLEX_REQUIRE(config.epoch.value() > 0.0, "epoch length must be positive");
+  const double epoch = config.epoch.value();
+  FLEX_REQUIRE(std::isfinite(epoch) && epoch > 0.0,
+               "fleet epoch must be positive and finite");
+  FLEX_REQUIRE(config.room.end_at.value() / epoch <= kMaxFleetBarriers,
+               "fleet epoch is too short: room.end_at / epoch exceeds "
+               "1e6 barriers");
+  FLEX_REQUIRE(std::isfinite(config.substation.capacity.value()),
+               "fleet substation.capacity must be finite");
   return config;
 }
 

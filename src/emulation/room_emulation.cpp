@@ -131,40 +131,50 @@ RoomEmulation::BuildRoom()
       config_.placement_solve_seconds, config_.placement_max_nodes,
       config_.live != nullptr ? &config_.live->solver() : nullptr);
   placement_ = policy.Place(topology_, trace);
-  layout_ = offline::BuildRackLayout(topology_, placement_);
-  FLEX_CHECK_MSG(!layout_.empty(), "placement produced no racks");
+  // The per-rack records are only needed while building: everything the
+  // run reads is copied into the flat per-rack vectors below.
+  const std::vector<offline::Rack> layout =
+      offline::BuildRackLayout(topology_, placement_);
+  FLEX_CHECK_MSG(!layout.empty(), "placement produced no racks");
 
   // Scale per-rack utilization so the aggregate hits the target at the
   // UPS level even though some deployments were rejected.
   Watts placed(0.0);
-  for (const offline::Rack& rack : layout_)
+  for (const offline::Rack& rack : layout)
     placed += rack.allocated;
   const double rack_mean = std::min(
       0.92, config_.target_utilization *
                 (topology_.TotalProvisionedPower() / placed));
+  for (const Category category :
+       {Category::kSoftwareRedundant, Category::kNonRedundantCapable,
+        Category::kNonRedundantNonCapable}) {
+    OuProcessConfig ou;
+    ou.mean = rack_mean;
+    ou.reversion_rate = 0.05;
+    ou.volatility = category == Category::kSoftwareRedundant
+                        ? 0.015   // batch work: steady
+                        : 0.025;  // transactional: burstier
+    ou.min = 0.40;
+    ou.max = 0.95;
+    ou_by_category_[static_cast<std::size_t>(category)] = OuProcess(ou);
+  }
 
   // Structure-of-arrays rack state: one flat vector per field, indexed
   // by rack id (the placement emits ids sequentially; assert it so the
   // flat indexing can never silently misattribute power).
-  const std::size_t n = layout_.size();
+  const std::size_t n = layout.size();
   rack_util_.reserve(n);
   rack_alloc_w_.reserve(n);
   rack_pdu_.reserve(n);
   rack_category_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const offline::Rack& rack = layout_[i];
+    const offline::Rack& rack = layout[i];
     FLEX_REQUIRE(rack.id == static_cast<int>(i),
                  "rack layout ids must be dense and sequential");
-    OuProcessConfig ou;
-    ou.mean = rack_mean;
-    ou.reversion_rate = 0.05;
-    ou.volatility = rack.category == Category::kSoftwareRedundant
-                        ? 0.015   // batch work: steady
-                        : 0.025;  // transactional: burstier
-    ou.min = 0.40;
-    ou.max = 0.95;
-    const double initial = rng_.TruncatedNormal(rack_mean, 0.08, ou.min, ou.max);
-    rack_util_.emplace_back(ou, initial);
+    const OuProcess& ou = OuOf(rack.category);
+    const double initial = rng_.TruncatedNormal(
+        rack_mean, 0.08, ou.config().min, ou.config().max);
+    rack_util_.push_back(ou.Clamp(initial));
     rack_alloc_w_.push_back(rack.allocated.value());
     rack_pdu_.push_back(rack.pdu_pair);
     rack_category_.push_back(rack.category);
@@ -232,10 +242,11 @@ RoomEmulation::BuildRoom()
   impact.emplace("terasort", config_.scenario.software_redundant);
   impact.emplace("tpce-capable", config_.scenario.capable);
 
+  // One rack table, indexed by rack id, shared by every replica.
   std::vector<online::ManagedRack> managed;
-  for (const offline::Rack& rack : layout_) {
+  managed.reserve(n);
+  for (const offline::Rack& rack : layout) {
     online::ManagedRack m;
-    m.rack_id = rack.id;
     m.workload = rack.workload;
     m.category = rack.category;
     m.pdu_pair = rack.pdu_pair;
@@ -243,6 +254,9 @@ RoomEmulation::BuildRoom()
     m.flex_power = rack.allocated * config_.flex_power_fraction;
     managed.push_back(std::move(m));
   }
+  const online::RackTable rack_table =
+      std::make_shared<const std::vector<online::ManagedRack>>(
+          std::move(managed));
   // Software-redundant service continuity: the TeraSort-like workload
   // subscribes to power-emergency notifications and scales out remotely.
   if (report_.sr_racks > 0) {
@@ -259,8 +273,8 @@ RoomEmulation::BuildRoom()
 
   for (int c = 0; c < config_.num_controllers; ++c) {
     controllers_.push_back(std::make_unique<online::FlexController>(
-        queue_, topology_, managed, *plane_, impact, config_.controller, c,
-        &notifications_));
+        queue_, topology_, rack_table, *plane_, impact, config_.controller,
+        c, &notifications_));
     online::FlexController* controller = controllers_.back().get();
     pipeline_->Subscribe([controller](const telemetry::DeviceReading& r) {
       controller->OnReading(r);
@@ -282,13 +296,19 @@ RoomEmulation::RampNow() const
   return 0.35 + 0.65 * std::min(1.0, queue_.Now() / config_.setup_duration);
 }
 
+const OuProcess&
+RoomEmulation::OuOf(Category category) const
+{
+  return ou_by_category_[static_cast<std::size_t>(category)];
+}
+
 double
 RoomEmulation::ComputeRackPowerW(int rack_id, double ramp) const
 {
   const auto i = static_cast<std::size_t>(rack_id);
   if (!rack_on_[i])
     return 0.0;
-  double demand = rack_alloc_w_[i] * rack_util_[i].value() * ramp;
+  double demand = rack_alloc_w_[i] * rack_util_[i] * ramp;
   const double cap = rack_cap_w_[i];
   if (cap >= 0.0 && demand > cap)
     demand = cap;
@@ -461,8 +481,11 @@ RoomEmulation::StepWorkloads()
   // Advance every utilization in rack order — the RNG draw order is part
   // of the deterministic contract, so this loop stays separate from the
   // category-specific bookkeeping below.
-  for (OuProcess& util : rack_util_)
-    util.Step(config_.workload_step, rng_);
+  for (std::size_t i = 0; i < rack_util_.size(); ++i) {
+    rack_util_[i] =
+        OuOf(rack_category_[i]).Step(rack_util_[i], config_.workload_step,
+                                     rng_);
+  }
 
   // Every rack's demand just changed; refresh the cached powers and the
   // aggregates with one exact pass (also bounds delta rounding drift).
@@ -479,7 +502,7 @@ RoomEmulation::StepWorkloads()
     const auto i = static_cast<std::size_t>(id);
     const double cap = rack_cap_w_[i];
     const double ramp = 1.0;  // setup finished well before failover
-    const Watts demand(rack_alloc_w_[i] * rack_util_[i].value() * ramp);
+    const Watts demand(rack_alloc_w_[i] * rack_util_[i] * ramp);
     double factor = 1.0;
     if (cap >= 0.0) {
       was_throttled_[i] = 1;

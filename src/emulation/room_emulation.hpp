@@ -22,6 +22,7 @@
 #ifndef FLEX_EMULATION_ROOM_EMULATION_HPP_
 #define FLEX_EMULATION_ROOM_EMULATION_HPP_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -348,6 +349,7 @@ class RoomEmulation : public telemetry::PowerSource {
   void VerifyAggregates();
   /** Rack power from the SoA state + actuation mirrors. */
   double ComputeRackPowerW(int rack_id, double ramp) const;
+  const OuProcess& OuOf(workload::Category category) const;
   double RampNow() const;
 
   EmulationConfig config_;
@@ -356,13 +358,15 @@ class RoomEmulation : public telemetry::PowerSource {
   Rng rng_;
 
   offline::Placement placement_;
-  std::vector<offline::Rack> layout_;
 
-  // --- Rack state, structure-of-arrays (index == rack id == layout_
-  // index; BuildRoom asserts the invariant). The actuation plane owns
-  // the authoritative on/cap state; rack_on_/rack_cap_w_ mirror it so
-  // the hot loops never chase through RackManager objects.
-  std::vector<OuProcess> rack_util_;
+  // --- Rack state, structure-of-arrays (index == rack id == index in
+  // the placement's rack layout; BuildRoom asserts the invariant). The
+  // actuation plane owns the authoritative on/cap state;
+  // rack_on_/rack_cap_w_ mirror it so the hot loops never chase through
+  // RackManager objects. Room-wide parameters are stored once: each
+  // rack's utilization steps under its category's OU process.
+  std::array<OuProcess, 3> ou_by_category_;
+  std::vector<double> rack_util_;
   std::vector<double> rack_alloc_w_;
   std::vector<std::int32_t> rack_pdu_;
   std::vector<workload::Category> rack_category_;

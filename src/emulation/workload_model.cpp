@@ -7,24 +7,27 @@
 
 namespace flex::emulation {
 
-OuProcess::OuProcess(OuProcessConfig config, double initial)
-    : config_(config), value_(initial)
+OuProcess::OuProcess(OuProcessConfig config) : config_(config)
 {
   FLEX_REQUIRE(config_.min <= config_.max, "OU bounds must be ordered");
   FLEX_REQUIRE(config_.reversion_rate >= 0.0 && config_.volatility >= 0.0,
                "OU rates must be non-negative");
-  value_ = std::clamp(value_, config_.min, config_.max);
 }
 
 double
-OuProcess::Step(Seconds dt, Rng& rng)
+OuProcess::Clamp(double value) const
+{
+  return std::clamp(value, config_.min, config_.max);
+}
+
+double
+OuProcess::Step(double value, Seconds dt, Rng& rng) const
 {
   FLEX_REQUIRE(dt.value() >= 0.0, "negative time step");
   const double t = dt.value();
-  value_ += config_.reversion_rate * (config_.mean - value_) * t +
-            config_.volatility * std::sqrt(t) * rng.Normal();
-  value_ = std::clamp(value_, config_.min, config_.max);
-  return value_;
+  value += config_.reversion_rate * (config_.mean - value) * t +
+           config_.volatility * std::sqrt(t) * rng.Normal();
+  return Clamp(value);
 }
 
 LatencyModel::LatencyModel(double rho) : rho_(rho)

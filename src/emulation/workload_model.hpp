@@ -27,21 +27,26 @@ struct OuProcessConfig {
 
 /**
  * Ornstein-Uhlenbeck process clipped to [min, max]; drives per-rack
- * utilization so power wanders realistically instead of stepping.
+ * utilization so power wanders realistically instead of stepping. The
+ * object holds only the parameters and the caller owns the state (one
+ * double), so a room keeps one process per rack category and one
+ * utilization per rack.
  */
 class OuProcess {
  public:
-  OuProcess(OuProcessConfig config, double initial);
+  /** Rejects unordered bounds and negative rates (ConfigError). */
+  explicit OuProcess(OuProcessConfig config = {});
 
-  /** Advances by @p dt and returns the new value. */
-  double Step(Seconds dt, Rng& rng);
+  /** @p value clipped to [min, max] (e.g. an initial utilization). */
+  double Clamp(double value) const;
 
-  double value() const { return value_; }
+  /** Advances @p value by @p dt and returns the new value. */
+  double Step(double value, Seconds dt, Rng& rng) const;
+
   const OuProcessConfig& config() const { return config_; }
 
  private:
   OuProcessConfig config_;
-  double value_;
 };
 
 /**

@@ -126,7 +126,6 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
   managed.reserve(static_cast<std::size_t>(shape.num_racks));
   for (int r = 0; r < shape.num_racks; ++r) {
     online::ManagedRack m;
-    m.rack_id = r;
     m.category = categories_[static_cast<std::size_t>(r)];
     m.workload = WorkloadNameFor(m.category);
     m.pdu_pair = topology_.PduPairOfRow(r / topology_.RacksPerRow());
@@ -134,10 +133,13 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
     m.flex_power = kRackAllocation * config_.flex_power_fraction;
     managed.push_back(std::move(m));
   }
+  const online::RackTable rack_table =
+      std::make_shared<const std::vector<online::ManagedRack>>(
+          std::move(managed));
 
   for (int c = 0; c < shape.num_controllers; ++c) {
     controllers_.push_back(std::make_unique<online::FlexController>(
-        queue_, topology_, managed, *plane_, online::ImpactRegistry{},
+        queue_, topology_, rack_table, *plane_, online::ImpactRegistry{},
         config_.controller, c));
     online::FlexController* controller = controllers_.back().get();
     pipeline_->Subscribe([controller](const telemetry::DeviceReading& r) {

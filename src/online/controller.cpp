@@ -1,6 +1,5 @@
 #include "controller.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -29,7 +28,7 @@ constexpr Seconds kActionCooldown = Seconds(4.0);
 
 FlexController::FlexController(sim::EventQueue& queue,
                                const power::RoomTopology& topology,
-                               std::vector<ManagedRack> racks,
+                               RackTable racks,
                                actuation::ActuationPlane& plane,
                                ImpactRegistry impact, ControllerConfig config,
                                int replica_id, NotificationBus* notifications)
@@ -43,18 +42,15 @@ FlexController::FlexController(sim::EventQueue& queue,
       notifications_(notifications),
       rack_forecasts_(0)
 {
+  FLEX_REQUIRE(racks_ != nullptr, "null rack table");
   FLEX_REQUIRE(config_.buffer >= Watts(0.0), "negative safety buffer");
   FLEX_REQUIRE(config_.release_headroom >= 0.0 &&
                    config_.release_headroom < 1.0,
                "release headroom must be in [0, 1)");
   ups_power_.assign(static_cast<std::size_t>(topology_.NumUpses()),
                     std::nullopt);
-  int max_rack_id = -1;
-  for (const ManagedRack& rack : racks_) {
-    FLEX_REQUIRE(rack.rack_id >= 0, "negative rack id");
-    max_rack_id = std::max(max_rack_id, rack.rack_id);
-  }
-  rack_forecasts_ = RackPowerForecasterBank(max_rack_id + 1);
+  rack_forecasts_ =
+      RackPowerForecasterBank(static_cast<int>(racks_->size()));
 
   if (config_.obs != nullptr) {
     rack_forecasts_.Bind(config_.obs);
@@ -104,9 +100,12 @@ FlexController::BuildDecisionInput() const
   }
   for (power::PduPairId p = 0; p < topology_.NumPduPairs(); ++p)
     input.pdu_to_ups.push_back(topology_.UpsesOfPduPair(p));
-  for (const ManagedRack& rack : racks_) {
+  const std::vector<ManagedRack>& racks = *racks_;
+  for (std::size_t i = 0; i < racks.size(); ++i) {
+    const ManagedRack& rack = racks[i];
+    const int rack_id = static_cast<int>(i);
     RackSnapshot snapshot;
-    snapshot.rack_id = rack.rack_id;
+    snapshot.rack_id = rack_id;
     snapshot.workload = rack.workload;
     snapshot.category = rack.category;
     snapshot.pdu_pair = rack.pdu_pair;
@@ -114,7 +113,7 @@ FlexController::BuildDecisionInput() const
     // (raw readings are ~2 s stale by then; Section IV-D); fall back to
     // the conservative allocation, which only ever over-corrects.
     snapshot.current_power =
-        rack_forecasts_.Forecast(rack.rack_id, queue_.Now())
+        rack_forecasts_.Forecast(rack_id, queue_.Now())
             .value_or(rack.allocated);
     snapshot.flex_power = rack.flex_power;
     input.racks.push_back(std::move(snapshot));
@@ -180,6 +179,12 @@ FlexController::EvaluateOverdraw(const DeviceReading& reading)
   }
 }
 
+const ManagedRack&
+FlexController::RackOf(const Action& action) const
+{
+  return (*racks_)[static_cast<std::size_t>(action.rack_id)];
+}
+
 void
 FlexController::Enforce(const std::vector<Action>& actions,
                         Seconds detected_at)
@@ -209,12 +214,8 @@ FlexController::Enforce(const std::vector<Action>& actions,
       if (action.type != ActionType::kShutdown ||
           acted_racks_.count(action.rack_id))
         continue;
-      for (const ManagedRack& rack : racks_) {
-        if (rack.rack_id == action.rack_id) {
-          shutdowns_by_workload[rack.workload].push_back(action.rack_id);
-          break;
-        }
-      }
+      shutdowns_by_workload[RackOf(action).workload].push_back(
+          action.rack_id);
     }
     for (auto& [workload, rack_ids] : shutdowns_by_workload) {
       PowerEmergencyNotification notification;
@@ -245,15 +246,7 @@ FlexController::Enforce(const std::vector<Action>& actions,
       rm.Shutdown(record_completion);
     } else {
       ++stats_.throttle_commands;
-      // Find the rack's flex power to install as the cap.
-      Watts cap(0.0);
-      for (const ManagedRack& rack : racks_) {
-        if (rack.rack_id == action.rack_id) {
-          cap = rack.flex_power;
-          break;
-        }
-      }
-      rm.Throttle(cap, record_completion);
+      rm.Throttle(RackOf(action).flex_power, record_completion);
     }
   }
 }

@@ -17,6 +17,7 @@
 #define FLEX_ONLINE_CONTROLLER_HPP_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -33,9 +34,11 @@
 
 namespace flex::online {
 
-/** Static description of one rack the controller manages. */
+/**
+ * Static description of one rack the controller manages. A rack table
+ * is indexed by rack id: entry i describes rack i.
+ */
 struct ManagedRack {
-  int rack_id = -1;
   std::string workload;
   workload::Category category = workload::Category::kNonRedundantNonCapable;
   power::PduPairId pdu_pair = -1;
@@ -72,15 +75,20 @@ struct ControllerStats {
 };
 
 /**
+ * The racks of a room, indexed by rack id. Immutable once built, so
+ * every controller replica of the room shares one table.
+ */
+using RackTable = std::shared_ptr<const std::vector<ManagedRack>>;
+
+/**
  * One Flex-Online controller replica.
  */
 class FlexController {
  public:
   FlexController(sim::EventQueue& queue, const power::RoomTopology& topology,
-                 std::vector<ManagedRack> racks,
-                 actuation::ActuationPlane& plane, ImpactRegistry impact,
-                 ControllerConfig config, int replica_id,
-                 NotificationBus* notifications = nullptr);
+                 RackTable racks, actuation::ActuationPlane& plane,
+                 ImpactRegistry impact, ControllerConfig config,
+                 int replica_id, NotificationBus* notifications = nullptr);
 
   /** Telemetry entry point; wire via TelemetryPipeline::Subscribe. */
   void OnReading(const telemetry::DeviceReading& reading);
@@ -106,6 +114,8 @@ class FlexController {
  private:
   void EvaluateOverdraw(const telemetry::DeviceReading& reading);
   void Enforce(const std::vector<Action>& actions, Seconds detected_at);
+  /** The table entry of the rack @p action targets. */
+  const ManagedRack& RackOf(const Action& action) const;
   void MaybeRelease();
   void ReleaseAll();
 
@@ -114,7 +124,7 @@ class FlexController {
 
   sim::EventQueue& queue_;
   const power::RoomTopology& topology_;
-  std::vector<ManagedRack> racks_;
+  RackTable racks_;
   actuation::ActuationPlane& plane_;
   ImpactRegistry impact_;
   ControllerConfig config_;

@@ -7,17 +7,9 @@
 
 namespace flex::online {
 
-HoltForecaster::HoltForecaster(double level_alpha, double trend_beta)
-    : level_alpha_(level_alpha), trend_beta_(trend_beta)
-{
-  FLEX_REQUIRE(level_alpha_ > 0.0 && level_alpha_ <= 1.0,
-               "level alpha must be in (0, 1]");
-  FLEX_REQUIRE(trend_beta_ >= 0.0 && trend_beta_ <= 1.0,
-               "trend beta must be in [0, 1]");
-}
-
 std::optional<double>
-HoltForecaster::Observe(Seconds observed_at, Watts value)
+HoltForecaster::Observe(const HoltParams& params, Seconds observed_at,
+                        Watts value)
 {
   FLEX_REQUIRE(value >= Watts(0.0), "negative power observation");
   std::optional<double> abs_error;
@@ -32,14 +24,15 @@ HoltForecaster::Observe(Seconds observed_at, Watts value)
       const double previous_level = level_;
       const double predicted = level_ + trend_per_second_ * dt;
       abs_error = std::fabs(value.value() - predicted);
-      level_ = level_alpha_ * value.value() +
-               (1.0 - level_alpha_) * predicted;
+      level_ = params.level_alpha * value.value() +
+               (1.0 - params.level_alpha) * predicted;
       const double new_trend = (level_ - previous_level) / dt;
-      trend_per_second_ = trend_beta_ * new_trend +
-                          (1.0 - trend_beta_) * trend_per_second_;
+      trend_per_second_ = params.trend_beta * new_trend +
+                          (1.0 - params.trend_beta) * trend_per_second_;
     } else {
       // Duplicate delivery (redundant buses): just refresh the level.
-      level_ = level_alpha_ * value.value() + (1.0 - level_alpha_) * level_;
+      level_ = params.level_alpha * value.value() +
+               (1.0 - params.level_alpha) * level_;
     }
   }
   last_time_ = observed_at;
@@ -61,12 +54,15 @@ HoltForecaster::Forecast(Seconds when) const
 }
 
 RackPowerForecasterBank::RackPowerForecasterBank(int num_racks,
-                                                 double level_alpha,
-                                                 double trend_beta)
+                                                 HoltParams params)
+    : params_(params)
 {
   FLEX_REQUIRE(num_racks >= 0, "negative rack count");
-  forecasters_.assign(static_cast<std::size_t>(num_racks),
-                      HoltForecaster(level_alpha, trend_beta));
+  FLEX_REQUIRE(params_.level_alpha > 0.0 && params_.level_alpha <= 1.0,
+               "level_alpha must be in (0, 1]");
+  FLEX_REQUIRE(params_.trend_beta >= 0.0 && params_.trend_beta <= 1.0,
+               "trend_beta must be in [0, 1]");
+  forecasters_.resize(static_cast<std::size_t>(num_racks));
 }
 
 void
@@ -90,8 +86,8 @@ RackPowerForecasterBank::Observe(int rack_id, Seconds observed_at,
 {
   FLEX_REQUIRE(rack_id >= 0 && rack_id < num_racks(), "rack id out of range");
   const std::optional<double> abs_error =
-      forecasters_[static_cast<std::size_t>(rack_id)].Observe(observed_at,
-                                                              value);
+      forecasters_[static_cast<std::size_t>(rack_id)].Observe(
+          params_, observed_at, value);
   if (observations_metric_ != nullptr)
     observations_metric_->Increment();
   if (abs_error_metric_ != nullptr && abs_error.has_value())

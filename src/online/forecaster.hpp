@@ -20,22 +20,28 @@
 
 namespace flex::online {
 
-/** Holt's linear (level + trend) exponential smoothing for one signal. */
+/** Holt's smoothing constants; a forecaster bank holds one set. */
+struct HoltParams {
+  double level_alpha = 0.5;  ///< smoothing of the level (0..1], higher = reactive
+  double trend_beta = 0.2;   ///< smoothing of the trend [0..1]
+};
+
+/**
+ * Holt's linear (level + trend) exponential smoothing for one signal.
+ * Holds only the signal's state; the smoothing constants are passed to
+ * Observe, so a bank of thousands of racks stores them once.
+ */
 class HoltForecaster {
  public:
   /**
-   * @param level_alpha smoothing of the level (0..1, higher = reactive)
-   * @param trend_beta smoothing of the trend (0..1)
+   * Feeds an observation taken at @p observed_at, smoothed with
+   * @p params. Returns the absolute one-step-ahead forecast error in
+   * watts — |observation - what the model predicted for this instant| —
+   * or nullopt when no prediction existed (first observation,
+   * duplicate-bus redelivery).
    */
-  HoltForecaster(double level_alpha = 0.5, double trend_beta = 0.2);
-
-  /**
-   * Feeds an observation taken at @p observed_at. Returns the absolute
-   * one-step-ahead forecast error in watts — |observation - what the
-   * model predicted for this instant| — or nullopt when no prediction
-   * existed (first observation, duplicate-bus redelivery).
-   */
-  std::optional<double> Observe(Seconds observed_at, Watts value);
+  std::optional<double> Observe(const HoltParams& params,
+                                Seconds observed_at, Watts value);
 
   /**
    * Forecast at @p when (>= last observation). Returns nullopt until at
@@ -49,8 +55,6 @@ class HoltForecaster {
   int observations() const { return observations_; }
 
  private:
-  double level_alpha_;
-  double trend_beta_;
   int observations_ = 0;
   double level_ = 0.0;
   double trend_per_second_ = 0.0;
@@ -59,12 +63,13 @@ class HoltForecaster {
 };
 
 /**
- * A bank of per-rack forecasters, as the controller uses.
+ * A bank of per-rack forecasters sharing one set of smoothing
+ * constants, as the controller uses.
  */
 class RackPowerForecasterBank {
  public:
-  explicit RackPowerForecasterBank(int num_racks, double level_alpha = 0.5,
-                                   double trend_beta = 0.2);
+  /** Rejects smoothing constants outside their ranges (ConfigError). */
+  explicit RackPowerForecasterBank(int num_racks, HoltParams params = {});
 
   /**
    * Routes forecaster metrics (one-step-ahead absolute error, total
@@ -81,6 +86,7 @@ class RackPowerForecasterBank {
   int num_racks() const { return static_cast<int>(forecasters_.size()); }
 
  private:
+  HoltParams params_;
   std::vector<HoltForecaster> forecasters_;
   obs::Histogram* abs_error_metric_ = nullptr;
   obs::Counter* observations_metric_ = nullptr;

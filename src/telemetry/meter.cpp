@@ -6,39 +6,34 @@
 
 namespace flex::telemetry {
 
-PhysicalMeter::PhysicalMeter(MeterConfig config, Rng rng)
-    : config_(config), rng_(rng)
-{
-  FLEX_REQUIRE(config_.noise_fraction >= 0.0, "negative meter noise");
-  FLEX_REQUIRE(config_.refresh_interval.value() >= 0.0,
-               "negative refresh interval");
-  FLEX_REQUIRE(config_.misread_probability >= 0.0 &&
-                   config_.misread_probability <= 1.0,
-               "misread probability must be in [0, 1]");
-}
-
 void
-PhysicalMeter::SetDrift(double rate_per_second, Seconds now)
+ValidateMeterConfig(const MeterConfig& config)
 {
-  drift_rate_ = rate_per_second;
-  drift_since_ = now;
+  FLEX_REQUIRE(config.noise_fraction >= 0.0,
+               "meter noise_fraction must not be negative");
+  FLEX_REQUIRE(config.refresh_interval.value() >= 0.0,
+               "meter refresh_interval must not be negative");
+  FLEX_REQUIRE(config.misread_probability >= 0.0 &&
+                   config.misread_probability <= 1.0,
+               "meter misread_probability must be in [0, 1]");
 }
 
 std::optional<Watts>
-PhysicalMeter::Sample(Seconds now, Watts true_value)
+PhysicalMeter::Sample(const MeterConfig& config, Seconds now,
+                      Watts true_value, const MeterDrift* drift)
 {
   if (failed_)
     return std::nullopt;
   if (stuck_ && has_cache_)
     return cached_;  // frozen output: the cache never refreshes
   if (!has_cache_ ||
-      (now - last_refresh_).value() >= config_.refresh_interval.value()) {
+      (now - last_refresh_).value() >= config.refresh_interval.value()) {
     double value = true_value.value() *
-                   (1.0 + config_.noise_fraction * rng_.Normal());
-    if (rng_.Bernoulli(config_.misread_probability))
+                   (1.0 + config.noise_fraction * rng_.Normal());
+    if (rng_.Bernoulli(config.misread_probability))
       value *= 3.0;  // gross misreading: corrupted scale factor
-    if (drift_rate_ != 0.0)
-      value *= 1.0 + drift_rate_ * (now - drift_since_).value();
+    if (drift != nullptr && drift->rate_per_second != 0.0)
+      value *= 1.0 + drift->rate_per_second * (now - drift->since).value();
     cached_ = Watts(std::max(0.0, value));
     last_refresh_ = now;
     has_cache_ = true;
@@ -46,41 +41,103 @@ PhysicalMeter::Sample(Seconds now, Watts true_value)
   return cached_;
 }
 
-LogicalMeter::LogicalMeter(int redundancy, MeterConfig config, Rng& seed_rng)
+MeterArray::MeterArray(int devices, int redundancy, Rng& seed_rng)
+    : redundancy_(redundancy)
 {
-  FLEX_REQUIRE(redundancy >= 1, "logical meter needs at least one meter");
-  meters_.reserve(static_cast<std::size_t>(redundancy));
-  for (int i = 0; i < redundancy; ++i)
-    meters_.emplace_back(config, seed_rng.Fork());
-  scratch_.reserve(static_cast<std::size_t>(redundancy));
+  FLEX_REQUIRE(devices >= 0, "negative device count");
+  FLEX_REQUIRE(redundancy >= 1 && redundancy <= kMaxMetersPerDevice,
+               "meters_per_device must be in [1, 8]");
+  const std::size_t n = static_cast<std::size_t>(devices) *
+                        static_cast<std::size_t>(redundancy);
+  meters_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    meters_.emplace_back(seed_rng.Fork());
 }
 
 std::optional<Watts>
-LogicalMeter::Read(Seconds now, Watts true_value)
+MeterArray::Read(const MeterConfig& config, int device, Seconds now,
+                 Watts true_value)
 {
-  std::vector<double>& readings = scratch_;
-  readings.clear();
-  for (PhysicalMeter& meter : meters_) {
-    if (const auto reading = meter.Sample(now, true_value))
-      readings.push_back(reading->value());
+  const auto m = static_cast<std::size_t>(redundancy_);
+  const std::size_t first = static_cast<std::size_t>(device) * m;
+  FLEX_REQUIRE(device >= 0 && first + m <= meters_.size(),
+               "device out of range");
+  double readings[kMaxMetersPerDevice];
+  std::size_t n = 0;
+  for (std::size_t i = first; i < first + m; ++i) {
+    if (const auto reading =
+            meters_[i].Sample(config, now, true_value, DriftOf(i)))
+      readings[n++] = reading->value();
   }
   // Quorum rule: a single meter cannot be trusted when the design calls
   // for redundancy — except in the degenerate single-meter configuration.
-  const std::size_t quorum = meters_.size() >= 2 ? 2 : 1;
-  if (readings.size() < quorum)
+  const std::size_t quorum = m >= 2 ? 2 : 1;
+  if (n < quorum)
     return std::nullopt;
-  std::sort(readings.begin(), readings.end());
-  const std::size_t n = readings.size();
+  // Insertion sort: at most kMaxMetersPerDevice readings.
+  for (std::size_t i = 1; i < n; ++i) {
+    const double value = readings[i];
+    std::size_t j = i;
+    for (; j > 0 && readings[j - 1] > value; --j)
+      readings[j] = readings[j - 1];
+    readings[j] = value;
+  }
   if (n % 2 == 1)
     return Watts(readings[n / 2]);
   return Watts(0.5 * (readings[n / 2 - 1] + readings[n / 2]));
 }
 
-PhysicalMeter&
-LogicalMeter::meter(int index)
+std::size_t
+MeterArray::FlatIndex(int device, int index) const
 {
-  FLEX_REQUIRE(index >= 0 && index < redundancy(), "meter index out of range");
-  return meters_[static_cast<std::size_t>(index)];
+  FLEX_REQUIRE(device >= 0 && device < devices(), "device out of range");
+  FLEX_REQUIRE(index >= 0 && index < redundancy_,
+               "meter index out of range");
+  return static_cast<std::size_t>(device) *
+             static_cast<std::size_t>(redundancy_) +
+         static_cast<std::size_t>(index);
+}
+
+PhysicalMeter&
+MeterArray::meter(int device, int index)
+{
+  return meters_[FlatIndex(device, index)];
+}
+
+const MeterDrift*
+MeterArray::DriftOf(std::size_t meter) const
+{
+  for (const auto& [drifting, drift] : drifts_) {
+    if (drifting == meter)
+      return &drift;
+  }
+  return nullptr;
+}
+
+void
+MeterArray::SetDrift(int device, int index, double rate_per_second,
+                     Seconds now)
+{
+  const std::size_t meter = FlatIndex(device, index);
+  const MeterDrift drift{rate_per_second, now};
+  for (auto& [drifting, existing] : drifts_) {
+    if (drifting == meter) {
+      existing = drift;
+      return;
+    }
+  }
+  drifts_.emplace_back(meter, drift);
+}
+
+void
+MeterArray::ClearDrift(int device, int index)
+{
+  const std::size_t meter = FlatIndex(device, index);
+  drifts_.erase(std::remove_if(drifts_.begin(), drifts_.end(),
+                               [meter](const auto& entry) {
+                                 return entry.first == meter;
+                               }),
+                drifts_.end());
 }
 
 }  // namespace flex::telemetry

@@ -8,11 +8,19 @@
  * same value for up to 5 seconds"), reading noise, and outright meter
  * failure. A logical meter reaches consensus over three physical meters
  * so any single failure or misreading is tolerated (Section IV-C).
+ *
+ * Memory: a room has one logical meter per UPS and per rack, so the
+ * meters store only what differs per meter. The MeterConfig is the
+ * pipeline's (one per room), calibration drift sits in a side list
+ * because only fault injection starts one, and all physical meters live
+ * in one flat array (MeterArray) instead of a heap vector per device.
  */
 #ifndef FLEX_TELEMETRY_METER_HPP_
 #define FLEX_TELEMETRY_METER_HPP_
 
+#include <cstddef>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -20,7 +28,7 @@
 
 namespace flex::telemetry {
 
-/** Behavioural knobs for one physical meter. */
+/** Behavioural knobs shared by every physical meter of a pipeline. */
 struct MeterConfig {
   /** Multiplicative Gaussian reading noise (fraction of true value). */
   double noise_fraction = 0.005;
@@ -37,6 +45,19 @@ struct MeterConfig {
   double misread_probability = 0.0;
 };
 
+/** Throws ConfigError, naming the field, if @p config is unusable. */
+void ValidateMeterConfig(const MeterConfig& config);
+
+/**
+ * A calibration drift on one physical meter: refreshed readings are
+ * scaled by (1 + rate * (now - since)), modeling a meter whose output
+ * creeps away from the truth.
+ */
+struct MeterDrift {
+  double rate_per_second = 0.0;
+  Seconds since{0.0};
+};
+
 /**
  * One physical meter attached to a power signal.
  *
@@ -46,13 +67,16 @@ struct MeterConfig {
  */
 class PhysicalMeter {
  public:
-  PhysicalMeter(MeterConfig config, Rng rng);
+  explicit PhysicalMeter(Rng rng) : rng_(rng) {}
 
   /**
    * Samples the meter at simulated time @p now given the instantaneous
-   * true power @p true_value. Returns nullopt while failed.
+   * true power @p true_value, under @p config. A non-null @p drift
+   * scales refreshed readings. Returns nullopt while failed.
    */
-  std::optional<Watts> Sample(Seconds now, Watts true_value);
+  std::optional<Watts> Sample(const MeterConfig& config, Seconds now,
+                              Watts true_value,
+                              const MeterDrift* drift = nullptr);
 
   /** Marks the meter failed (no readings) or restores it. */
   void SetFailed(bool failed) { failed_ = failed; }
@@ -66,50 +90,67 @@ class PhysicalMeter {
   void SetStuck(bool stuck) { stuck_ = stuck; }
   bool stuck() const { return stuck_; }
 
-  /**
-   * Starts a calibration drift: refreshed readings are scaled by
-   * (1 + rate * elapsed-since-@p now), modeling a meter whose output
-   * creeps away from the truth. Clear with ClearDrift().
-   */
-  void SetDrift(double rate_per_second, Seconds now);
-  void ClearDrift() { drift_rate_ = 0.0; }
-  double drift_rate() const { return drift_rate_; }
-
  private:
-  MeterConfig config_;
   Rng rng_;
-  bool failed_ = false;
-  bool stuck_ = false;
-  double drift_rate_ = 0.0;
-  Seconds drift_since_{0.0};
-  bool has_cache_ = false;
   Seconds last_refresh_{-1e18};
   Watts cached_;
+  bool failed_ = false;
+  bool stuck_ = false;
+  bool has_cache_ = false;
 };
 
+/** Most physical meters one logical meter may have. */
+inline constexpr int kMaxMetersPerDevice = 8;
+
 /**
- * Consensus over redundant physical meters measuring the same quantity.
+ * The logical meters of a set of devices, as one flat, device-major
+ * array of physical meters: device d reads through meters
+ * [d * redundancy, (d + 1) * redundancy).
  *
- * With three meters the median tolerates one failure or misreading;
- * with two survivors the average is used; with fewer than two, no
- * consensus is reached and the caller must treat data as missing.
+ * A logical meter reports consensus over its survivors: with three
+ * meters the median tolerates one failure or misreading; with two
+ * survivors the average is used; with fewer than two, no consensus is
+ * reached and the caller must treat data as missing.
  */
-class LogicalMeter {
+class MeterArray {
  public:
-  /** Builds @p redundancy physical meters with the given config. */
-  LogicalMeter(int redundancy, MeterConfig config, Rng& seed_rng);
+  MeterArray() = default;
+  /**
+   * Builds @p devices logical meters of @p redundancy physical meters
+   * each (1..kMaxMetersPerDevice), forking one stream per physical
+   * meter from @p seed_rng in device-major order.
+   */
+  MeterArray(int devices, int redundancy, Rng& seed_rng);
 
-  /** Consensus reading, or nullopt when quorum is lost. */
-  std::optional<Watts> Read(Seconds now, Watts true_value);
+  /**
+   * Consensus reading of @p device at @p now, or nullopt when quorum is
+   * lost. Samples each of its physical meters once, in order.
+   */
+  std::optional<Watts> Read(const MeterConfig& config, int device,
+                            Seconds now, Watts true_value);
 
-  int redundancy() const { return static_cast<int>(meters_.size()); }
+  /** One physical meter, for failure injection in tests and faults. */
+  PhysicalMeter& meter(int device, int index);
 
-  /** Direct access for failure injection in tests and demos. */
-  PhysicalMeter& meter(int index);
+  /** Starts (or restarts) a drift on one meter, measured from @p now. */
+  void SetDrift(int device, int index, double rate_per_second, Seconds now);
+  /** Clears a drift started with SetDrift; a no-op without one. */
+  void ClearDrift(int device, int index);
+
+  int devices() const {
+    return redundancy_ == 0 ? 0
+                            : static_cast<int>(meters_.size()) / redundancy_;
+  }
+  int redundancy() const { return redundancy_; }
 
  private:
+  std::size_t FlatIndex(int device, int index) const;
+  const MeterDrift* DriftOf(std::size_t meter) const;
+
   std::vector<PhysicalMeter> meters_;
-  std::vector<double> scratch_;  // reused across Reads: no per-read allocation
+  /** Active drifts keyed by flat meter index; empty unless a fault set one. */
+  std::vector<std::pair<std::size_t, MeterDrift>> drifts_;
+  int redundancy_ = 0;
 };
 
 }  // namespace flex::telemetry

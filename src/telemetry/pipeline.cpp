@@ -36,21 +36,15 @@ TelemetryPipeline::TelemetryPipeline(sim::EventQueue& queue,
   FLEX_REQUIRE(num_ups_ >= 0 && num_racks_ >= 0, "negative device count");
   FLEX_REQUIRE(config_.num_pollers >= 1, "need at least one poller");
   FLEX_REQUIRE(config_.num_buses >= 1, "need at least one bus");
-  FLEX_REQUIRE(config_.meters_per_device >= 1, "need at least one meter");
   FLEX_REQUIRE(config_.ups_poll_period.value() > 0.0 &&
                    config_.rack_poll_period.value() > 0.0,
                "poll periods must be positive");
+  ValidateMeterConfig(config_.meter);
 
   Rng seed_rng(seed);
   jitter_rng_ = seed_rng.Fork();
-  ups_meters_.reserve(static_cast<std::size_t>(num_ups_));
-  for (int i = 0; i < num_ups_; ++i)
-    ups_meters_.emplace_back(config_.meters_per_device, config_.meter,
-                             seed_rng);
-  rack_meters_.reserve(static_cast<std::size_t>(num_racks_));
-  for (int i = 0; i < num_racks_; ++i)
-    rack_meters_.emplace_back(config_.meters_per_device, config_.meter,
-                              seed_rng);
+  meters_ = MeterArray(num_ups_ + num_racks_, config_.meters_per_device,
+                       seed_rng);
   poller_failed_.assign(static_cast<std::size_t>(config_.num_pollers), false);
   bus_failed_.assign(static_cast<std::size_t>(config_.num_buses), false);
   bus_extra_delay_.assign(static_cast<std::size_t>(config_.num_buses),
@@ -138,44 +132,45 @@ TelemetryPipeline::Stop()
   running_ = false;
 }
 
-LogicalMeter&
-TelemetryPipeline::MeterFor(DeviceId device)
+int
+TelemetryPipeline::MeterDevice(DeviceId device) const
 {
   if (device.kind == DeviceKind::kUps) {
     FLEX_REQUIRE(device.index >= 0 && device.index < num_ups_,
                  "UPS index out of range");
-    return ups_meters_[static_cast<std::size_t>(device.index)];
+    return device.index;
   }
   FLEX_REQUIRE(device.index >= 0 && device.index < num_racks_,
                "rack index out of range");
-  return rack_meters_[static_cast<std::size_t>(device.index)];
+  return num_ups_ + device.index;
 }
 
 void
 TelemetryPipeline::SetMeterFailed(DeviceId device, int meter_index,
                                   bool failed)
 {
-  MeterFor(device).meter(meter_index).SetFailed(failed);
+  meters_.meter(MeterDevice(device), meter_index).SetFailed(failed);
 }
 
 void
 TelemetryPipeline::SetMeterStuck(DeviceId device, int meter_index,
                                  bool stuck)
 {
-  MeterFor(device).meter(meter_index).SetStuck(stuck);
+  meters_.meter(MeterDevice(device), meter_index).SetStuck(stuck);
 }
 
 void
 TelemetryPipeline::SetMeterDrift(DeviceId device, int meter_index,
                                  double rate_per_second)
 {
-  MeterFor(device).meter(meter_index).SetDrift(rate_per_second, queue_.Now());
+  meters_.SetDrift(MeterDevice(device), meter_index, rate_per_second,
+                   queue_.Now());
 }
 
 void
 TelemetryPipeline::ClearMeterDrift(DeviceId device, int meter_index)
 {
-  MeterFor(device).meter(meter_index).ClearDrift();
+  meters_.ClearDrift(MeterDevice(device), meter_index);
 }
 
 void
@@ -209,7 +204,8 @@ TelemetryPipeline::SetBusDuplicate(int bus, bool duplicate)
 }
 
 std::uint32_t
-TelemetryPipeline::AcquireBatch()
+TelemetryPipeline::AcquireBatch(DeviceKind kind, int poller,
+                                Seconds sampled_at)
 {
   if (batch_free_.empty()) {
     batch_free_.push_back(static_cast<std::uint32_t>(batch_arena_.size()));
@@ -218,6 +214,9 @@ TelemetryPipeline::AcquireBatch()
   const std::uint32_t index = batch_free_.back();
   batch_free_.pop_back();
   Batch& batch = *batch_arena_[index];
+  batch.kind = kind;
+  batch.poller = poller;
+  batch.sampled_at = sampled_at;
   batch.readings.clear();
   batch.refs = 0;
   return index;
@@ -229,24 +228,27 @@ TelemetryPipeline::DeliverBatch(std::uint64_t key)
   const auto index = static_cast<std::uint32_t>(key >> 32);
   const auto bus = static_cast<int>(key & 0xffffffffu);
   Batch& batch = *batch_arena_[index];
+  DeviceReading reading;
+  reading.sampled_at = batch.sampled_at;
+  reading.delivered_at = queue_.Now();
+  reading.poller = batch.poller;
+  reading.bus = bus;
   // One poll instant, one delivery instant: a batch is one latency run.
-  latency_.Add((queue_.Now() - batch.readings.front().sampled_at).value(),
-               batch.readings.size());
-  for (const DeviceReading& original : batch.readings) {
-    DeviceReading reading = original;
-    reading.bus = bus;
-    reading.delivered_at = queue_.Now();
+  const double latency = reading.DataLatency().value();
+  latency_.Add(latency, batch.readings.size());
+  for (const BatchReading& entry : batch.readings) {
+    reading.device = DeviceId{batch.kind, entry.index};
+    reading.value = entry.value;
     ++delivered_count_;
-    const double latency = reading.DataLatency().value();
     if (readings_delivered_metric_ != nullptr) {
       readings_delivered_metric_->Increment();
       publish_lag_metric_->Observe(latency);
     }
     // UPS deliveries only: rack readings arrive every tick per rack
     // and would flush the ring's useful window in seconds.
-    if (recorder_ != nullptr && reading.device.kind == DeviceKind::kUps)
+    if (recorder_ != nullptr && batch.kind == DeviceKind::kUps)
       recorder_->Record(reading.delivered_at, obs::RecordKind::kMeterSample,
-                        reading.device.index, bus, reading.value.value());
+                        entry.index, bus, entry.value.value());
     for (const Subscriber& subscriber : subscribers_)
       subscriber(reading);
   }
@@ -297,10 +299,11 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
   }
 
   // Reads device @p i into @p batch (quorum permitting).
+  const int first_meter = kind == DeviceKind::kUps ? 0 : num_ups_;
   const auto read_into = [&](const int i, Batch& batch) {
-    const DeviceId device{kind, i};
     const Watts truth = truth_scratch_[static_cast<std::size_t>(i)];
-    const auto reading = MeterFor(device).Read(sampled_at, truth);
+    const auto reading =
+        meters_.Read(config_.meter, first_meter + i, sampled_at, truth);
     if (!reading) {
       // No quorum: data missing for this device this tick.
       if (no_quorum_metric_ != nullptr)
@@ -310,12 +313,7 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
                             kind == DeviceKind::kUps ? "ups" : "rack", i);
       return;
     }
-    DeviceReading r;
-    r.device = device;
-    r.value = *reading;
-    r.sampled_at = sampled_at;
-    r.poller = poller;
-    batch.readings.push_back(r);
+    batch.readings.push_back({i, *reading});
   };
 
   // Publishes through every live bus; subscribers see duplicates, which
@@ -351,7 +349,7 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
   if (kind == DeviceKind::kRack && !rack_poll_groups_.empty()) {
     // One batch — one delivery event per bus — per poll group.
     for (const std::vector<int>& group : rack_poll_groups_) {
-      const std::uint32_t index = AcquireBatch();
+      const std::uint32_t index = AcquireBatch(kind, poller, sampled_at);
       Batch& batch = *batch_arena_[index];
       batch.readings.reserve(group.size());
       for (const int i : group)
@@ -360,7 +358,7 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
     }
     return;
   }
-  const std::uint32_t index = AcquireBatch();
+  const std::uint32_t index = AcquireBatch(kind, poller, sampled_at);
   Batch& batch = *batch_arena_[index];
   batch.readings.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i)

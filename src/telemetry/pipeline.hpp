@@ -77,11 +77,13 @@ class PowerSource {
 
 /** Configuration of the telemetry pipeline. */
 struct PipelineConfig {
-  int meters_per_device = 3;  ///< physical meters per logical meter
+  /** Physical meters per logical meter, 1..kMaxMetersPerDevice. */
+  int meters_per_device = 3;
   int num_pollers = 2;        ///< independent pollers (separate fault domains)
   int num_buses = 2;          ///< independent pub/sub systems
   Seconds ups_poll_period = Seconds(1.5);   ///< paper: ~1.5 s UPS telemetry
   Seconds rack_poll_period = Seconds(2.0);  ///< paper: ~2 s rack telemetry
+  /** Read by every physical meter of the pipeline; stored once. */
   MeterConfig meter;
   /** Optional instrumentation sink (null: not instrumented). */
   obs::Observability* obs = nullptr;
@@ -162,26 +164,41 @@ class TelemetryPipeline {
   std::size_t batch_arena_size() const { return batch_arena_.size(); }
 
  private:
+  /** One device's consensus value inside a batch. */
+  struct BatchReading {
+    int index = 0;  ///< device index within the batch's kind
+    Watts value;
+  };
+
   /**
-   * A reusable reading batch. Batches live in an arena owned by the
-   * pipeline and cycle through a free list; `refs` counts scheduled bus
-   * deliveries still holding the batch, and the last delivery returns it
-   * to the free list. Steady-state polling therefore performs no
-   * per-tick allocations once the arena and scratch buffers are warm
-   * (tests/alloc_test.cpp checks this).
+   * A reusable reading batch: one poller's readings of one device kind
+   * at one sampling instant, so kind, poller and sampled_at are stored
+   * once per batch rather than once per reading. Batches live in an
+   * arena owned by the pipeline and cycle through a free list; `refs`
+   * counts scheduled bus deliveries still holding the batch, and the
+   * last delivery returns it to the free list. Steady-state polling
+   * therefore performs no per-tick allocations once the arena and
+   * scratch buffers are warm (tests/alloc_test.cpp checks this).
    */
   struct Batch {
-    std::vector<DeviceReading> readings;
+    DeviceKind kind = DeviceKind::kUps;
+    int poller = -1;
+    Seconds sampled_at;
+    std::vector<BatchReading> readings;
     int refs = 0;
   };
 
-  LogicalMeter& MeterFor(DeviceId device);
+  /** Index of @p device's logical meter in meters_ (UPSes, then racks). */
+  int MeterDevice(DeviceId device) const;
 
   /** One poller samples every device of @p kind and publishes. */
   void PollerTick(int poller, DeviceKind kind);
 
-  /** Pops a batch from the free list (or grows the arena). @return index. */
-  std::uint32_t AcquireBatch();
+  /**
+   * Pops a batch from the free list (or grows the arena) and stamps it
+   * with what its readings share. @return its arena index.
+   */
+  std::uint32_t AcquireBatch(DeviceKind kind, int poller, Seconds sampled_at);
   /**
    * Delivers the batch and bus packed in @p key (arena index << 32 |
    * bus) and releases the batch when refs hits zero. One packed word
@@ -198,8 +215,7 @@ class TelemetryPipeline {
   bool running_ = false;
 
   Rng jitter_rng_{0};
-  std::vector<LogicalMeter> ups_meters_;
-  std::vector<LogicalMeter> rack_meters_;
+  MeterArray meters_;  // UPS logical meters first, then rack ones
   std::vector<bool> poller_failed_;
   std::vector<bool> bus_failed_;
   std::vector<Seconds> bus_extra_delay_;

@@ -3,6 +3,11 @@
  * Unit tests for the actuation substrate: rack managers and the
  * firmware/network background monitor.
  */
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "actuation/firmware_monitor.hpp"
@@ -16,13 +21,22 @@ namespace {
 
 class RackManagerTest : public ::testing::Test {
  protected:
+  /** The rack manager of a fresh one-rack plane seeded with @p seed. */
+  RackManager&
+  MakeRack(std::uint64_t seed)
+  {
+    plane_ = std::make_unique<ActuationPlane>(queue_, 1, config_, seed);
+    return plane_->rack(0);
+  }
+
   sim::EventQueue queue_;
   RackManagerConfig config_;
+  std::unique_ptr<ActuationPlane> plane_;
 };
 
 TEST_F(RackManagerTest, ThrottleInstallsCapAfterLatency)
 {
-  RackManager rm(queue_, 0, config_, Rng(1));
+  RackManager& rm = MakeRack(1);
   bool completed = false;
   rm.Throttle(KiloWatts(12.0), [&](bool ok) {
     completed = true;
@@ -37,7 +51,7 @@ TEST_F(RackManagerTest, ThrottleInstallsCapAfterLatency)
 
 TEST_F(RackManagerTest, ShutdownAndRestoreCyclePower)
 {
-  RackManager rm(queue_, 0, config_, Rng(2));
+  RackManager& rm = MakeRack(2);
   rm.Shutdown([](bool ok) { EXPECT_TRUE(ok); });
   queue_.RunUntil(Seconds(10.0));
   EXPECT_FALSE(rm.state().powered_on);
@@ -48,7 +62,7 @@ TEST_F(RackManagerTest, ShutdownAndRestoreCyclePower)
 
 TEST_F(RackManagerTest, RestoreTakesMuchLongerThanCapActions)
 {
-  RackManager rm(queue_, 0, config_, Rng(3));
+  RackManager& rm = MakeRack(3);
   double cap_done = -1.0;
   double restore_done = -1.0;
   rm.Throttle(KiloWatts(1.0), [&](bool) { cap_done = queue_.Now().value(); });
@@ -61,7 +75,7 @@ TEST_F(RackManagerTest, RestoreTakesMuchLongerThanCapActions)
 
 TEST_F(RackManagerTest, RemoveCapClearsThrottle)
 {
-  RackManager rm(queue_, 0, config_, Rng(4));
+  RackManager& rm = MakeRack(4);
   rm.Throttle(KiloWatts(5.0), [](bool) {});
   queue_.RunUntil(Seconds(10.0));
   rm.RemoveCap([](bool ok) { EXPECT_TRUE(ok); });
@@ -71,7 +85,7 @@ TEST_F(RackManagerTest, RemoveCapClearsThrottle)
 
 TEST_F(RackManagerTest, ActionsAreIdempotent)
 {
-  RackManager rm(queue_, 0, config_, Rng(5));
+  RackManager& rm = MakeRack(5);
   rm.Shutdown([](bool) {});
   rm.Shutdown([](bool) {});
   rm.Throttle(KiloWatts(7.0), [](bool) {});
@@ -84,7 +98,7 @@ TEST_F(RackManagerTest, ActionsAreIdempotent)
 
 TEST_F(RackManagerTest, UnreachableRackFailsCommands)
 {
-  RackManager rm(queue_, 0, config_, Rng(6));
+  RackManager& rm = MakeRack(6);
   rm.SetUnreachable(true);
   bool ok = true;
   rm.Shutdown([&](bool success) { ok = success; });
@@ -95,7 +109,7 @@ TEST_F(RackManagerTest, UnreachableRackFailsCommands)
 
 TEST_F(RackManagerTest, StaleFirmwareAcknowledgesButDoesNothing)
 {
-  RackManager rm(queue_, 0, config_, Rng(7));
+  RackManager& rm = MakeRack(7);
   rm.SetFirmwareStale(true);
   bool ok = true;
   rm.Throttle(KiloWatts(3.0), [&](bool success) { ok = success; });
@@ -110,11 +124,11 @@ TEST_F(RackManagerTest, LatencyDistributionMatchesProductionEnvelope)
 {
   // The paper reports ~2 s action latency at p99.9; check the model's
   // cap/shutdown latency tail lands in that neighbourhood.
-  RackManager rm(queue_, 0, config_, Rng(8));
+  RackManager& rm = MakeRack(8);
   for (int i = 0; i < 2000; ++i)
     rm.Throttle(KiloWatts(1.0), [](bool) {});
   queue_.RunUntil(Seconds(1000.0));
-  const auto& samples = rm.action_latencies();
+  const std::vector<double>& samples = plane_->action_latencies();
   ASSERT_EQ(samples.size(), 2000u);
   const double p999 = Percentile(samples, 99.9);
   EXPECT_GT(p999, 1.0);
@@ -134,7 +148,34 @@ TEST(ActuationPlaneTest, ProvidesIndependentRackManagers)
   EXPECT_FALSE(plane.rack(3).state().powered_on);
   EXPECT_TRUE(plane.rack(4).state().powered_on);
   EXPECT_THROW(plane.rack(8), ConfigError);
-  EXPECT_FALSE(plane.AllActionLatencies().empty());
+  EXPECT_EQ(plane.action_latencies().size(), 1u);
+  // Latencies pool across racks in completion order.
+  plane.rack(5).Throttle(KiloWatts(3.0), [](bool) {});
+  plane.rack(6).Throttle(KiloWatts(3.0), [](bool) {});
+  queue.RunUntil(Seconds(20.0));
+  EXPECT_EQ(plane.action_latencies().size(), 3u);
+}
+
+TEST(ActuationPlaneTest, ListenerSeesEveryStateChangeOnce)
+{
+  // One listener for the whole plane: it fires once per successful
+  // command, with the rack id, after the state has changed.
+  sim::EventQueue queue;
+  ActuationPlane plane(queue, 4, RackManagerConfig{}, 17);
+  std::vector<int> changed;
+  plane.SetStateListener([&](int rack_id) {
+    changed.push_back(rack_id);
+    EXPECT_TRUE(plane.rack(rack_id).state().power_cap.has_value());
+  });
+  plane.rack(2).Throttle(KiloWatts(5.0), [](bool ok) { EXPECT_TRUE(ok); });
+  plane.rack(0).Throttle(KiloWatts(6.0), [](bool ok) { EXPECT_TRUE(ok); });
+  plane.rack(1).SetFirmwareStale(true);
+  plane.rack(1).Throttle(KiloWatts(7.0), [](bool ok) { EXPECT_FALSE(ok); });
+  queue.RunUntil(Seconds(10.0));
+  std::sort(changed.begin(), changed.end());
+  EXPECT_EQ(changed, (std::vector<int>{0, 2}));
+  EXPECT_THROW(ActuationPlane(queue, 2, RackManagerConfig{1.5, nullptr}, 1),
+               ConfigError);
 }
 
 class FirmwareMonitorTest : public ::testing::Test {

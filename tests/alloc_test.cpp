@@ -1,22 +1,33 @@
 /**
  * @file
- * Allocation gate for the steady-state hot paths: the event kernel's
- * periodic timers and the telemetry pipeline's poll ticks.
+ * Allocation gates for the steady-state hot paths and the per-rack
+ * memory footprint: the event kernel's periodic timers and the
+ * telemetry pipeline's poll ticks must not allocate, and a room must
+ * cost at most a fixed number of live heap bytes per rack.
  *
  * The binary replaces the global operator new / delete with counting
  * versions (as benchmark/alloc_counter.cpp does for flexbench), so a
  * test can count the heap allocations one window of simulated time
- * makes after warm-up. It is its own binary because the replacement is
- * process-wide.
+ * makes after warm-up, and the live bytes a room holds. Each block
+ * carries a small header with its requested size, so the byte count is
+ * the same under any malloc, sanitizer allocators included. It is its
+ * own binary because the replacement is process-wide.
  */
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "actuation/rack_manager.hpp"
+#include "emulation/room_emulation.hpp"
+#include "online/controller.hpp"
 #include "sim/event_queue.hpp"
 #include "telemetry/pipeline.hpp"
 
@@ -24,21 +35,52 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+/** Header before each block: its requested size, padded to keep alignment. */
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void*
 CountedAlloc(std::size_t size)
 {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size == 0 ? 1 : size))
-    return ptr;
+  if (void* raw = std::malloc(size + kHeader)) {
+    *static_cast<std::size_t*>(raw) = size;
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
+                           std::memory_order_relaxed);
+    return static_cast<char*>(raw) + kHeader;
+  }
   throw std::bad_alloc();
+}
+
+void
+CountedFree(void* ptr) noexcept
+{
+  if (ptr == nullptr)
+    return;
+  void* raw = static_cast<char*>(ptr) - kHeader;
+  g_live_bytes.fetch_sub(
+      static_cast<std::int64_t>(*static_cast<std::size_t*>(raw)),
+      std::memory_order_relaxed);
+  std::free(raw);
+}
+
+void*
+CountedAllocNothrow(std::size_t size) noexcept
+{
+  try {
+    return CountedAlloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
 }
 
 }  // namespace
 
-// Over-aligned and nothrow forms keep their library defaults: those pair
-// with each other, and the nothrow forms forward to the ones below.
+// Every non-aligned form is replaced, so a block from any of them can be
+// freed by any delete (as the standard allows). The over-aligned forms
+// keep their library defaults: those pair only with each other.
 void*
 operator new(std::size_t size)
 {
@@ -51,28 +93,52 @@ operator new[](std::size_t size)
   return CountedAlloc(size);
 }
 
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+  return CountedAllocNothrow(size);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+  return CountedAllocNothrow(size);
+}
+
 void
 operator delete(void* ptr) noexcept
 {
-  std::free(ptr);
+  CountedFree(ptr);
 }
 
 void
 operator delete[](void* ptr) noexcept
 {
-  std::free(ptr);
+  CountedFree(ptr);
 }
 
 void
 operator delete(void* ptr, std::size_t) noexcept
 {
-  std::free(ptr);
+  CountedFree(ptr);
 }
 
 void
 operator delete[](void* ptr, std::size_t) noexcept
 {
-  std::free(ptr);
+  CountedFree(ptr);
+}
+
+void
+operator delete(void* ptr, const std::nothrow_t&) noexcept
+{
+  CountedFree(ptr);
+}
+
+void
+operator delete[](void* ptr, const std::nothrow_t&) noexcept
+{
+  CountedFree(ptr);
 }
 
 namespace flex {
@@ -178,6 +244,160 @@ TEST(AllocationGateTest, SteadyStatePollTicksAllocateOnlyForLatencyRuns)
   EXPECT_GT(runs_after, runs_before);
   EXPECT_LE(allocations, DoublingGrowths(runs_before, runs_after))
       << "runs " << runs_before << " -> " << runs_after;
+}
+
+// --- Live heap bytes per rack ------------------------------------------------
+
+/** Live heap bytes (requested sizes) right now. */
+std::int64_t
+LiveBytes()
+{
+  return g_live_bytes.load();
+}
+
+/**
+ * The 2,240-rack N+1 room of the fleet workload (8 UPSes, 28 PDU
+ * pairs) with @p rows_per_pdu_pair rows under each pair: 4 gives 2,240
+ * racks, 8 its 4,480-rack double on the same UPSes and PDU pairs.
+ */
+emulation::EmulationConfig
+FleetRoom(int rows_per_pdu_pair)
+{
+  emulation::EmulationConfig config;
+  power::RoomConfig& room = config.room;
+  room.num_ups = 8;
+  room.redundancy_y = 7;
+  room.ups_capacity = MegaWatts(4.0);
+  room.pdu_pairs_per_ups_pair = 1;
+  room.rows_per_pdu_pair = rows_per_pdu_pair;
+  room.racks_per_row = 20;
+  room.pdu_rating = MegaWatts(2.5);
+  config.setup_duration = Seconds(30.0);
+  config.failover_at = Seconds(60.0);
+  config.restore_at = Seconds(100.0);
+  config.end_at = Seconds(1000.0);
+  config.pipeline.rack_poll_period = Seconds(30.0);
+  config.monitor_period = Seconds(0.005);
+  config.alerts.enabled = true;
+  config.placement_solve_seconds = 1e9;
+  config.placement_max_nodes = 1;
+  return config;
+}
+
+/** Where 150 s of the fleet room leaves rack-poll batches in flight. */
+constexpr double kHorizonSeconds = 150.0;
+
+/** Live bytes a room holds once built and advanced to the horizon. */
+struct RoomBytes {
+  int racks = 0;
+  std::int64_t room = 0;
+  // The same layers built standalone at the room's size.
+  std::int64_t telemetry = 0;
+  std::int64_t actuation = 0;
+  std::int64_t online = 0;
+};
+
+/** Constant truth power for every device. */
+class FlatSource : public telemetry::PowerSource {
+ public:
+  Watts
+  CurrentPower(telemetry::DeviceId device) const override
+  {
+    return KiloWatts(10.0 + device.index % 7);
+  }
+};
+
+RoomBytes
+MeasureRoom(int rows_per_pdu_pair)
+{
+  RoomBytes bytes;
+  const emulation::EmulationConfig config = FleetRoom(rows_per_pdu_pair);
+  const std::int64_t before = LiveBytes();
+  auto room = std::make_unique<emulation::RoomEmulation>(config);
+  room->StartTimeline();
+  room->AdvanceTo(Seconds(kHorizonSeconds));
+  bytes.room = LiveBytes() - before;
+  bytes.racks = room->total_racks();
+
+  // The per-layer split: each layer's per-rack objects built on their
+  // own at the same size, wired the way the room wires them.
+  const power::RoomTopology& topology = room->topology();
+  const int n = bytes.racks;
+  {
+    const std::int64_t start = LiveBytes();
+    sim::EventQueue queue;
+    const FlatSource source;
+    telemetry::TelemetryPipeline pipeline(queue, source, topology.NumUpses(),
+                                          n, config.pipeline, 1);
+    std::vector<std::vector<int>> groups(
+        static_cast<std::size_t>(topology.NumUpses()));
+    for (int rack = 0; rack < n; ++rack)
+      groups[static_cast<std::size_t>(rack % topology.NumUpses())].push_back(
+          rack);
+    pipeline.SetRackPollGroups(std::move(groups));
+    pipeline.Subscribe([](const telemetry::DeviceReading&) {});
+    pipeline.Start();
+    queue.RunUntil(Seconds(kHorizonSeconds));
+    bytes.telemetry = LiveBytes() - start;
+  }
+  sim::EventQueue queue;
+  {
+    const std::int64_t start = LiveBytes();
+    actuation::ActuationPlane plane(queue, n, config.rack_manager, 1);
+    plane.SetStateListener([](int) {});
+    bytes.actuation = LiveBytes() - start;
+  }
+  {
+    actuation::ActuationPlane plane(queue, 1, config.rack_manager, 1);
+    const std::int64_t start = LiveBytes();
+    std::vector<online::ManagedRack> racks(static_cast<std::size_t>(n));
+    for (online::ManagedRack& rack : racks)
+      rack.workload = "tpce-capable";
+    const online::RackTable table =
+        std::make_shared<const std::vector<online::ManagedRack>>(
+            std::move(racks));
+    std::vector<std::unique_ptr<online::FlexController>> replicas;
+    for (int c = 0; c < config.num_controllers; ++c) {
+      replicas.push_back(std::make_unique<online::FlexController>(
+          queue, topology, table, plane, online::ImpactRegistry{},
+          config.controller, c));
+    }
+    bytes.online = LiveBytes() - start;
+  }
+  return bytes;
+}
+
+/** Most live heap bytes one more rack may add to a room. */
+constexpr double kMaxBytesPerRack = 700.0;
+
+TEST(BytesPerRackGateTest, MarginalRoomBytesPerRackStayUnderBudget)
+{
+  // Room-wide state is stored once per room, so a room's live heap
+  // grows with racks by only the per-rack state. Two rooms of one shape
+  // (same UPSes and PDU pairs, double the rows) cancel every room-wide
+  // byte; what remains, divided by the extra racks, is the marginal
+  // cost of one rack: its meters, rack manager, controller-replica
+  // state, emulation state and in-flight telemetry.
+  MeasureRoom(4);  // warm-up: process-wide lazies are not the room's
+  const RoomBytes small = MeasureRoom(4);
+  const RoomBytes large = MeasureRoom(8);
+  ASSERT_EQ(small.racks, 2240);
+  ASSERT_EQ(large.racks, 4480);
+
+  const double racks = large.racks - small.racks;
+  const auto per_rack = [racks](std::int64_t a, std::int64_t b) {
+    return static_cast<double>(b - a) / racks;
+  };
+  const double total = per_rack(small.room, large.room);
+  const double telemetry = per_rack(small.telemetry, large.telemetry);
+  const double actuation = per_rack(small.actuation, large.actuation);
+  const double online = per_rack(small.online, large.online);
+  std::printf("marginal live heap bytes per rack: %.1f\n"
+              "  telemetry %.1f\n  actuation %.1f\n  online %.1f\n"
+              "  emulation and the rest %.1f\n",
+              total, telemetry, actuation, online,
+              total - telemetry - actuation - online);
+  EXPECT_LE(total, kMaxBytesPerRack) << "per-layer split printed above";
 }
 
 }  // namespace

@@ -20,10 +20,11 @@ TEST(OuProcessTest, StaysWithinBounds)
   OuProcessConfig config;
   config.min = 0.4;
   config.max = 0.9;
-  OuProcess process(config, 0.8);
+  const OuProcess process(config);
   Rng rng(1);
+  double value = process.Clamp(0.8);
   for (int i = 0; i < 5000; ++i) {
-    const double value = process.Step(Seconds(1.0), rng);
+    value = process.Step(value, Seconds(1.0), rng);
     EXPECT_GE(value, 0.4);
     EXPECT_LE(value, 0.9);
   }
@@ -35,11 +36,11 @@ TEST(OuProcessTest, RevertsTowardTheMean)
   config.mean = 0.8;
   config.volatility = 0.0;  // deterministic decay
   config.reversion_rate = 0.1;
-  OuProcess process(config, 0.5);
+  const OuProcess process(config);
   Rng rng(2);
-  double previous = process.value();
+  double previous = process.Clamp(0.5);
   for (int i = 0; i < 50; ++i) {
-    const double value = process.Step(Seconds(1.0), rng);
+    const double value = process.Step(previous, Seconds(1.0), rng);
     EXPECT_GE(value, previous - 1e-12);
     previous = value;
   }
@@ -50,12 +51,15 @@ TEST(OuProcessTest, LongRunAverageNearMean)
 {
   OuProcessConfig config;
   config.mean = 0.75;
-  OuProcess process(config, 0.75);
+  const OuProcess process(config);
   Rng rng(3);
+  double value = process.Clamp(0.75);
   double sum = 0.0;
   const int steps = 20000;
-  for (int i = 0; i < steps; ++i)
-    sum += process.Step(Seconds(1.0), rng);
+  for (int i = 0; i < steps; ++i) {
+    value = process.Step(value, Seconds(1.0), rng);
+    sum += value;
+  }
   EXPECT_NEAR(sum / steps, 0.75, 0.05);
 }
 
@@ -64,10 +68,11 @@ TEST(OuProcessTest, ClampsInitialValueAndValidates)
   OuProcessConfig config;
   config.min = 0.4;
   config.max = 0.9;
-  EXPECT_NEAR(OuProcess(config, 2.0).value(), 0.9, 1e-12);
+  EXPECT_NEAR(OuProcess(config).Clamp(2.0), 0.9, 1e-12);
+  EXPECT_NEAR(OuProcess(config).Clamp(0.1), 0.4, 1e-12);
   config.min = 1.0;
   config.max = 0.0;
-  EXPECT_THROW(OuProcess(config, 0.5), ConfigError);
+  EXPECT_THROW(OuProcess{config}, ConfigError);
 }
 
 TEST(LatencyModelTest, NoSlowdownMeansNoInflation)

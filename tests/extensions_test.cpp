@@ -244,7 +244,7 @@ TEST(ForecasterTest, FirstObservationIsTheForecast)
 {
   online::HoltForecaster forecaster;
   EXPECT_FALSE(forecaster.Forecast(Seconds(0.0)).has_value());
-  forecaster.Observe(Seconds(0.0), KiloWatts(10.0));
+  forecaster.Observe(online::HoltParams{}, Seconds(0.0), KiloWatts(10.0));
   const auto forecast = forecaster.Forecast(Seconds(2.0));
   ASSERT_TRUE(forecast);
   EXPECT_NEAR(forecast->kilowatts(), 10.0, 1e-9);
@@ -252,10 +252,11 @@ TEST(ForecasterTest, FirstObservationIsTheForecast)
 
 TEST(ForecasterTest, TracksALinearRamp)
 {
-  online::HoltForecaster forecaster(0.6, 0.4);
+  const online::HoltParams params{0.6, 0.4};
+  online::HoltForecaster forecaster;
   // 1 kW/s ramp sampled every 2 s.
   for (int i = 0; i <= 20; ++i)
-    forecaster.Observe(Seconds(2.0 * i), KiloWatts(10.0 + 2.0 * i));
+    forecaster.Observe(params, Seconds(2.0 * i), KiloWatts(10.0 + 2.0 * i));
   // Project 2 s ahead: should be near 52 kW (the ramp continued).
   const auto forecast = forecaster.Forecast(Seconds(42.0));
   ASSERT_TRUE(forecast);
@@ -264,9 +265,10 @@ TEST(ForecasterTest, TracksALinearRamp)
 
 TEST(ForecasterTest, DampsStaleExtrapolation)
 {
-  online::HoltForecaster forecaster(0.6, 0.4);
+  const online::HoltParams params{0.6, 0.4};
+  online::HoltForecaster forecaster;
   for (int i = 0; i <= 10; ++i)
-    forecaster.Observe(Seconds(2.0 * i), KiloWatts(10.0 + 2.0 * i));
+    forecaster.Observe(params, Seconds(2.0 * i), KiloWatts(10.0 + 2.0 * i));
   // An hour with no data: the trend must not extrapolate unboundedly.
   const auto forecast = forecaster.Forecast(Hours(1.0));
   ASSERT_TRUE(forecast);
@@ -275,9 +277,10 @@ TEST(ForecasterTest, DampsStaleExtrapolation)
 
 TEST(ForecasterTest, NeverForecastsNegativePower)
 {
-  online::HoltForecaster forecaster(0.9, 0.9);
-  forecaster.Observe(Seconds(0.0), KiloWatts(10.0));
-  forecaster.Observe(Seconds(2.0), KiloWatts(1.0));
+  const online::HoltParams params{0.9, 0.9};
+  online::HoltForecaster forecaster;
+  forecaster.Observe(params, Seconds(0.0), KiloWatts(10.0));
+  forecaster.Observe(params, Seconds(2.0), KiloWatts(1.0));
   const auto forecast = forecaster.Forecast(Seconds(10.0));
   ASSERT_TRUE(forecast);
   EXPECT_GE(forecast->value(), 0.0);
@@ -285,10 +288,11 @@ TEST(ForecasterTest, NeverForecastsNegativePower)
 
 TEST(ForecasterTest, DuplicateDeliveriesAreHarmless)
 {
+  const online::HoltParams params;
   online::HoltForecaster forecaster;
-  forecaster.Observe(Seconds(1.0), KiloWatts(10.0));
-  forecaster.Observe(Seconds(1.0), KiloWatts(10.0));  // redundant bus copy
-  forecaster.Observe(Seconds(1.0), KiloWatts(10.0));
+  forecaster.Observe(params, Seconds(1.0), KiloWatts(10.0));
+  forecaster.Observe(params, Seconds(1.0), KiloWatts(10.0));  // redundant bus copy
+  forecaster.Observe(params, Seconds(1.0), KiloWatts(10.0));
   const auto forecast = forecaster.Forecast(Seconds(3.0));
   ASSERT_TRUE(forecast);
   EXPECT_NEAR(forecast->kilowatts(), 10.0, 1e-6);

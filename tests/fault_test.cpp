@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "fault/fault_fuzzer.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -352,6 +353,62 @@ TEST(FaultInjectorTest, TelemetrySurvivesEachPipelineFaultInIsolation)
         << FaultKindName(kind) << ":\n"
         << report.violation_summary;
   }
+}
+
+TEST(FaultInjectorTest, FaultedRunDeliversPinnedReadingsAndLatencies)
+{
+  // Every reading one seeded faulted run delivers — device, value bits,
+  // sample and delivery instants, bus, poller — and the multiset of its
+  // action latencies, pinned to the values recorded before meters, rack
+  // managers and reading batches stopped storing room-wide state per
+  // object. Faults hit failed, stuck and drifting meters of both device
+  // kinds and slow and unreachable rack managers, while a UPS failover
+  // makes the controllers act.
+  ScenarioConfig config;
+  config.shape.horizon = Seconds(90.0);
+  FaultScenario scenario(config, 2021);
+  Fnv1a readings;
+  std::uint64_t delivered = 0;
+  scenario.pipeline().Subscribe([&](const telemetry::DeviceReading& r) {
+    readings.AddI64(static_cast<int>(r.device.kind));
+    readings.AddI64(r.device.index);
+    readings.AddDouble(r.value.value());
+    readings.AddDouble(r.sampled_at.value());
+    readings.AddDouble(r.delivered_at.value());
+    readings.AddI64(r.bus);
+    readings.AddI64(r.poller);
+    ++delivered;
+  });
+  FaultPlan plan;
+  FaultEvent meter = MakeEvent(13.0, FaultKind::kMeterFailure, 4, 30.0);
+  meter.device_kind = DeviceKind::kRack;
+  meter.meter_index = 1;
+  plan.Add(meter);
+  meter = MakeEvent(14.0, FaultKind::kMeterStuck, 1, 25.0);
+  meter.meter_index = 2;
+  plan.Add(meter);
+  meter = MakeEvent(15.0, FaultKind::kMeterDrift, 7, 40.0, 0.02);
+  meter.device_kind = DeviceKind::kRack;
+  plan.Add(meter);
+  meter = MakeEvent(16.0, FaultKind::kMeterDrift, 0, 20.0, -0.01);
+  meter.meter_index = 1;
+  plan.Add(meter);
+  plan.Add(MakeEvent(18.0, FaultKind::kRackManagerTimeout, 3, 30.0, 1.5));
+  plan.Add(MakeEvent(18.0, FaultKind::kRackManagerUnreachable, 9, 30.0));
+  plan.Add(MakeEvent(20.0, FaultKind::kUpsFailover, 0, 16.0));
+  const ScenarioReport report = scenario.Run(plan);
+
+  std::vector<double> latencies = scenario.plane().action_latencies();
+  std::sort(latencies.begin(), latencies.end());
+  Fnv1a actions;
+  for (const double latency : latencies)
+    actions.AddDouble(latency);
+  EXPECT_GT(report.throttle_commands + report.shutdown_commands, 0);
+  EXPECT_EQ(delivered, report.readings_delivered);
+  EXPECT_EQ(delivered, 2910u);
+  EXPECT_EQ(readings.value(), 0xb8f1213ddec15ed7ull);
+  EXPECT_EQ(latencies.size(), 28u);
+  EXPECT_EQ(actions.value(), 0xdcf76fd575c55d0cull);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
+#include "common/error.hpp"
 #include "emulation/fleet_emulation.hpp"
 #include "emulation/room_emulation.hpp"
 #include "emulation/sweep.hpp"
@@ -250,6 +252,57 @@ TEST(FleetEmulationTest, RollupAndAccountingAreCoherent)
   // Rollup rows honour the MetricsSnapshot sorted-by-name contract.
   for (std::size_t i = 1; i < report.rollup.rows.size(); ++i)
     EXPECT_LT(report.rollup.rows[i - 1].name, report.rollup.rows[i].name);
+}
+
+/** The ConfigError message @p build throws, or "" when it does not throw. */
+template <typename Build>
+std::string
+ConfigErrorOf(Build build)
+{
+  try {
+    build();
+  } catch (const ConfigError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(FleetEmulationTest, RejectsNonFiniteOrTinyEpochInsteadOfHanging)
+{
+  // A 1e-300 s epoch advances the barrier clock in subnormal steps and
+  // never reaches the timeline end; it must fail fast, naming the field,
+  // before any room is built.
+  for (const double epoch :
+       {1e-300, 0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    FleetConfig config = SmallFleet(1, 1);
+    config.epoch = Seconds(epoch);
+    EXPECT_NE(ConfigErrorOf([&] { FleetEmulation fleet(config); })
+                  .find("epoch"),
+              std::string::npos)
+        << "epoch " << epoch;
+  }
+  // The barrier cap is on end_at / epoch, not on the epoch alone.
+  FleetConfig config = SmallFleet(1, 1);
+  config.epoch = Seconds(config.room.end_at.value() / 2e6);
+  EXPECT_NE(ConfigErrorOf([&] { FleetEmulation fleet(config); })
+                .find("too short"),
+            std::string::npos);
+}
+
+TEST(FleetEmulationTest, RejectsNonFiniteSubstationCapacity)
+{
+  // NaN or +inf capacity used to run with the check silently off
+  // (utilization 0); a disabled feed is capacity <= 0, said explicitly.
+  for (const double capacity : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    FleetConfig config = SmallFleet(1, 1);
+    config.substation.capacity = Watts(capacity);
+    EXPECT_NE(ConfigErrorOf([&] { FleetEmulation fleet(config); })
+                  .find("substation.capacity"),
+              std::string::npos)
+        << "capacity " << capacity;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
  * the multi-primary controller.
  */
 #include <cmath>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -249,14 +251,13 @@ class ControllerTest : public ::testing::Test {
     return config;
   }
 
-  std::vector<ManagedRack>
+  static RackTable
   MakeRacks()
   {
     // 8 racks: 4 software-redundant on pair 0, 4 cap-able on pair 1.
     std::vector<ManagedRack> racks;
     for (int i = 0; i < 8; ++i) {
       ManagedRack rack;
-      rack.rack_id = i;
       rack.workload = i < 4 ? "sr" : "cap";
       rack.category = i < 4 ? Category::kSoftwareRedundant
                             : Category::kNonRedundantCapable;
@@ -265,7 +266,7 @@ class ControllerTest : public ::testing::Test {
       rack.flex_power = KiloWatts(16.0);
       racks.push_back(rack);
     }
-    return racks;
+    return std::make_shared<const std::vector<ManagedRack>>(std::move(racks));
   }
 
   void
@@ -546,7 +547,7 @@ TEST(HoltForecasterTest, EmptyForecasterReturnsNothing)
 TEST(HoltForecasterTest, SingleObservationForecastsLevel)
 {
   HoltForecaster forecaster;
-  forecaster.Observe(Seconds(1.0), KiloWatts(40.0));
+  forecaster.Observe(HoltParams{}, Seconds(1.0), KiloWatts(40.0));
   const auto forecast = forecaster.Forecast(Seconds(3.0));
   ASSERT_TRUE(forecast.has_value());
   EXPECT_NEAR(forecast->kilowatts(), 40.0, 1e-9);
@@ -558,13 +559,14 @@ TEST(HoltForecasterTest, TracksLinearRampAheadOfLastValue)
   // A steadily climbing rack: the Holt forecast projected to "now"
   // must beat the raw last reading, which is what the controller needs
   // from ~2 s stale telemetry.
-  HoltForecaster forecaster(0.5, 0.3);
+  const HoltParams params{0.5, 0.3};
+  HoltForecaster forecaster;
   double t = 0.0;
   double value = 100.0;
   for (int i = 0; i < 30; ++i) {
     t += 2.0;
     value += 10.0;  // +5 W/s
-    forecaster.Observe(Seconds(t), Watts(value));
+    forecaster.Observe(params, Seconds(t), Watts(value));
   }
   const double true_next = value + 10.0;
   const auto forecast = forecaster.Forecast(Seconds(t + 2.0));
@@ -576,9 +578,10 @@ TEST(HoltForecasterTest, TracksLinearRampAheadOfLastValue)
 
 TEST(HoltForecasterTest, ForecastsNeverGoNegative)
 {
-  HoltForecaster forecaster(0.8, 0.8);
-  forecaster.Observe(Seconds(1.0), Watts(100.0));
-  forecaster.Observe(Seconds(2.0), Watts(10.0));  // steep decline
+  const HoltParams params{0.8, 0.8};
+  HoltForecaster forecaster;
+  forecaster.Observe(params, Seconds(1.0), Watts(100.0));
+  forecaster.Observe(params, Seconds(2.0), Watts(10.0));  // steep decline
   const auto far = forecaster.Forecast(Seconds(60.0));
   ASSERT_TRUE(far.has_value());
   EXPECT_GE(far->value(), 0.0);
@@ -592,7 +595,7 @@ TEST(HoltForecasterTest, StaleExtrapolationIsDamped)
   double t = 0.0;
   for (int i = 0; i < 20; ++i) {
     t += 2.0;
-    forecaster.Observe(Seconds(t), Watts(1000.0 + 50.0 * i));
+    forecaster.Observe(HoltParams{}, Seconds(t), Watts(1000.0 + 50.0 * i));
   }
   const auto near = forecaster.Forecast(Seconds(t + 2.0));
   const auto far = forecaster.Forecast(Seconds(t + 200.0));
@@ -612,6 +615,17 @@ TEST(RackPowerForecasterBankTest, TracksRacksIndependently)
   EXPECT_FALSE(bank.Forecast(1, Seconds(2.0)).has_value());
   ASSERT_TRUE(bank.Forecast(2, Seconds(2.0)).has_value());
   EXPECT_NEAR(bank.Forecast(2, Seconds(2.0))->kilowatts(), 30.0, 1e-9);
+}
+
+TEST(RackPowerForecasterBankTest, RejectsSmoothingConstantsOutOfRange)
+{
+  EXPECT_THROW(RackPowerForecasterBank(3, HoltParams{0.0, 0.2}),
+               ConfigError);
+  EXPECT_THROW(RackPowerForecasterBank(3, HoltParams{1.5, 0.2}),
+               ConfigError);
+  EXPECT_THROW(RackPowerForecasterBank(3, HoltParams{0.5, -0.1}),
+               ConfigError);
+  EXPECT_NO_THROW(RackPowerForecasterBank(3, HoltParams{1.0, 0.0}));
 }
 
 // ---------------------------------------------------------------------------
