@@ -3,11 +3,14 @@
  * Unit tests for common utilities: units, RNG, piecewise functions,
  * stats, and the work-stealing thread pool.
  */
+#include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -17,11 +20,14 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/piecewise.hpp"
+#include "common/portable_math.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
+#include "common/ziggurat.hpp"
 
 namespace flex {
 namespace {
@@ -110,6 +116,255 @@ TEST(RngTest, UniformIntCoversRangeInclusively)
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 5u);
+}
+
+TEST(RngTest, UniformIntHandlesFullAndWideSpans)
+{
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+  // The full range is the raw stream, reinterpreted.
+  Rng full(3);
+  Rng raw(3);
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(full.UniformInt(kMin, kMax),
+              static_cast<std::int64_t>(raw.NextU64()));
+
+  // A span above 2^63 reaches both ends and never leaves the range.
+  Rng wide(5);
+  const std::int64_t lo = -(kMax / 2) - 10;
+  bool below_zero = false;
+  bool above_half = false;
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t v = wide.UniformInt(lo, kMax);
+    EXPECT_GE(v, lo);
+    below_zero |= v < 0;
+    above_half |= v > kMax / 2;
+  }
+  EXPECT_TRUE(below_zero);
+  EXPECT_TRUE(above_half);
+
+  Rng single(7);
+  EXPECT_EQ(single.UniformInt(kMin, kMin), kMin);
+  EXPECT_EQ(single.UniformInt(kMax, kMax), kMax);
+  EXPECT_EQ(single.UniformInt(-4, -4), -4);
+}
+
+/** FNV-1a over the bits of the first @p n draws of @p draw on Rng(2021). */
+std::uint64_t
+HashDraws(int n, const std::function<double(Rng&)>& draw)
+{
+  Rng rng(2021);
+  Fnv1a hash;
+  for (int i = 0; i < n; ++i)
+    hash.AddDouble(draw(rng));
+  return hash.value();
+}
+
+// The seed-portability gate: tests/CMakeLists.txt runs this test a second
+// time with glibc's non-FMA exp/log/cos selected, and no libm call may
+// change a draw.
+TEST(RngTest, StreamsArePinned)
+{
+  EXPECT_EQ(HashDraws(1000000, [](Rng& rng) { return rng.Normal(); }),
+            0x45e0828d29abcac8ull);
+  EXPECT_EQ(HashDraws(100000,
+                      [](Rng& rng) { return rng.LogNormal(-0.25, 0.28); }),
+            0x562dd6f973e78330ull);
+  EXPECT_EQ(HashDraws(100000, [](Rng& rng) { return rng.Exponential(1.0); }),
+            0x536fe85e8ae762b0ull);
+}
+
+/** Standard normal CDF. */
+double
+Phi(double z)
+{
+  return 0.5 * std::erfc(-z / std::sqrt(2.0));
+}
+
+TEST(RngTest, NormalMatchesStandardNormal)
+{
+  constexpr int kDraws = 1000000;
+  const double n = kDraws;
+  const NormalZiggurat& zig = NormalZigguratTables();
+  const double r = NormalZiggurat::kR;
+
+  // Which path each draw's first attempt takes, replayed from a copy of
+  // the generator: the low byte picks the layer and the top 52 bits the
+  // magnitude.
+  double expected_rectangle = 0.0;
+  for (int i = 0; i < NormalZiggurat::kLayers; ++i)
+    expected_rectangle += static_cast<double>(zig.inner[i]) * 0x1p-52;
+  expected_rectangle /= NormalZiggurat::kLayers;
+  const double expected_tail =
+      (1.0 - static_cast<double>(zig.inner[0]) * 0x1p-52) /
+      NormalZiggurat::kLayers;
+  const double expected_wedge = 1.0 - expected_rectangle - expected_tail;
+
+  Rng rng(2024);
+  std::vector<double> z(kDraws);
+  double rectangle = 0.0;
+  double wedge = 0.0;
+  double tail = 0.0;
+  for (double& value : z) {
+    Rng replay = rng;
+    value = rng.Normal();
+    const std::uint64_t bits = replay.NextU64();
+    const std::size_t layer = bits & 0xff;
+    const std::uint64_t magnitude = bits >> 12;
+    if (magnitude < zig.inner[layer]) {
+      ++rectangle;
+      ASSERT_EQ(std::fabs(value),
+                static_cast<double>(magnitude) * zig.scale[layer]);
+    } else if (layer == 0) {
+      ++tail;
+      ASSERT_GT(std::fabs(value), r);
+    } else {
+      ++wedge;
+    }
+  }
+  const auto binomial_ok = [n](double hits, double p) {
+    return std::fabs(hits / n - p) <= 5.0 * std::sqrt(p * (1.0 - p) / n);
+  };
+  EXPECT_GT(wedge, 0.0);
+  EXPECT_GT(tail, 0.0);
+  EXPECT_TRUE(binomial_ok(rectangle, expected_rectangle))
+      << rectangle / n << " vs " << expected_rectangle;
+  EXPECT_TRUE(binomial_ok(wedge, expected_wedge))
+      << wedge / n << " vs " << expected_wedge;
+  EXPECT_TRUE(binomial_ok(tail, expected_tail))
+      << tail / n << " vs " << expected_tail;
+
+  // Moments within 5 standard errors of N(0, 1)'s.
+  double m1 = 0.0;
+  double m2 = 0.0;
+  double m3 = 0.0;
+  double m4 = 0.0;
+  double beyond_3 = 0.0;
+  double beyond_r = 0.0;
+  for (const double v : z) {
+    m1 += v;
+    m2 += v * v;
+    m3 += v * v * v;
+    m4 += v * v * v * v;
+    beyond_3 += std::fabs(v) > 3.0 ? 1.0 : 0.0;
+    beyond_r += std::fabs(v) > r ? 1.0 : 0.0;
+  }
+  m1 /= n;
+  m2 /= n;
+  m3 /= n;
+  m4 /= n;
+  EXPECT_LT(std::fabs(m1), 5.0 * std::sqrt(1.0 / n));
+  EXPECT_LT(std::fabs(m2 - 1.0), 5.0 * std::sqrt(2.0 / n));
+  EXPECT_LT(std::fabs(m3), 5.0 * std::sqrt(6.0 / n));
+  EXPECT_LT(std::fabs(m4 - 3.0), 5.0 * std::sqrt(24.0 / n));
+  EXPECT_TRUE(binomial_ok(beyond_3, std::erfc(3.0 / std::sqrt(2.0))))
+      << beyond_3 / n;
+  EXPECT_TRUE(binomial_ok(beyond_r, std::erfc(r / std::sqrt(2.0))))
+      << beyond_r / n;
+
+  // Kolmogorov-Smirnov distance to Phi under the alpha = 0.001 value.
+  std::sort(z.begin(), z.end());
+  double ks = 0.0;
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    const double cdf = Phi(z[i]);
+    ks = std::max({ks, static_cast<double>(i + 1) / n - cdf,
+                   cdf - static_cast<double>(i) / n});
+  }
+  EXPECT_LT(ks, 1.95 / std::sqrt(n));
+}
+
+/** |got - want| in units of the spacing of doubles at want. */
+long double
+UlpError(double got, long double want)
+{
+  const double nearest = static_cast<double>(want);
+  const double ulp =
+      std::nextafter(std::fabs(nearest), std::numeric_limits<double>::infinity()) -
+      std::fabs(nearest);
+  return std::fabs(static_cast<long double>(got) - want) / ulp;
+}
+
+TEST(RngTest, ZigguratTablesAreConsistent)
+{
+  using Z = NormalZiggurat;
+  const Z& zig = NormalZigguratTables();
+  EXPECT_EQ(zig.x[1], Z::kR);
+  EXPECT_EQ(zig.x[Z::kLayers], 0.0);
+  EXPECT_EQ(zig.f[Z::kLayers], 1.0);
+  for (int i = 0; i < Z::kLayers; ++i) {
+    // Layer 0 is the base; every other layer sits on the one below.
+    const long double area =
+        i == 0 ? static_cast<long double>(zig.x[0]) * zig.f[1]
+               : static_cast<long double>(zig.x[i]) *
+                     (static_cast<long double>(zig.f[i + 1]) - zig.f[i]);
+    EXPECT_LE(std::fabs(area / Z::kArea - 1.0L), 1e-12L) << "layer " << i;
+    EXPECT_GT(zig.x[i], zig.x[i + 1]) << "layer " << i;
+    EXPECT_EQ(zig.scale[i], zig.x[i] * 0x1p-52);
+    // Every magnitude the fast path accepts lands left of x[i+1].
+    if (zig.inner[i] > 0) {
+      EXPECT_LT(static_cast<double>(zig.inner[i] - 1) * zig.scale[i],
+                zig.x[i + 1]);
+    }
+  }
+  EXPECT_EQ(zig.inner[Z::kLayers - 1], 0u);
+  for (int i = 0; i <= Z::kLayers; ++i) {
+    const long double x = zig.x[i];
+    EXPECT_LE(UlpError(zig.f[i], std::exp(-0.5L * x * x)), 2.0L)
+        << "x[" << i << "] = " << zig.x[i];
+  }
+}
+
+/**
+ * Expects @p got to match libm's long-double @p want: NaN for NaN, the same
+ * infinity or zero, and otherwise within 1 ULP.
+ */
+void
+ExpectWithinOneUlp(double got, long double want, double arg)
+{
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << "arg " << arg;
+  } else if (std::isinf(static_cast<double>(want)) || want == 0.0L) {
+    EXPECT_EQ(got, static_cast<double>(want)) << "arg " << arg;
+  } else {
+    EXPECT_LE(UlpError(got, want), 1.0L) << "arg " << arg;
+  }
+}
+
+TEST(PortableMathTest, PortableExpLogMatchLibm)
+{
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0,     -0.0,     DBL_TRUE_MIN, -DBL_TRUE_MIN,
+                             1e-310,  -1e-310,  1.0,          -1.0,
+                             DBL_MAX, -DBL_MAX, kInf,         -kInf,
+                             kNaN};
+  for (const double x : specials) {
+    ExpectWithinOneUlp(PortableExp(x), std::exp(static_cast<long double>(x)), x);
+    ExpectWithinOneUlp(PortableLog(x), std::log(static_cast<long double>(x)), x);
+  }
+  EXPECT_EQ(PortableExp(0.0), 1.0);
+  EXPECT_EQ(PortableLog(1.0), 0.0);
+
+  // Log-uniform arguments: |x| in [2^-40, 745] for exp, both signs, and
+  // x across every binade, subnormals included, for log.
+  Rng rng(19);
+  const double log2_exp_max = std::log2(745.0);
+  for (int i = 0; i < 1000000; ++i) {
+    const double a = std::exp2(rng.Uniform(-40.0, log2_exp_max));
+    const double x = rng.Bernoulli(0.5) ? -a : a;
+    ExpectWithinOneUlp(PortableExp(x), std::exp(static_cast<long double>(x)), x);
+
+    const double y = std::exp2(rng.Uniform(-1074.0, 1024.0));
+    if (y == 0.0 || std::isinf(y))
+      continue;
+    ExpectWithinOneUlp(PortableLog(y), std::log(static_cast<long double>(y)), y);
+  }
+  // Log's own branch for |x - 1| < 2^-20, which log-uniform draws miss.
+  for (int i = 0; i < 10000; ++i) {
+    const double y = 1.0 + rng.Uniform(-0x1p-19, 0x1p-19);
+    ExpectWithinOneUlp(PortableLog(y), std::log(static_cast<long double>(y)), y);
+  }
 }
 
 TEST(RngTest, NormalMomentsAreApproximatelyCorrect)

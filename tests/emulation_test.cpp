@@ -10,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "emulation/room_emulation.hpp"
+#include "emulation/sweep.hpp"
 #include "emulation/workload_model.hpp"
 
 namespace flex::emulation {
@@ -324,6 +325,43 @@ TEST(RoomEmulationTest, DedicatedMonitorRefinesOverloadTracking)
         << "sample " << i;
   }
   EXPECT_FALSE(monitored.safety_violated);
+}
+
+// The seed-portability gate for a whole room: 2,240 racks take 600 OU
+// steps each (1.3M normals) plus meter noise and actuation latencies, and
+// the report must come out bit for bit. tests/CMakeLists.txt runs this test
+// a second time with glibc's non-FMA exp/log/cos selected. Most last-bit
+// changes to a draw vanish in later roundings; with Box-Muller on libm this
+// seed's report still changed under the non-FMA libm, so the gate can fail.
+TEST(RoomEmulationTest, ReportHashIsPinned)
+{
+  // The fleet benchmark's second room: 8 UPSes, N+1, 28 PDU pairs of 80
+  // racks, seed 2022.
+  EmulationConfig config;
+  config.seed = 2022;
+  config.room = power::RoomConfig::EmulationRoom();
+  config.room.num_ups = 8;
+  config.room.redundancy_y = 7;
+  config.room.ups_capacity = MegaWatts(4.0);
+  config.room.pdu_pairs_per_ups_pair = 1;
+  config.room.rows_per_pdu_pair = 4;
+  config.room.racks_per_row = 20;
+  config.room.pdu_rating = MegaWatts(2.5);
+  config.setup_duration = Seconds(30.0);
+  config.failover_at = Seconds(60.0);
+  config.restore_at = Seconds(100.0);
+  config.end_at = Seconds(600.0);
+  config.pipeline.rack_poll_period = Seconds(30.0);
+  config.monitor_period = Seconds(0.005);
+  config.alerts.enabled = true;
+  config.placement_solve_seconds = 1e9;  // node-budgeted: repeatable
+  config.placement_max_nodes = 1;
+
+  RoomEmulation emulation(config);
+  const EmulationReport report = emulation.Run();
+  EXPECT_EQ(report.total_racks, 2240);
+  EXPECT_FALSE(report.safety_violated);
+  EXPECT_EQ(HashEmulationReport(report), 0xdba162aaaada260ull);
 }
 
 TEST(RoomEmulationTest, ValidatesTimeline)
