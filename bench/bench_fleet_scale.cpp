@@ -5,9 +5,12 @@
  * Drives the FleetEmulation ladder from one ~10k-rack megaroom to an
  * 11-room, 100k+-rack fleet, all lanes stepping in parallel on the
  * shared pool with the serial epoch-barrier merge between tiles.
- * Reports fleet events/sec, per-lane utilization, and the merge
+ * Reports fleet throughput, per-lane utilization, and the merge
  * barrier's share of wall time — the three numbers that decide whether
  * sharding actually bought throughput or just bought barriers.
+ * Throughput is simulated rack-seconds per wall second (racks x end_at
+ * / wall), which counts work; events/sec is reported beside it, but an
+ * engine change that drops events moves it without moving the work.
  *
  * Also proves the fleet's lane identity the same way the room-scale
  * bench proves the sweep's: a small fleet stepped on 1 lane and on 2
@@ -16,9 +19,9 @@
  * fleet.lane_hash_match.
  *
  * Scaling is measured serial-vs-parallel on the mid fleet rung;
- * check_budget.sh gates the speedup and the 100k-rung events/sec floor
- * only when the machine actually has multiple cores (hw_concurrency is
- * stamped into the JSON by run_benches.sh).
+ * check_budget.sh gates the speedup and the 100k-rung rack-seconds/sec
+ * floor only when the machine actually has multiple cores
+ * (hw_concurrency is stamped into the JSON by run_benches.sh).
  *
  * FLEX_SMOKE=1 shrinks the fleet to two paper-size rooms on a short
  * timeline — enough to exercise every barrier path in seconds.
@@ -51,6 +54,7 @@ struct FleetRun {
   int racks = 0;
   double wall_s = 0.0;
   double events_per_sec = 0.0;
+  double rack_seconds_per_sec = 0.0;  ///< simulated racks x end_at / wall
 };
 
 /** Construction (serial placement solves) excluded; Run() timed. */
@@ -65,6 +69,8 @@ TimeFleet(const flex::emulation::FleetConfig& config)
   run.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   run.events_per_sec =
       static_cast<double>(run.report.events_executed) / run.wall_s;
+  run.rack_seconds_per_sec =
+      run.racks * config.room.end_at.value() / run.wall_s;
   return run;
 }
 
@@ -80,8 +86,8 @@ main()
   const bool smoke = SmokeMode();
 
   // Per-room base: the room-scale bench's megaroom (~9900 racks) under
-  // the same room-scale monitoring workload (30 s rack telemetry,
-  // 200 Hz safety monitor), on a shortened Section V-C timeline.
+  // the same room-scale monitoring workload (30 s rack telemetry), on a
+  // shortened Section V-C timeline.
   emulation::EmulationConfig room;
   room.placement_solve_seconds = bench::SolveSeconds(smoke ? 0.2 : 2.0);
   room.setup_duration = Seconds(smoke ? 5.0 : 30.0);
@@ -100,10 +106,8 @@ main()
     mega.pdu_rating = MegaWatts(2.5);
     room.room = mega;
     room.pipeline.rack_poll_period = Seconds(30.0);
-    room.monitor_period = Seconds(0.005);
   } else {
     room.pipeline.rack_poll_period = Seconds(2.0);
-    room.monitor_period = Seconds(0.01);
   }
 
   const auto fleet_config = [&room, smoke](int rooms, int threads) {
@@ -123,18 +127,19 @@ main()
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 4, 11};
   std::printf("\nfleet ladder (shared pool, %u hw threads):\n",
               std::thread::hardware_concurrency());
-  std::printf("  %-12s %8s %6s %10s %12s %14s %9s %9s\n", "fleet", "racks",
-              "lanes", "wall (s)", "events", "events/sec", "lane-util",
-              "merge %");
+  std::printf("  %-12s %8s %6s %10s %12s %14s %14s %9s %9s\n", "fleet",
+              "racks", "lanes", "wall (s)", "events", "events/sec",
+              "rack-s/sec", "lane-util", "merge %");
   FleetRun largest;
   for (const int rooms : ladder) {
     const FleetRun run = TimeFleet(fleet_config(rooms, 0));
-    std::printf("  %dx%-10d %8d %6d %10.3f %12llu %14.0f %9.2f %9.2f\n",
+    std::printf("  %dx%-10d %8d %6d %10.3f %12llu %14.0f %14.0f %9.2f "
+                "%9.2f\n",
                 rooms, run.racks / std::max(1, rooms), run.racks,
                 run.report.lanes, run.wall_s,
                 static_cast<unsigned long long>(run.report.events_executed),
-                run.events_per_sec, run.report.lane_utilization,
-                run.report.merge_overhead_pct);
+                run.events_per_sec, run.rack_seconds_per_sec,
+                run.report.lane_utilization, run.report.merge_overhead_pct);
     largest = run;
   }
 
@@ -192,6 +197,8 @@ main()
   metrics.gauge("fleet.events_executed")
       .Set(static_cast<double>(largest.report.events_executed));
   metrics.gauge("fleet.events_per_sec").Set(largest.events_per_sec);
+  metrics.gauge("fleet.rack_seconds_per_sec")
+      .Set(largest.rack_seconds_per_sec);
   metrics.gauge("fleet.lane_utilization")
       .Set(largest.report.lane_utilization);
   metrics.gauge("fleet.merge_overhead_pct")

@@ -2,19 +2,19 @@
  * @file
  * Room-scale simulation-engine bench.
  *
- * Measures the emulation core's event throughput (calendar queue +
+ * Measures the emulation core's throughput (calendar queue +
  * incremental UPS aggregation) as the room grows from the paper's
- * 360-rack Section V-C room to a ~10k-rack megaroom.
+ * 360-rack Section V-C room to a ~10k-rack megaroom, as events/sec and
+ * as simulated rack-seconds per wall second. Events/sec alone says
+ * little across engine changes: the count of events per simulated
+ * second is itself what such changes move.
  *
  * The scale rungs run a room-scale monitoring workload: rack telemetry
  * at the 30 s cadence production BMS fleets poll ~10k rack meters at
- * (the paper's 2 s cadence is for its 360-rack room), UPS telemetry at
- * 1.5 s, and the safety/trip-curve monitor at 200 Hz — the paper's trip
- * curves resolve overloads down to tens of milliseconds, so 5 ms
- * sampling is what it takes to resolve a 20-50 ms trip window with
- * Nyquist headroom (PMU-class cadence).
- * Each monitor tick reads the running UPS sums, O(UPSes) instead of
- * O(racks); the paper rung keeps the paper's own cadences for fidelity.
+ * (the paper's 2 s cadence is for its 360-rack room) and UPS telemetry
+ * at 1.5 s; the paper rung keeps the paper's own cadences for fidelity.
+ * UPS safety needs no cadence: the room's trip watch sees every UPS
+ * load change and decides each trip exactly.
  *
  * Also proves the parallel sweep's determinism: a 2-lane sweep (a
  * FleetEmulation with the substation off) must produce the same fleet
@@ -54,6 +54,7 @@ struct ModeResult {
   flex::emulation::EmulationReport report;
   double wall_s = 0.0;
   double events_per_sec = 0.0;
+  double rack_seconds_per_sec = 0.0;  ///< simulated racks x end_at / wall
 };
 
 ModeResult
@@ -66,6 +67,8 @@ TimeRoom(const flex::emulation::EmulationConfig& config)
   result.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   result.events_per_sec =
       static_cast<double>(result.report.events_executed) / result.wall_s;
+  result.rack_seconds_per_sec = result.report.total_racks *
+                                config.end_at.value() / result.wall_s;
   return result;
 }
 
@@ -117,11 +120,10 @@ main()
     const char* name;
     power::RoomConfig room;
     double rack_poll_s;  // production BMS cadence on the scale rungs
-    double monitor_s;    // 0: paper default (safety rides the sampler)
   };
   std::vector<Rung> ladder;
   ladder.push_back({"paper-360", power::RoomConfig::EmulationRoom(),
-                    smoke ? 2.0 : 0.0, smoke ? 0.01 : 0.0});
+                    smoke ? 2.0 : 0.0});
   if (!smoke) {
     power::RoomConfig mid = power::RoomConfig::EmulationRoom();
     mid.num_ups = 8;
@@ -131,7 +133,7 @@ main()
     mid.rows_per_pdu_pair = 4;
     mid.racks_per_row = 20;  // 2240 racks
     mid.pdu_rating = MegaWatts(2.5);
-    ladder.push_back({"mid-2240", mid, 30.0, 0.005});
+    ladder.push_back({"mid-2240", mid, 30.0});
 
     power::RoomConfig mega = power::RoomConfig::EmulationRoom();
     mega.num_ups = 12;
@@ -141,28 +143,28 @@ main()
     mega.rows_per_pdu_pair = 5;
     mega.racks_per_row = 30;  // 9900 racks
     mega.pdu_rating = MegaWatts(2.5);
-    ladder.push_back({"mega-9900", mega, 30.0, 0.005});
+    ladder.push_back({"mega-9900", mega, 30.0});
   }
   const auto rung_config = [&base](const Rung& rung) {
     emulation::EmulationConfig config = base;
     config.room = rung.room;
     if (rung.rack_poll_s > 0.0)
       config.pipeline.rack_poll_period = Seconds(rung.rack_poll_s);
-    config.monitor_period = Seconds(rung.monitor_s);
     return config;
   };
 
   std::printf("\nincremental engine (calendar queue + running sums):\n");
-  std::printf("  %-12s %8s %10s %12s %14s %10s %10s\n", "room", "racks",
-              "wall (s)", "events", "events/sec", "monitors", "deltas");
+  std::printf("  %-12s %8s %10s %12s %14s %14s %10s %10s\n", "room",
+              "racks", "wall (s)", "events", "events/sec", "rack-s/sec",
+              "watch obs", "deltas");
   ModeResult largest;
   int largest_racks = 0;
   for (const Rung& rung : ladder) {
     const ModeResult r = TimeRoom(rung_config(rung));
-    std::printf("  %-12s %8d %10.3f %12llu %14.0f %10llu %10llu\n",
+    std::printf("  %-12s %8d %10.3f %12llu %14.0f %14.0f %10llu %10llu\n",
                 rung.name, r.report.total_racks, r.wall_s,
                 static_cast<unsigned long long>(r.report.events_executed),
-                r.events_per_sec,
+                r.events_per_sec, r.rack_seconds_per_sec,
                 static_cast<unsigned long long>(r.report.monitor_ticks),
                 static_cast<unsigned long long>(r.report.aggregate_deltas));
     largest = r;
@@ -253,11 +255,10 @@ main()
   obs::Observability observability;
   obs::MetricsRegistry& metrics = observability.metrics();
   metrics.gauge("room.racks").Set(static_cast<double>(largest_racks));
-  metrics.gauge("room.monitor_hz")
-      .Set(ladder.back().monitor_s > 0.0 ? 1.0 / ladder.back().monitor_s
-                                         : 0.0);
   metrics.gauge("room.incremental.events_per_sec")
       .Set(largest.events_per_sec);
+  metrics.gauge("room.incremental.rack_seconds_per_sec")
+      .Set(largest.rack_seconds_per_sec);
   metrics.gauge("room.incremental.wall_s").Set(largest.wall_s);
   metrics.gauge("room.events_executed")
       .Set(static_cast<double>(largest.report.events_executed));

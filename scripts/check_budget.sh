@@ -96,13 +96,21 @@ fi
 # Lane identity and merge overhead are hardware-independent and always
 # enforced: the sharded fleet must hash bit-identically across lane
 # counts, and the serial epoch-barrier merge must stay a rounding error
-# next to the parallel stepping it synchronizes. The events/sec floor
+# next to the parallel stepping it synchronizes. The throughput floor
 # (largest ladder rung, 100k+ racks) and the serial-vs-parallel speedup
 # only mean something on multi-core hardware and self-skip otherwise,
 # same idiom as the solver speedup gate below.
+#
+# Throughput is simulated rack-seconds per wall second, not events/sec:
+# an engine change that drops events (the 200 Hz trip monitor made
+# 286,000 of the rung's 298,804 events until the exact trip watch
+# replaced it) moves events/sec without moving the work. The floor
+# keeps the old gate's strength: 100,000 events/s on that 298,804-event
+# workload is a wall bound of 2.988 s for 108,900 racks x 130 s, i.e.
+# 108,900 x 130 / 2.988 = 4.74M rack-s/s.
 fleet_json="${FLEX_FLEET_BENCH_JSON:-${repo_root}/BENCH_fleet_scale.json}"
 max_merge_overhead_pct=5.0
-min_fleet_events_per_sec=100000
+min_fleet_rack_seconds_per_sec=4740000
 min_fleet_speedup=1.2
 if [[ ! -s "${fleet_json}" ]]; then
   echo "check_budget: SKIP fleet gates — ${fleet_json} not found" \
@@ -111,7 +119,7 @@ else
   fleet_line="$(tail -n 1 "${fleet_json}")"
   hash_match="$(gauge "${fleet_line}" fleet.lane_hash_match)"
   merge_pct="$(gauge "${fleet_line}" fleet.merge_overhead_pct)"
-  fleet_events="$(gauge "${fleet_line}" fleet.events_per_sec)"
+  fleet_rack_s="$(gauge "${fleet_line}" fleet.rack_seconds_per_sec)"
   fleet_speedup="$(gauge "${fleet_line}" fleet.scaling.speedup)"
   fleet_hw="$(sed -n 's/.*"hw_concurrency":\([0-9]*\),.*/\1/p' \
     <<< "${fleet_line}")"
@@ -139,19 +147,23 @@ else
     if awk -v hw="${fleet_hw}" 'BEGIN { exit !(hw + 0 < 2) }'; then
       echo "check_budget: SKIP fleet scaling gates — hw_concurrency=${fleet_hw}" \
            "< 2, parallel stepping is not measurable on this machine" \
-           "(recorded ${fleet_events} events/sec, speedup ${fleet_speedup}x)"
-    elif [[ -z "${fleet_events}" || -z "${fleet_speedup}" ]]; then
-      echo "check_budget: SKIP fleet scaling gates — fleet.events_per_sec /" \
-           "fleet.scaling.speedup missing from ${fleet_json}"
+           "(recorded ${fleet_rack_s} rack-s/sec, speedup ${fleet_speedup}x)"
+    elif [[ -z "${fleet_rack_s}" || -z "${fleet_speedup}" ]]; then
+      echo "check_budget: SKIP fleet scaling gates —" \
+           "fleet.rack_seconds_per_sec / fleet.scaling.speedup missing" \
+           "from ${fleet_json} (regenerate with scripts/run_benches.sh)"
     else
-      echo "check_budget: fleet events/sec = ${fleet_events} (floor" \
-           "${min_fleet_events_per_sec}), scaling speedup = ${fleet_speedup}x" \
-           "(floor ${min_fleet_speedup}x, hw_concurrency=${fleet_hw})"
-      if ! awk -v e="${fleet_events}" -v floor="${min_fleet_events_per_sec}" \
-        'BEGIN { exit !(e + 0 >= floor + 0) }'; then
-        echo "check_budget: FAIL — ${fleet_events} fleet events/sec is below" \
-             "${min_fleet_events_per_sec} at the 100k-rack rung (regression" \
-             "in room stepping or lane scheduling)" >&2
+      echo "check_budget: fleet rack-s/sec = ${fleet_rack_s} (floor" \
+           "${min_fleet_rack_seconds_per_sec}), scaling speedup =" \
+           "${fleet_speedup}x (floor ${min_fleet_speedup}x," \
+           "hw_concurrency=${fleet_hw})"
+      if ! awk -v r="${fleet_rack_s}" \
+        -v floor="${min_fleet_rack_seconds_per_sec}" \
+        'BEGIN { exit !(r + 0 >= floor + 0) }'; then
+        echo "check_budget: FAIL — ${fleet_rack_s} simulated rack-s per wall" \
+             "second is below ${min_fleet_rack_seconds_per_sec} at the" \
+             "100k-rack rung (regression in room stepping or lane" \
+             "scheduling)" >&2
         exit 1
       fi
       if ! awk -v s="${fleet_speedup}" -v floor="${min_fleet_speedup}" \

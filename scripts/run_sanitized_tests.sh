@@ -57,6 +57,10 @@ echo "run_sanitized_tests: focused obs/fault recorder pass"
 # barriers; its bit-identity suite doubles as a memory-safety probe of
 # the lane-local arenas and the serial merge path.
 "${build_dir}/tests/fleet_test" --gtest_brief=1
+# The trip watch indexes per-UPS state by the loads it is handed, and
+# its random-walk property test drives it through thousands of
+# intervals, zero-length ones included.
+"${build_dir}/tests/power_test" --gtest_brief=1
 
 if [[ "${FLEX_SKIP_TSAN:-0}" == "1" ]]; then
   echo "run_sanitized_tests: FLEX_SKIP_TSAN=1, skipping TSan pass"

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -20,11 +22,24 @@ using telemetry::DeviceId;
 using telemetry::DeviceKind;
 using workload::Category;
 
+namespace {
+
+/**
+ * Most workload steps or samples one timeline may take. The longest
+ * in-tree room takes 1,920 steps and 384 samples; a period so short
+ * that end_at / period exceeds this would run for hours, or reserve
+ * more samples than memory holds, long before it showed anything.
+ */
+constexpr double kMaxTimelineTicks = 1e6;
+
+}  // namespace
+
 RoomEmulation::RoomEmulation(EmulationConfig config)
     : config_(config),
       topology_(config.room),
       rng_(config.seed),
-      agg_(topology_)
+      agg_(topology_),
+      watch_(topology_)
 {
   FLEX_REQUIRE(config_.target_utilization > 0.0 &&
                    config_.target_utilization <= 1.0,
@@ -32,6 +47,21 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
   FLEX_REQUIRE(config_.flex_power_fraction > 0.0 &&
                    config_.flex_power_fraction <= 1.0,
                "flex_power_fraction must be in (0, 1]");
+  const std::pair<const char*, Seconds> timeline[] = {
+      {"setup_duration", config_.setup_duration},
+      {"failover_at", config_.failover_at},
+      {"restore_at", config_.restore_at},
+      {"end_at", config_.end_at},
+      {"workload_step", config_.workload_step},
+      {"sample_period", config_.sample_period},
+      {"telemetry_outage_at", config_.telemetry_outage_at},
+      {"telemetry_outage_until", config_.telemetry_outage_until}};
+  for (const auto& [field, value] : timeline) {
+    FLEX_REQUIRE(std::isfinite(value.value()),
+                 std::string(field) + " must be finite");
+  }
+  FLEX_REQUIRE(config_.setup_duration.value() >= 0.0,
+               "setup_duration must not be negative");
   FLEX_REQUIRE(config_.failover_at.value() >= 0.0,
                "failover_at must not be negative");
   FLEX_REQUIRE(config_.failover_at < config_.restore_at &&
@@ -39,8 +69,14 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
                "timeline must be ordered: failover < restore < end");
   FLEX_REQUIRE(config_.workload_step.value() > 0.0,
                "workload_step must be positive");
+  FLEX_REQUIRE(config_.end_at / config_.workload_step <= kMaxTimelineTicks,
+               "workload_step is too short: end_at / workload_step exceeds "
+               "1e6 steps");
   FLEX_REQUIRE(config_.sample_period.value() > 0.0,
                "sample_period must be positive");
+  FLEX_REQUIRE(config_.end_at / config_.sample_period <= kMaxTimelineTicks,
+               "sample_period is too short: end_at / sample_period exceeds "
+               "1e6 samples");
   FLEX_REQUIRE(config_.num_controllers >= 1,
                "num_controllers must be at least 1");
   FLEX_REQUIRE(config_.placement_solve_seconds > 0.0,
@@ -281,8 +317,6 @@ RoomEmulation::BuildRoom()
     });
   }
 
-  overload_since_.assign(static_cast<std::size_t>(topology_.NumUpses()),
-                         -1.0);
   for (UpsId u = 0; u < topology_.NumUpses(); ++u) {
     batteries_.emplace_back(power::BatteryConfig::ForBatteryLife(
         power::kRoomBatteryLife, topology_.UpsCapacity(u)));
@@ -331,6 +365,17 @@ RoomEmulation::RebuildAggregates()
     pdu_scratch_[static_cast<std::size_t>(rack_pdu_[i])] += Watts(p);
   }
   agg_.SetAllPduLoads(pdu_scratch_);
+  ObserveLoads();
+}
+
+void
+RoomEmulation::ObserveLoads()
+{
+  watch_.Observe(queue_.Now(), agg_.UpsLoads());
+  if (awaiting_safe_ && !watch_.overloaded()) {
+    time_to_safe_ = (queue_.Now() - config_.failover_at).value();
+    awaiting_safe_ = false;
+  }
 }
 
 void
@@ -352,14 +397,20 @@ RoomEmulation::OnRackStateChanged(int rack_id)
   }
   rack_on_[i] = now_on ? 1 : 0;
   rack_cap_w_[i] = now_capped ? state.power_cap->value() : -1.0;
+  report_.sr_shutdown_peak = std::max(report_.sr_shutdown_peak, off_count_);
+  report_.capable_capped_peak =
+      std::max(report_.capable_capped_peak, capped_count_);
+  report_.noncap_acted = std::max(report_.noncap_acted, noncap_acted_count_);
 
   // The rack's electrical draw just changed: apply the delta to the
   // running sums instead of rescanning the room.
   const double p = ComputeRackPowerW(rack_id, RampNow());
   const double delta = p - rack_power_w_[i];
   rack_power_w_[i] = p;
-  if (delta != 0.0)
+  if (delta != 0.0) {
     agg_.ApplyDelta(rack_pdu_[i], Watts(delta));
+    ObserveLoads();
+  }
 }
 
 void
@@ -411,6 +462,11 @@ RoomEmulation::VerifyAggregates()
     FLEX_CHECK_MSG(
         std::abs(running[u].value() - ups_exact[u].value()) <= tolerance,
         "incremental UPS aggregation diverged from exact rescan");
+    // Every change to the running sums must reach the trip watch.
+    FLEX_CHECK_MSG(
+        watch_.fraction(static_cast<int>(u)) ==
+            running[u] / topology_.UpsCapacity(static_cast<UpsId>(u)),
+        "trip watch missed a UPS load change");
   }
   ++verify_rescans_;
 }
@@ -529,10 +585,6 @@ RoomEmulation::RecordSample()
   if (config_.verify_aggregation)
     VerifyAggregates();
   report_.series.push_back(std::move(sample));
-
-  // Without a dedicated monitor, safety tracking rides the sample tick.
-  if (config_.monitor_period.value() <= 0.0)
-    MonitorTick(ups);
 
   max_ups_load_fraction_ = 0.0;
   for (UpsId u = 0; u < topology_.NumUpses(); ++u) {
@@ -666,40 +718,15 @@ RoomEmulation::PublishLive(const obs::MetricsSnapshot& snapshot)
   }
 
   obs::HealthSnapshot health;
-  health.ok = !report_.safety_violated && !report_.battery_tripped;
+  health.ok = !watch_.tripped() && !report_.battery_tripped;
   health.sim_time_seconds = queue_.Now().value();
   if (!health.ok) {
     health.violations = 1;
-    health.detail = report_.safety_violated
+    health.detail = watch_.tripped()
                         ? "UPS overload exceeded its trip-curve tolerance"
                         : "UPS battery exhausted its ride-through energy";
   }
   live.PublishHealth(health);
-}
-
-void
-RoomEmulation::MonitorTick(const std::vector<Watts>& ups)
-{
-  // Safety bookkeeping: time spent above rated capacity vs. tolerance.
-  ++report_.monitor_ticks;
-  for (UpsId u = 0; u < topology_.NumUpses(); ++u) {
-    const double fraction = ups[static_cast<std::size_t>(u)] /
-                            topology_.UpsCapacity(u);
-    double& since = overload_since_[static_cast<std::size_t>(u)];
-    if (fraction > 1.0) {
-      report_.worst_overload_fraction =
-          std::max(report_.worst_overload_fraction, fraction);
-      if (since < 0.0)
-        since = queue_.Now().value();
-      const double duration = queue_.Now().value() - since;
-      report_.overload_duration_seconds =
-          std::max(report_.overload_duration_seconds, duration);
-      if (topology_.trip_curve().Exceeds(fraction, Seconds(duration)))
-        report_.safety_violated = true;
-    } else {
-      since = -1.0;
-    }
-  }
 }
 
 EmulationReport
@@ -735,22 +762,18 @@ RoomEmulation::StartTimeline()
     RecordSample();
     return queue_.Now() < config_.end_at;
   });
-  // Dedicated high-resolution safety monitor: O(UPSes) per tick.
-  if (config_.monitor_period.value() > 0.0) {
-    queue_.SchedulePeriodic(config_.monitor_period, [this] {
-      MonitorTick(agg_.UpsLoads());
-      return queue_.Now() < config_.end_at;
-    });
-  }
   // Stage C: fail a UPS.
   queue_.ScheduleAt(config_.failover_at, [this] {
     failed_ups_ = config_.failed_ups;
     agg_.SetFailedUps(failed_ups_);
+    awaiting_safe_ = true;
+    ObserveLoads();
   });
   // Stage F: restore it.
   queue_.ScheduleAt(config_.restore_at, [this] {
     failed_ups_ = -1;
     agg_.SetFailedUps(-1);
+    ObserveLoads();
   });
   // Scripted telemetry outage: every poller fails, then recovers. The
   // alerting drill rides this — delivered readings go flat, and the
@@ -766,34 +789,6 @@ RoomEmulation::StartTimeline()
         pipeline_->SetPollerFailed(p, false);
     });
   }
-
-  queue_.SchedulePeriodic(Seconds(0.5), [this] {
-    if (queue_.Now() < config_.failover_at)
-      return true;
-    if (time_to_safe_ >= 0.0)
-      return false;
-    const std::vector<Watts>& ups = agg_.UpsLoads();
-    bool safe = true;
-    for (UpsId u = 0; u < topology_.NumUpses(); ++u) {
-      if (ups[static_cast<std::size_t>(u)] > topology_.UpsCapacity(u))
-        safe = false;
-    }
-    if (safe && queue_.Now() > config_.failover_at) {
-      time_to_safe_ = (queue_.Now() - config_.failover_at).value();
-      return false;
-    }
-    return true;
-  });
-
-  // Track peak action counts (listener-maintained) during the episode.
-  queue_.SchedulePeriodic(Seconds(1.0), [this] {
-    report_.sr_shutdown_peak = std::max(report_.sr_shutdown_peak, off_count_);
-    report_.capable_capped_peak =
-        std::max(report_.capable_capped_peak, capped_count_);
-    report_.noncap_acted =
-        std::max(report_.noncap_acted, noncap_acted_count_);
-    return queue_.Now() < config_.end_at;
-  });
 }
 
 std::uint64_t
@@ -817,7 +812,7 @@ RoomEmulation::SnapshotEpoch(RoomEpochView* out) const
   out->events_executed = queue_.executed_count();
   out->racks_off = off_count_;
   out->racks_capped = capped_count_;
-  out->safety_violated = report_.safety_violated;
+  out->safety_violated = watch_.tripped();
   out->battery_tripped = report_.battery_tripped;
   out->samples_recorded = static_cast<std::uint64_t>(report_.series.size());
   if (alert_engine_ != nullptr) {
@@ -846,8 +841,13 @@ RoomEmulation::Finish()
   finished_ = true;
   pipeline_->Stop();
   queue_.RunUntil(config_.end_at + Seconds(5.0));  // drain deliveries
+  watch_.CloseAt(queue_.Now());
 
   // --- Assemble the report -------------------------------------------------
+  report_.safety_violated = watch_.tripped();
+  report_.worst_overload_fraction = watch_.worst_overload_fraction();
+  report_.overload_duration_seconds = watch_.longest_overload().value();
+  report_.monitor_ticks = watch_.observations();
   report_.time_to_safe_seconds = time_to_safe_;
   if (report_.sr_racks > 0) {
     report_.sr_shutdown_fraction =

@@ -14,10 +14,12 @@
  * Scale: rack state lives in flat structure-of-arrays vectors, and UPS
  * loads are maintained incrementally (power::IncrementalUpsLoads) from
  * rack-power deltas instead of per-tick O(racks) rescans, so rooms of
- * tens of thousands of racks simulate at interactive speed. Set
+ * tens of thousands of racks simulate at interactive speed. Every
+ * change to those sums reaches one power::TripWatch, which decides the
+ * trip verdicts exactly without polling. Set
  * EmulationConfig::verify_aggregation = true to cross-check the running
- * sums, the rack-state mirrors and the action counters against an exact
- * rescan at every sample.
+ * sums, the rack-state mirrors, the action counters and the watch's
+ * loads against an exact rescan at every sample.
  */
 #ifndef FLEX_EMULATION_ROOM_EMULATION_HPP_
 #define FLEX_EMULATION_ROOM_EMULATION_HPP_
@@ -37,6 +39,7 @@
 #include "power/battery.hpp"
 #include "power/incremental.hpp"
 #include "power/topology.hpp"
+#include "power/trip_curve.hpp"
 #include "sim/event_queue.hpp"
 #include "telemetry/pipeline.hpp"
 #include "workload/impact.hpp"
@@ -64,13 +67,10 @@ struct EmulationConfig {
   Seconds workload_step = Seconds(1.0);
   Seconds sample_period = Seconds(5.0);
   /**
-   * Safety-monitor cadence (per-UPS overload and trip-curve tracking).
-   * <= 0 (default) folds the monitor into each sample tick, i.e. the
-   * sample_period cadence. > 0 schedules a dedicated monitor at this
-   * period: each tick reads the running UPS sums, O(UPSes), so 100 Hz
-   * trip-curve monitoring stays affordable at 10k racks. The paper's trip
-   * curves resolve overloads down to tens of milliseconds, which the
-   * default 5 s sampling cannot see.
+   * Has no effect. The room's trip watch (power::TripWatch) is exact at
+   * every UPS load change, so there is no safety-monitor cadence left to
+   * set; the field remains only because benchmark/flexbench.cpp still
+   * assigns it, and goes when that assignment does.
    */
   Seconds monitor_period = Seconds(0.0);
   power::UpsId failed_ups = 0;
@@ -111,7 +111,8 @@ struct EmulationConfig {
 
   /**
    * Cross-check the incremental sums against an exact brute-force rescan
-   * at every sample, and recount the rack on/cap mirrors and action
+   * at every sample, check that the trip watch holds the same loads, and
+   * recount the rack on/cap mirrors and action
    * counters from the actuation plane (FLEX_CHECK on divergence; the
    * engine's one exact-rescan oracle). Defaults on under
    * sanitized builds (-DFLEX_AGG_VERIFY, set by FLEX_SANITIZE); always
@@ -187,7 +188,11 @@ struct EmulationReport {
 
   /** Detection -> all actions enforced, first episode (paper: ~2 s). */
   double enforcement_latency_seconds = 0.0;
-  /** Failover -> power back under every UPS limit. */
+  /**
+   * Failover -> the first load change after which no UPS is above its
+   * rated capacity; 0 when the failover overloads none, -1 when the run
+   * ends first.
+   */
   double time_to_safe_seconds = 0.0;
   /** p99.9 telemetry data latency (paper: < 1.5 s). */
   double data_latency_p999 = 0.0;
@@ -197,7 +202,12 @@ struct EmulationReport {
   /** Worst per-rack inflation (paper: 14%). */
   double p95_increase_worst = 0.0;
 
-  /** True if any UPS stayed above rated capacity past its tolerance. */
+  /**
+   * Trip verdicts from the room's power::TripWatch, exact for the true
+   * UPS load trajectory: whether any UPS stayed above rated capacity
+   * past its tolerance, the largest fraction held above rated for a
+   * positive time (0 if none), and the longest overload episode.
+   */
   bool safety_violated = false;
   double worst_overload_fraction = 0.0;
   double overload_duration_seconds = 0.0;
@@ -225,7 +235,7 @@ struct EmulationReport {
   std::uint64_t aggregate_deltas = 0;   ///< O(1) incremental updates
   std::uint64_t aggregate_resyncs = 0;  ///< exact O(PDU) resyncs
   std::uint64_t verify_rescans = 0;     ///< debug cross-check rescans
-  std::uint64_t monitor_ticks = 0;      ///< safety-monitor evaluations
+  std::uint64_t monitor_ticks = 0;      ///< trip-watch observations
 
   /** Alerting results (populated when EmulationConfig::alerts.enabled). */
   std::uint64_t alerts_fired = 0;
@@ -341,8 +351,11 @@ class RoomEmulation : public telemetry::PowerSource {
   /** One-time forensic dump when a rule fires (alerts.forensics_root). */
   void DumpAlertBundle(const obs::AlertStatus& status,
                        const obs::AlertTransition& edge);
-  /** Overload + trip-curve tracking against the given true UPS loads. */
-  void MonitorTick(const std::vector<Watts>& ups);
+  /**
+   * Hands the running UPS sums to the trip watch; called after every
+   * change to them. Also decides time to safe.
+   */
+  void ObserveLoads();
   void OnRackStateChanged(int rack_id);
   void RebuildAggregates();
   /** The verify_aggregation oracle; FLEX_CHECKs every running state. */
@@ -382,8 +395,10 @@ class RoomEmulation : public telemetry::PowerSource {
   std::vector<int> sr_rack_ids_;
   std::vector<int> capable_rack_ids_;
 
-  // Incremental aggregation state.
+  // Incremental aggregation state, and the trip watch that sees every
+  // change to it.
   power::IncrementalUpsLoads agg_;
+  power::TripWatch watch_;
   power::PduPairLoads pdu_scratch_;
   int off_count_ = 0;           // racks powered off
   int capped_count_ = 0;        // racks on with an active cap
@@ -402,6 +417,7 @@ class RoomEmulation : public telemetry::PowerSource {
   bool timeline_started_ = false;
   bool finished_ = false;
   double time_to_safe_ = -1.0;  ///< failover -> under-limit latency
+  bool awaiting_safe_ = false;  ///< failed over, not yet under every limit
   /** Latest fleet substation overload fraction; < 0 until the fleet
       barrier publishes one (standalone rooms never see it). */
   double fleet_overload_fraction_ = -1.0;
@@ -410,8 +426,6 @@ class RoomEmulation : public telemetry::PowerSource {
   bool alert_bundle_written_ = false;
   double max_ups_load_fraction_ = 0.0;  ///< latest sample's worst UPS
   EmulationReport report_;
-  // Overload bookkeeping for the safety check.
-  std::vector<double> overload_since_;  // per UPS; <0 = not overloaded
   std::vector<power::BatteryModel> batteries_;  // per UPS
 };
 

@@ -18,8 +18,6 @@ namespace {
 constexpr Seconds kReleaseGrace = Seconds(5.0);
 /** Deadline for (d): sustained overload must see some action by then. */
 constexpr Seconds kResponseDeadline = Seconds(15.0);
-/** Relative slack on the load fraction before "unsafe" (meter noise). */
-constexpr double kOverloadEpsilon = 1e-9;
 
 }  // namespace
 
@@ -33,14 +31,13 @@ InvariantMonitor::InvariantMonitor(
       categories_(std::move(rack_categories)),
       plane_(plane),
       true_ups_loads_(std::move(true_ups_loads)),
-      config_(config)
+      config_(config),
+      watch_(topology)
 {
   FLEX_REQUIRE(static_cast<int>(categories_.size()) == plane_.num_racks(),
                "one workload category per rack required");
   FLEX_REQUIRE(static_cast<bool>(true_ups_loads_),
                "monitor needs a ground-truth UPS load source");
-  overload_since_.assign(static_cast<std::size_t>(topology_.NumUpses()), -1.0);
-  trip_reported_.assign(overload_since_.size(), false);
   cap_reported_.assign(categories_.size(), false);
   if (config_.obs != nullptr) {
     violations_metric_ = &config_.obs->metrics().counter("invariants.violations");
@@ -94,16 +91,16 @@ InvariantMonitor::AnyControllerActed() const
 }
 
 void
-InvariantMonitor::AddViolation(const char* invariant,
+InvariantMonitor::AddViolation(Seconds at, const char* invariant,
                                const std::string& message)
 {
-  violations_.push_back({queue_.Now(), invariant, message});
+  violations_.push_back({at, invariant, message});
   FLEX_LOG(obs::LogLevel::kError, "invariant", "[%s] %s", invariant,
            message.c_str());
   if (violations_metric_ != nullptr)
     violations_metric_->Increment();
   if (recorder_ != nullptr)
-    recorder_->Record(queue_.Now(), obs::RecordKind::kViolation, -1, -1, 0.0,
+    recorder_->Record(at, obs::RecordKind::kViolation, -1, -1, 0.0,
                       std::string("[") + invariant + "] " + message);
 }
 
@@ -116,37 +113,21 @@ InvariantMonitor::Check()
   FLEX_CHECK_MSG(static_cast<int>(loads.size()) == topology_.NumUpses(),
                  "ground-truth load vector has wrong arity");
 
-  // (a) trip safety, per UPS. An episode's duration is measured from the
-  // instant the UPS first went above rated load; the tolerance is taken
-  // at the *current* fraction, which is conservative when the overload
-  // deepened mid-episode and exact for flat overloads.
-  bool any_overloaded = false;
-  for (std::size_t u = 0; u < loads.size(); ++u) {
-    const double capacity =
-        topology_.UpsCapacity(static_cast<power::UpsId>(u)).value();
-    const double fraction = capacity > 0.0 ? loads[u].value() / capacity : 0.0;
-    if (fraction > worst_fraction_)
-      worst_fraction_ = fraction;
-    if (fraction > 1.0 + kOverloadEpsilon) {
-      any_overloaded = true;
-      if (overload_since_[u] < 0.0)
-        overload_since_[u] = now;
-      const Seconds held(now - overload_since_[u]);
-      if (!trip_reported_[u] &&
-          topology_.trip_curve().Exceeds(fraction, held)) {
-        char buffer[160];
-        std::snprintf(buffer, sizeof(buffer),
-                      "UPS %zu at %.3fx rated for %.2fs exceeds trip curve "
-                      "(tolerates %.2fs)",
-                      u, fraction, held.value(),
-                      topology_.trip_curve().ToleranceAt(fraction).value());
-        AddViolation("ups-trip", buffer);
-        trip_reported_[u] = true;
-      }
-    } else {
-      overload_since_[u] = -1.0;
-      trip_reported_[u] = false;
-    }
+  // (a) trip safety, per UPS. Loads change only at events and this runs
+  // after every event, so the watch sees the whole trajectory: it closes
+  // the interval since the last check and reports any trip in it at the
+  // instant the overload outlasted its tolerance.
+  watch_.Observe(queue_.Now(), loads);
+  for (; trips_reported_ < watch_.trips().size(); ++trips_reported_) {
+    const power::Trip& trip = watch_.trips()[trips_reported_];
+    char buffer[160];
+    std::snprintf(buffer, sizeof(buffer),
+                  "UPS %d at %.3fx rated trips %.2fs into an overload from "
+                  "t=%.2fs (tolerates %.2fs)",
+                  trip.ups, trip.fraction, (trip.at - trip.since).value(),
+                  trip.since.value(),
+                  topology_.trip_curve().ToleranceAt(trip.fraction).value());
+    AddViolation(trip.at, "ups-trip", buffer);
   }
 
   // (b) action legality, per rack. Caps are legal only on cap-able
@@ -168,7 +149,7 @@ InvariantMonitor::Check()
                       "rack %d (category %d) illegally %s", r,
                       static_cast<int>(category),
                       illegal_cap ? "power-capped" : "shut down");
-        AddViolation("illegal-action", buffer);
+        AddViolation(queue_.Now(), "illegal-action", buffer);
         cap_reported_[static_cast<std::size_t>(r)] = true;
       }
     } else {
@@ -177,7 +158,7 @@ InvariantMonitor::Check()
   }
 
   // (c) + (d): room-level unsafe episodes.
-  if (!any_overloaded) {
+  if (!watch_.overloaded()) {
     unsafe_since_ = -1.0;
     missed_reported_ = false;
     // Releases while the room is safe are always fine.
@@ -200,7 +181,7 @@ InvariantMonitor::Check()
                     "%.2fs (> %.2fs grace)",
                     releases - seen_release_commands_, unsafe_for,
                     kReleaseGrace.value());
-      AddViolation("unsafe-release", buffer);
+      AddViolation(queue_.Now(), "unsafe-release", buffer);
     }
     seen_release_commands_ = releases;
   }
@@ -214,7 +195,7 @@ InvariantMonitor::Check()
                   "room unsafe for %.2fs (> %.2fs deadline) with no "
                   "controller action in force",
                   unsafe_for, kResponseDeadline.value());
-    AddViolation("missed-overload", buffer);
+    AddViolation(queue_.Now(), "missed-overload", buffer);
     missed_reported_ = true;
   }
 }

@@ -6,7 +6,10 @@
  * event it re-checks the paper's safety claims against ground truth:
  *
  *  (a) trip safety — no UPS sustains an overload longer than its trip
- *      curve tolerates (Sections III, Fig. 6);
+ *      curve tolerates (Sections III, Fig. 6). Decided by the same
+ *      power::TripWatch the room emulation uses: loads change only at
+ *      events and the monitor sees every event, so each trip is exact
+ *      and its violation carries the trip instant;
  *  (b) action legality — power caps only ever appear on non-redundant
  *      cap-able racks (Algorithm 1 never caps SR or non-cap-able ones);
  *  (c) safe release — controllers issue release commands (uncap or
@@ -32,6 +35,7 @@
 #include "obs/observability.hpp"
 #include "online/controller.hpp"
 #include "power/topology.hpp"
+#include "power/trip_curve.hpp"
 #include "sim/event_queue.hpp"
 #include "workload/deployment.hpp"
 
@@ -45,7 +49,7 @@ struct MonitorConfig {
 
 /** One detected invariant violation. */
 struct Violation {
-  Seconds at{0.0};
+  Seconds at{0.0};  ///< when it happened (a trip: the trip instant)
   std::string invariant;  ///< "ups-trip", "illegal-cap", ...
   std::string message;
 };
@@ -81,8 +85,13 @@ class InvariantMonitor {
 
   const std::vector<Violation>& violations() const { return violations_; }
 
-  /** Worst true UPS load fraction seen (1.0 = rated capacity). */
-  double worst_overload_fraction() const { return worst_fraction_; }
+  /**
+   * Largest true UPS load fraction held above rated capacity for a
+   * positive time (1.0 = rated capacity); 0 if none.
+   */
+  double worst_overload_fraction() const {
+    return watch_.worst_overload_fraction();
+  }
 
   /** Number of Check() invocations (≈ executed events once attached). */
   std::uint64_t checks_run() const { return checks_run_; }
@@ -91,7 +100,8 @@ class InvariantMonitor {
   std::string Summary() const;
 
  private:
-  void AddViolation(const char* invariant, const std::string& message);
+  void AddViolation(Seconds at, const char* invariant,
+                    const std::string& message);
   std::size_t TotalReleaseCommands() const;
   bool AnyControllerActed() const;
 
@@ -104,9 +114,9 @@ class InvariantMonitor {
   std::vector<const online::FlexController*> controllers_;
   sim::ObserverId observer_id_ = 0;  // 0: not attached
 
-  // (a) per-UPS overload episodes.
-  std::vector<double> overload_since_;  // <0: not overloaded
-  std::vector<bool> trip_reported_;
+  // (a) the trip watch, and how many of its trips are reported.
+  power::TripWatch watch_;
+  std::size_t trips_reported_ = 0;
   // (b) per-rack cap-violation dedup.
   std::vector<bool> cap_reported_;
   // (c)/(d) room-level unsafe episode.
@@ -114,7 +124,6 @@ class InvariantMonitor {
   bool missed_reported_ = false;
   std::size_t seen_release_commands_ = 0;
 
-  double worst_fraction_ = 0.0;
   std::uint64_t checks_run_ = 0;
   std::vector<Violation> violations_;
 

@@ -277,7 +277,6 @@ FleetRoom(int rows_per_pdu_pair)
   config.restore_at = Seconds(100.0);
   config.end_at = Seconds(1000.0);
   config.pipeline.rack_poll_period = Seconds(30.0);
-  config.monitor_period = Seconds(0.005);
   config.alerts.enabled = true;
   config.placement_solve_seconds = 1e9;
   config.placement_max_nodes = 1;

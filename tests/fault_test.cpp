@@ -543,6 +543,34 @@ TEST(InvariantMonitorTest, DetectsMissedOverloadAndTripWhenUnmanaged)
   EXPECT_TRUE(kinds.count("ups-trip")) << report.violation_summary;
 }
 
+TEST(InvariantMonitorTest, CatchesATripThatEndsBetweenChecks)
+{
+  // UPS 0 carries 133% from t = 1 s to t = 12 s and nothing else happens,
+  // so the monitor checks only at the two load changes. The 10 s
+  // tolerance ran out at t = 11 s, between them.
+  sim::EventQueue queue;
+  const power::RoomTopology topology(power::RoomConfig::EmulationRoom());
+  const actuation::ActuationPlane plane(queue, 4, {}, 1);
+  const Watts rated = topology.UpsCapacity(0);
+  std::vector<Watts> loads(static_cast<std::size_t>(topology.NumUpses()),
+                           rated * 0.5);
+  InvariantMonitor monitor(
+      queue, topology,
+      std::vector<workload::Category>(4,
+                                      workload::Category::kNonRedundantCapable),
+      plane, [&loads] { return loads; });
+  monitor.Attach();
+  queue.ScheduleAt(Seconds(1.0), [&] { loads[0] = rated * 1.33; });
+  queue.ScheduleAt(Seconds(12.0), [&] { loads[0] = rated * 0.5; });
+  queue.RunUntil(Seconds(20.0));
+
+  EXPECT_EQ(monitor.checks_run(), 2u);
+  ASSERT_EQ(monitor.violations().size(), 1u) << monitor.Summary();
+  EXPECT_EQ(monitor.violations()[0].invariant, "ups-trip");
+  EXPECT_NEAR(monitor.violations()[0].at.value(), 11.0, 1e-9);
+  EXPECT_NEAR(monitor.worst_overload_fraction(), 1.33, 1e-12);
+}
+
 TEST(InvariantMonitorTest, ManagedFailoverStaysViolationFree)
 {
   // The same overload with live controllers must be answered in time:

@@ -1,12 +1,19 @@
 /**
  * @file
- * Unit tests for the power substrate: topology, loads, trip curves.
+ * Unit tests for the power substrate: topology, loads, trip curves and
+ * the trip watch.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "power/incremental.hpp"
 #include "power/loads.hpp"
 #include "power/topology.hpp"
@@ -294,6 +301,247 @@ TEST(TripCurveTest, RejectsNegativeLoad)
 {
   const TripCurve curve = TripCurve::ForBatteryLife(BatteryLife::kEndOfLife);
   EXPECT_THROW(curve.ToleranceAt(-0.1), ConfigError);
+}
+
+// ---------------------------------------------------------------------------
+// TripWatch: exact trip verdicts for piecewise-constant loads.
+// ---------------------------------------------------------------------------
+
+constexpr double kRatedW = 1e6;
+
+/** A watch over @p upses UPSes rated 1 MW, on the end-of-life curve. */
+TripWatch
+MakeWatch(int upses)
+{
+  return TripWatch(TripCurve::ForBatteryLife(BatteryLife::kEndOfLife),
+                   std::vector<Watts>(static_cast<std::size_t>(upses),
+                                      Watts(kRatedW)));
+}
+
+/** One load per UPS, given as fractions of the 1 MW rating. */
+std::vector<Watts>
+Loads(const std::vector<double>& fractions)
+{
+  std::vector<Watts> loads;
+  for (const double fraction : fractions)
+    loads.push_back(Watts(fraction * kRatedW));
+  return loads;
+}
+
+TEST(TripWatchTest, ZeroLengthIntervalCountsForNothing)
+{
+  TripWatch watch = MakeWatch(1);
+  watch.Observe(Seconds(0.0), Loads({0.5}));
+  watch.Observe(Seconds(1.0), Loads({2.0}));  // held for no time at all
+  watch.Observe(Seconds(1.0), Loads({0.5}));
+  watch.CloseAt(Seconds(100.0));
+  EXPECT_FALSE(watch.tripped());
+  EXPECT_FALSE(watch.overloaded());
+  EXPECT_EQ(watch.worst_overload_fraction(), 0.0);
+  EXPECT_EQ(watch.longest_overload().value(), 0.0);
+  EXPECT_EQ(watch.observations(), 3u);
+
+  // A dip below rated for no time does not end an episode either: the
+  // 133% overload from t = 0 trips at its 10 s tolerance.
+  TripWatch dip = MakeWatch(1);
+  dip.Observe(Seconds(0.0), Loads({1.33}));
+  dip.Observe(Seconds(5.0), Loads({0.5}));
+  dip.Observe(Seconds(5.0), Loads({1.33}));
+  dip.Observe(Seconds(12.0), Loads({1.33}));
+  ASSERT_EQ(dip.trips().size(), 1u);
+  EXPECT_EQ(dip.trips()[0].since.value(), 0.0);
+  EXPECT_NEAR(dip.trips()[0].at.value(), 10.0, 1e-9);
+  EXPECT_EQ(dip.longest_overload().value(), 12.0);
+}
+
+TEST(TripWatchTest, RisingFractionTripsAtTheChange)
+{
+  // 110% tolerates 60 s; after 5 s it rises to 150%, which tolerates
+  // only 4 s. The episode is already older than that, so the UPS trips
+  // at the change itself, not 4 s later.
+  TripWatch watch = MakeWatch(2);
+  watch.Observe(Seconds(0.0), Loads({1.1, 0.9}));
+  watch.Observe(Seconds(5.0), Loads({1.5, 0.9}));
+  EXPECT_FALSE(watch.tripped());  // the 150% interval is still open
+  watch.Observe(Seconds(5.5), Loads({1.5, 0.9}));
+  ASSERT_EQ(watch.trips().size(), 1u);
+  const Trip& trip = watch.trips()[0];
+  EXPECT_EQ(trip.ups, 0);
+  EXPECT_EQ(trip.at.value(), 5.0);
+  EXPECT_EQ(trip.since.value(), 0.0);
+  EXPECT_EQ(trip.fraction, 1.5);
+  EXPECT_TRUE(watch.overloaded());
+  EXPECT_EQ(watch.fraction(0), 1.5);
+  EXPECT_EQ(watch.fraction(1), 0.9);
+  EXPECT_EQ(watch.worst_overload_fraction(), 1.5);
+}
+
+TEST(TripWatchTest, CloseAtClosesAnOverloadThatSpansTheEnd)
+{
+  TripWatch watch = MakeWatch(1);
+  watch.Observe(Seconds(0.0), Loads({0.9}));
+  watch.Observe(Seconds(10.0), Loads({1.33}));
+  watch.CloseAt(Seconds(25.0));
+  ASSERT_EQ(watch.trips().size(), 1u);
+  EXPECT_NEAR(watch.trips()[0].at.value(), 20.0, 1e-9);
+  EXPECT_EQ(watch.longest_overload().value(), 15.0);
+  EXPECT_EQ(watch.worst_overload_fraction(), 1.33);
+  EXPECT_TRUE(watch.overloaded());
+  EXPECT_EQ(watch.observations(), 2u);
+  EXPECT_THROW(watch.Observe(Seconds(24.0), Loads({0.9})), ConfigError);
+}
+
+/** The overload fraction whose tolerance on @p curve is @p seconds. */
+double
+FractionTolerating(const TripCurve& curve, double seconds)
+{
+  // ToleranceAt falls monotonically above rated load; bisect for the
+  // smallest fraction that tolerates at most @p seconds.
+  double lo = 1.0;
+  double hi = 2.0;
+  for (int i = 0; i < 200 && lo < hi; ++i) {
+    const double mid = lo + (hi - lo) / 2.0;
+    if (mid == lo || mid == hi)
+      break;
+    (curve.ToleranceAt(mid).value() > seconds ? lo : hi) = mid;
+  }
+  return hi;
+}
+
+TEST(TripWatchTest, MatchesAOneMillisecondRescanOnRandomWalks)
+{
+  // Random piecewise-constant walks: change points on a 10 ms grid
+  // (zero-length steps included), fractions from 0.8 to 1.6. A rescan
+  // every 1 ms applies the polled rule the watch replaced: an episode
+  // starts at the first poll above rated, and a poll trips when the
+  // episode's age exceeds the tolerance at that poll's fraction. Times
+  // are integer milliseconds, scaled once, so both sides see the same
+  // doubles. Half the drawn fractions tolerate 0.5 ms less than a
+  // multiple of 10 ms, and half of the episodes that start at one hold
+  // it and end exactly on that multiple: their overload outlasts its
+  // tolerance only in the last millisecond, between two polls.
+  constexpr int kUpses = 3;
+  const TripCurve curve = TripCurve::ForBatteryLife(BatteryLife::kEndOfLife);
+  int rescan_trips = 0;
+  int watch_only_trips = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<std::int64_t> change_ms;
+    std::vector<std::vector<double>> change_fractions;
+    std::vector<double> fractions(kUpses, 0.9);
+    std::vector<std::int64_t> scripted_end_ms(kUpses, -1);
+    std::int64_t t_ms = 0;
+    for (int i = 0; i < 600; ++i) {
+      for (int u = 0; u < kUpses; ++u) {
+        double& fraction = fractions[u];
+        if (scripted_end_ms[u] >= 0) {
+          if (scripted_end_ms[u] == t_ms) {
+            fraction = 0.9;
+            scripted_end_ms[u] = -1;
+          }
+          continue;
+        }
+        if (!rng.Bernoulli(0.5))
+          continue;
+        const bool fresh = fraction <= 1.0;
+        if (rng.Bernoulli(0.5)) {
+          fraction = rng.Uniform(0.8, 1.6);
+          continue;
+        }
+        const std::int64_t steps = rng.UniformInt(340, 1000);
+        fraction = FractionTolerating(curve, 10e-3 * steps - 0.5e-3);
+        if (fresh && rng.Bernoulli(0.5))
+          scripted_end_ms[u] = t_ms + 10 * steps;
+      }
+      change_ms.push_back(t_ms);
+      change_fractions.push_back(fractions);
+      std::int64_t gap_ms = 10 * rng.UniformInt(0, 50);
+      for (const std::int64_t end : scripted_end_ms) {
+        if (end >= 0)
+          gap_ms = std::min(gap_ms, end - t_ms);
+      }
+      t_ms += gap_ms;
+    }
+    const std::int64_t end_ms = t_ms;
+
+    TripWatch watch = MakeWatch(kUpses);
+    for (std::size_t c = 0; c < change_ms.size(); ++c)
+      watch.Observe(Seconds(change_ms[c] * 1e-3), Loads(change_fractions[c]));
+    watch.CloseAt(Seconds(end_ms * 1e-3));
+
+    // The rescan: trips keyed by (UPS, episode start in ms).
+    std::map<std::pair<int, std::int64_t>, double> polled;
+    double worst = 0.0;
+    double longest = 0.0;
+    std::vector<std::int64_t> since_ms(kUpses, -1);
+    std::vector<bool> tripped(kUpses, false);
+    std::size_t next = 0;
+    std::vector<double> held(kUpses, 0.0);
+    for (std::int64_t k = 0; k < end_ms; ++k) {
+      while (next < change_ms.size() && change_ms[next] <= k) {
+        for (int u = 0; u < kUpses; ++u)
+          held[u] = Loads(change_fractions[next])[u] / Watts(kRatedW);
+        ++next;
+      }
+      const double t = k * 1e-3;
+      for (int u = 0; u < kUpses; ++u) {
+        if (held[u] <= 1.0) {
+          since_ms[u] = -1;
+          tripped[u] = false;
+          continue;
+        }
+        if (since_ms[u] < 0)
+          since_ms[u] = k;
+        const double age = t - since_ms[u] * 1e-3;
+        worst = std::max(worst, held[u]);
+        longest = std::max(longest, age);
+        if (!tripped[u] && age > curve.ToleranceAt(held[u]).value()) {
+          tripped[u] = true;
+          polled[{u, since_ms[u]}] = t;
+        }
+      }
+    }
+
+    EXPECT_EQ(watch.worst_overload_fraction(), worst) << "seed " << seed;
+    EXPECT_GE(watch.longest_overload().value(), longest) << "seed " << seed;
+    EXPECT_LE(watch.longest_overload().value(), longest + 1e-3 + 1e-9)
+        << "seed " << seed;
+    std::map<std::pair<int, std::int64_t>, double> exact;
+    for (const Trip& trip : watch.trips()) {
+      const std::int64_t since = std::llround(trip.since.value() * 1e3);
+      EXPECT_EQ(since * 1e-3, trip.since.value()) << "seed " << seed;
+      EXPECT_TRUE(exact.emplace(std::make_pair(trip.ups, since),
+                                trip.at.value()).second)
+          << "two trips in one episode, seed " << seed;
+    }
+    // Every trip the rescan finds, the watch finds, and no later.
+    for (const auto& [key, at] : polled) {
+      const auto it = exact.find(key);
+      ASSERT_NE(it, exact.end()) << "seed " << seed << " UPS " << key.first;
+      EXPECT_LE(it->second, at + 1e-9) << "seed " << seed;
+      ++rescan_trips;
+    }
+    // A trip only the watch finds falls between the last poll of its
+    // interval and the interval's end.
+    for (const auto& [key, at] : exact) {
+      if (polled.count(key) != 0)
+        continue;
+      ++watch_only_trips;
+      double interval_end = end_ms * 1e-3;
+      for (const std::int64_t ms : change_ms) {
+        if (ms * 1e-3 > at) {
+          interval_end = ms * 1e-3;
+          break;
+        }
+      }
+      EXPECT_LE(interval_end - at, 1e-3 + 1e-9) << "seed " << seed;
+    }
+  }
+  // The walks must exercise both verdicts, not just agree on silence.
+  EXPECT_GT(rescan_trips, 20);
+  EXPECT_GT(watch_only_trips, 0);
+  RecordProperty("rescan_trips", rescan_trips);
+  RecordProperty("watch_only_trips", watch_only_trips);
 }
 
 // ---------------------------------------------------------------------------
