@@ -6,9 +6,10 @@
  *
  *   flex_replay <bundle-dir>
  *     Loads the forensic bundle at <bundle-dir>, re-executes the stored
- *     fault plan on the stored seed in a fresh default room, and diffs
- *     the recorded timeline against the re-execution record by record.
- *     Exit 0 on zero divergence, 2 on divergence, 1 on load errors.
+ *     fault plan on the stored seed in a fresh fuzz room
+ *     (fault::FuzzRoomConfig), and diffs the recorded timeline against
+ *     the re-execution record by record. Exit 0 on zero divergence, 2 on
+ *     divergence, 1 on load errors.
  *
  *   flex_replay --fuzz <seed> [--out <dir>]
  *     Runs the fault fuzzer's plan for <seed> with the flight recorder
@@ -21,8 +22,8 @@
 #include <cstring>
 #include <string>
 
+#include "fault/fault_run.hpp"
 #include "fault/forensics.hpp"
-#include "fault/scenario.hpp"
 
 namespace {
 
@@ -36,7 +37,7 @@ Usage(const char* argv0)
   return 1;
 }
 
-/** Replays @p bundle_dir against a default room; returns the exit code. */
+/** Replays @p bundle_dir on the fuzz room; returns the exit code. */
 int
 Replay(const std::string& bundle_dir)
 {
@@ -91,9 +92,8 @@ main(int argc, char** argv)
         options.root_dir = argv[i + 1];
     }
 
-    const fault::ScenarioConfig config;
     const fault::RecordedRun run =
-        fault::RunRecordedScenario(config, seed, options);
+        fault::RunRecordedScenario(fault::FuzzRoomConfig(), seed, options);
     if (run.bundle_dir.empty()) {
       std::fprintf(stderr, "flex_replay: bundle dump failed: %s\n",
                    run.dump_error.c_str());

@@ -9,9 +9,10 @@
 #
 #   git_sha     HEAD as 12 hex digits, "-dirty" when tracked files
 #               differ from it; "unknown" outside a git checkout
-#   build_type  CMAKE_BUILD_TYPE from <build_dir>/CMakeCache.txt;
-#               "unset" when empty (CMakeLists.txt then builds
-#               RelWithDebInfo)
+#   build_type  CMAKE_BUILD_TYPE from <build_dir>/CMakeCache.txt, where
+#               CMakeLists.txt caches its RelWithDebInfo default;
+#               "unset" only for a tree configured before that default
+#               was cached, which also builds RelWithDebInfo
 #   compiler    first line of the cached CMAKE_CXX_COMPILER's --version
 #
 # Every value is reduced to [A-Za-z0-9 ._+-], which is safe both inside

@@ -7,7 +7,9 @@
 #
 # Usage: scripts/run_benches.sh [build-dir] [bench-name...]
 #   build-dir   defaults to ./build (or FLEX_BUILD_DIR)
-#   bench-name  run only the named benches (default: all in build/bench)
+#   bench-name  run only the named benches (default: all in build/bench);
+#               the solver thread sweep (BENCH_solver.json) runs only
+#               when no bench is named or bench_solver_perf is
 #
 # Tuning (inherited by every bench):
 #   FLEX_SOLVE_SECONDS  per-batch MILP budget (default here: 1)
@@ -34,11 +36,16 @@ export FLEX_BENCH_TRACES="${FLEX_BENCH_TRACES:-3}"
 source "${repo_root}/scripts/bench_stamp.sh"
 
 benches=("$@")
+sweep_solver=0
 if [[ ${#benches[@]} -eq 0 ]]; then
+  sweep_solver=1
   for path in "${build_dir}"/bench/*; do
     [[ -x "${path}" && -f "${path}" ]] && benches+=("$(basename "${path}")")
   done
 fi
+for bench in "${benches[@]}"; do
+  [[ "${bench}" == "bench_solver_perf" ]] && sweep_solver=1
+done
 
 log_dir="${build_dir}/bench-logs"
 mkdir -p "${log_dir}"
@@ -76,7 +83,7 @@ done
 # run: a 1-vs-1 comparison only measures pool overhead (the degenerate
 # "speedup 0.98" readings single-core machines used to report).
 solver_binary="${build_dir}/bench/bench_solver_perf"
-if [[ -x "${solver_binary}" ]]; then
+if [[ "${sweep_solver}" == "1" && -x "${solver_binary}" ]]; then
   sweep_json="${repo_root}/BENCH_solver.json"
   rm -f "${sweep_json}"
   hw_threads="${hw_concurrency}"

@@ -64,8 +64,13 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
                "setup_duration must not be negative");
   FLEX_REQUIRE(config_.failover_at.value() >= 0.0,
                "failover_at must not be negative");
-  FLEX_REQUIRE(config_.failover_at < config_.restore_at &&
-                   config_.restore_at < config_.end_at,
+  FLEX_REQUIRE(config_.end_at.value() > 0.0, "end_at must be positive");
+  FLEX_REQUIRE(config_.failed_ups >= -1 &&
+                   config_.failed_ups < topology_.NumUpses(),
+               "failed UPS out of range");
+  FLEX_REQUIRE(config_.failed_ups < 0 ||
+                   (config_.failover_at < config_.restore_at &&
+                    config_.restore_at < config_.end_at),
                "timeline must be ordered: failover < restore < end");
   FLEX_REQUIRE(config_.workload_step.value() > 0.0,
                "workload_step must be positive");
@@ -83,9 +88,6 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
                "placement_solve_seconds must be positive");
   FLEX_REQUIRE(config_.placement_max_nodes >= 0,
                "placement_max_nodes must not be negative");
-  FLEX_REQUIRE(config_.failed_ups >= 0 &&
-                   config_.failed_ups < topology_.NumUpses(),
-               "failed UPS out of range");
   if (config_.obs != nullptr) {
     config_.obs->BindClock(queue_);
     config_.pipeline.obs = config_.obs;
@@ -373,9 +375,30 @@ RoomEmulation::ObserveLoads()
 {
   watch_.Observe(queue_.Now(), agg_.UpsLoads());
   if (awaiting_safe_ && !watch_.overloaded()) {
-    time_to_safe_ = (queue_.Now() - config_.failover_at).value();
+    time_to_safe_ = queue_.Now().value() - first_failover_at_;
     awaiting_safe_ = false;
   }
+}
+
+void
+RoomEmulation::SetUpsFailed(UpsId ups, bool failed)
+{
+  FLEX_REQUIRE(ups >= 0 && ups < topology_.NumUpses(),
+               "UPS index out of range");
+  if (failed == (failed_ups_ == ups))
+    return;  // already in that state
+  if (failed) {
+    FLEX_CHECK_MSG(failed_ups_ < 0, "only one UPS may be failed at a time");
+    failed_ups_ = ups;
+    if (first_failover_at_ < 0.0) {
+      first_failover_at_ = queue_.Now().value();
+      awaiting_safe_ = true;
+    }
+  } else {
+    failed_ups_ = -1;
+  }
+  agg_.SetFailedUps(failed_ups_);
+  ObserveLoads();
 }
 
 void
@@ -762,19 +785,13 @@ RoomEmulation::StartTimeline()
     RecordSample();
     return queue_.Now() < config_.end_at;
   });
-  // Stage C: fail a UPS.
-  queue_.ScheduleAt(config_.failover_at, [this] {
-    failed_ups_ = config_.failed_ups;
-    agg_.SetFailedUps(failed_ups_);
-    awaiting_safe_ = true;
-    ObserveLoads();
-  });
-  // Stage F: restore it.
-  queue_.ScheduleAt(config_.restore_at, [this] {
-    failed_ups_ = -1;
-    agg_.SetFailedUps(-1);
-    ObserveLoads();
-  });
+  // Stage C fails a UPS; stage F restores it.
+  if (config_.failed_ups >= 0) {
+    queue_.ScheduleAt(config_.failover_at,
+                      [this] { SetUpsFailed(config_.failed_ups, true); });
+    queue_.ScheduleAt(config_.restore_at,
+                      [this] { SetUpsFailed(config_.failed_ups, false); });
+  }
   // Scripted telemetry outage: every poller fails, then recovers. The
   // alerting drill rides this — delivered readings go flat, and the
   // staleness rule must walk pending → firing → resolved.

@@ -73,6 +73,12 @@ struct EmulationConfig {
    * assigns it, and goes when that assignment does.
    */
   Seconds monitor_period = Seconds(0.0);
+  /**
+   * The UPS the timeline fails at failover_at and restores at
+   * restore_at (stages C and F); -1 scripts no failover, and the
+   * ordering of failover_at and restore_at is then not checked. A fault
+   * plan can still fail UPSes through SetUpsFailed.
+   */
   power::UpsId failed_ups = 0;
 
   /**
@@ -189,9 +195,9 @@ struct EmulationReport {
   /** Detection -> all actions enforced, first episode (paper: ~2 s). */
   double enforcement_latency_seconds = 0.0;
   /**
-   * Failover -> the first load change after which no UPS is above its
-   * rated capacity; 0 when the failover overloads none, -1 when the run
-   * ends first.
+   * First failover edge -> the first load change after which no UPS is
+   * above its rated capacity; 0 when the failover overloads none, -1
+   * when the run ends first or no UPS ever fails.
    */
   double time_to_safe_seconds = 0.0;
   /** p99.9 telemetry data latency (paper: < 1.5 s). */
@@ -326,8 +332,30 @@ class RoomEmulation : public telemetry::PowerSource {
   const power::RoomTopology& topology() const { return topology_; }
   const offline::Placement& placement() const { return placement_; }
 
-  /** Telemetry pipeline access, e.g. for pre-run fault injection. */
+  /**
+   * Fails (true) or restores (false) @p ups: the scripted stage C and F
+   * edges and an injected UPS failover alike. At most one UPS is failed
+   * at a time; failing the failed UPS again, or restoring one that is
+   * not failed, does nothing. The first failover edge starts the
+   * time-to-safe clock.
+   */
+  void SetUpsFailed(power::UpsId ups, bool failed);
+
+  // What a fault injector drives and an invariant monitor reads.
+  sim::EventQueue& queue() { return queue_; }
   telemetry::TelemetryPipeline& pipeline() { return *pipeline_; }
+  actuation::ActuationPlane& plane() { return *plane_; }
+  const actuation::ActuationPlane& plane() const { return *plane_; }
+  /** The controller replicas, indexed by replica id. */
+  const std::vector<std::unique_ptr<online::FlexController>>& controllers() {
+    return controllers_;
+  }
+  /** Workload category per rack, indexed by rack id. */
+  const std::vector<workload::Category>& rack_categories() const {
+    return rack_category_;
+  }
+  /** The running true per-UPS loads, after failover redistribution. */
+  const std::vector<Watts>& ups_loads() const { return agg_.UpsLoads(); }
 
   /** Time-series store / alert engine; nullptr unless alerts.enabled. */
   const obs::TimeSeriesStore* timeseries() const { return ts_store_.get(); }
@@ -416,7 +444,8 @@ class RoomEmulation : public telemetry::PowerSource {
   // Epoch-bounded driving state.
   bool timeline_started_ = false;
   bool finished_ = false;
-  double time_to_safe_ = -1.0;  ///< failover -> under-limit latency
+  double first_failover_at_ = -1.0;  ///< first failover edge; < 0 before
+  double time_to_safe_ = -1.0;  ///< first failover -> under-limit latency
   bool awaiting_safe_ = false;  ///< failed over, not yet under every limit
   /** Latest fleet substation overload fraction; < 0 until the fleet
       barrier publishes one (standalone rooms never see it). */

@@ -35,7 +35,7 @@ struct ScenarioShape {
   int num_buses = 2;
   int meters_per_device = 3;
   int num_controllers = 2;
-  /** Simulated time the scenario runs for. */
+  /** Simulated time the room runs for. */
   Seconds horizon{120.0};
 };
 

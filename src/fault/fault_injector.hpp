@@ -3,55 +3,38 @@
  * Arms FaultPlans onto a live room.
  *
  * The injector turns a FaultPlan (plain data) into scheduled events on
- * the room's sim::EventQueue: every fault gets a begin event at its
- * start time and, when it has a finite duration, a repair event at
- * start + duration. Execution is recorded into a textual trace in
+ * an emulation::RoomEmulation's queue: every fault gets a begin event
+ * at its start time and, when it has a finite duration, a repair event
+ * at start + duration. Execution is recorded into a textual trace in
  * exact firing order, which is what the seed-replay tests compare —
  * two runs of the same seed must produce byte-identical traces.
  */
 #ifndef FLEX_FAULT_FAULT_INJECTOR_HPP_
 #define FLEX_FAULT_FAULT_INJECTOR_HPP_
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "actuation/rack_manager.hpp"
+#include "emulation/room_emulation.hpp"
 #include "fault/fault_plan.hpp"
-#include "online/controller.hpp"
-#include "sim/event_queue.hpp"
-#include "telemetry/pipeline.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace flex::fault {
-
-/**
- * The injectable surfaces of one room. Null members simply make the
- * corresponding fault kinds invalid (Arm rejects such plans), so tests
- * can target a bare pipeline or a bare actuation plane.
- */
-struct InjectorTargets {
-  sim::EventQueue* queue = nullptr;                  ///< required
-  telemetry::TelemetryPipeline* pipeline = nullptr;  ///< telemetry faults
-  actuation::ActuationPlane* plane = nullptr;        ///< rack-manager faults
-  /** Fails (true) / restores (false) a UPS; enables kUpsFailover. */
-  std::function<void(int ups, bool failed)> set_ups_failed;
-  /** Replicas, indexed by target; enables kControllerPause. */
-  std::vector<online::FlexController*> controllers;
-  /** Number of UPSes, for kUpsFailover target validation. */
-  int num_ups = 0;
-  /** Optional flight recorder fed with begin/repair records. */
-  obs::FlightRecorder* recorder = nullptr;
-};
 
 /**
  * Schedules a FaultPlan's events and applies them as they fire.
  */
 class FaultInjector {
  public:
-  explicit FaultInjector(InjectorTargets targets);
+  /**
+   * Injects into @p room's pipeline, actuation plane, controller
+   * replicas and UPSes, and feeds begin/repair records to the flight
+   * recorder of the room's obs sink, when it has one.
+   */
+  explicit FaultInjector(emulation::RoomEmulation& room);
 
   /**
-   * Validates every event against the targets and schedules it. May be
+   * Validates every event against the room and schedules it. May be
    * called multiple times (plans compose). Events whose begin time is
    * already in the past fire immediately on the next queue step.
    */
@@ -69,7 +52,8 @@ class FaultInjector {
   void Apply(const FaultEvent& event, bool start);
   void Record(const FaultEvent& event, bool start);
 
-  InjectorTargets targets_;
+  emulation::RoomEmulation& room_;
+  obs::FlightRecorder* recorder_ = nullptr;
   std::vector<std::string> trace_;
   int scheduled_ = 0;
 };

@@ -49,7 +49,9 @@ ParseFaultPlanJsonl(const std::string& jsonl, FaultPlan* out,
                     json::ReadNumber(line, "magnitude", &event.magnitude) &&
                     json::ReadNumber(line, "duration", &duration);
     if (!ok || kind < static_cast<int>(FaultKind::kUpsFailover) ||
-        kind > static_cast<int>(FaultKind::kControllerPause)) {
+        kind > static_cast<int>(FaultKind::kControllerPause) ||
+        (device_kind != static_cast<int>(telemetry::DeviceKind::kUps) &&
+         device_kind != static_cast<int>(telemetry::DeviceKind::kRack))) {
       if (error != nullptr)
         *error = "malformed fault event at line " +
                  std::to_string(lines.number());
@@ -65,14 +67,14 @@ ParseFaultPlanJsonl(const std::string& jsonl, FaultPlan* out,
 }
 
 std::string
-RacksCsv(const FaultScenario& scenario)
+RacksCsv(const emulation::RoomEmulation& room)
 {
   std::string out = "rack,category,powered_on,power_cap_w,true_power_w\n";
-  const auto& categories = scenario.categories();
+  const auto& categories = room.rack_categories();
   for (int r = 0; r < static_cast<int>(categories.size()); ++r) {
-    const actuation::RackState& state = scenario.plane().rack(r).state();
-    const Watts power = scenario.CurrentPower(
-        telemetry::DeviceId{telemetry::DeviceKind::kRack, r});
+    const actuation::RackState& state = room.plane().rack(r).state();
+    const Watts power =
+        room.CurrentPower(telemetry::DeviceId{telemetry::DeviceKind::kRack, r});
     out += std::to_string(r) + ",";
     out += std::to_string(
                static_cast<int>(categories[static_cast<std::size_t>(r)])) +
@@ -87,24 +89,29 @@ RacksCsv(const FaultScenario& scenario)
   return out;
 }
 
+namespace {
+
+/** RunRecordedPlan; a null @p plan runs the fuzzer's plan for the room. */
 RecordedRun
-RunRecordedPlan(const ScenarioConfig& config, std::uint64_t seed,
-                const FaultPlan& plan, const ForensicsOptions& options)
+RunRecorded(const emulation::EmulationConfig& config, std::uint64_t seed,
+            const FaultPlan* plan, const ForensicsOptions& options)
 {
   obs::ObservabilityConfig obs_config;
   obs_config.recorder.capacity = options.recorder_capacity;
   obs::Observability obs(obs_config);
 
-  ScenarioConfig recorded_config = config;
+  emulation::EmulationConfig recorded_config = config;
   recorded_config.obs = &obs;
-  FaultScenario scenario(recorded_config, seed);
+  recorded_config.seed = seed;
+  emulation::RoomEmulation room(recorded_config);
+  const FaultPlan run_plan = plan != nullptr ? *plan : FuzzedPlan(room);
 
   RecordedRun run;
-  run.report = scenario.Run(plan);
+  run.report = RunPlan(room, run_plan);
   run.records = obs.recorder().Records();
 
   const bool violated = !run.report.violations.empty();
-  const bool alerted = run.report.alerts_fired > 0;
+  const bool alerted = run.report.room.alerts_fired > 0;
   if (!options.force_dump && !(options.dump_on_violation && violated) &&
       !(options.dump_on_alert && alerted))
     return run;
@@ -115,23 +122,23 @@ RunRecordedPlan(const ScenarioConfig& config, std::uint64_t seed,
                            : "manual";
   spec.scenario = "fault-fuzz";
   spec.seed = seed;
-  spec.sim_time_s = scenario.queue().Now().value();
-  spec.horizon_s = config.shape.horizon.value();
+  spec.sim_time_s = room.queue().Now().value();
+  spec.horizon_s = config.end_at.value();
   spec.replayable = true;
   spec.records = run.records;
   spec.metrics = &obs.metrics();
   spec.tracer = &obs.tracer();
-  spec.fault_plan_text = plan.DebugString();
-  spec.fault_plan_jsonl = FaultPlanToJsonl(plan);
-  spec.racks_csv = RacksCsv(scenario);
-  if (scenario.timeseries() != nullptr) {
-    spec.timeseries_jsonl = scenario.timeseries()->ToJsonl();
-    spec.alerts_jsonl = scenario.alert_engine()->TimelineJsonl();
+  spec.fault_plan_text = run_plan.DebugString();
+  spec.fault_plan_jsonl = FaultPlanToJsonl(run_plan);
+  spec.racks_csv = RacksCsv(room);
+  if (room.timeseries() != nullptr) {
+    spec.timeseries_jsonl = room.timeseries()->ToJsonl();
+    spec.alerts_jsonl = room.alert_engine()->TimelineJsonl();
   }
   for (const Violation& violation : run.report.violations)
     spec.notes.push_back("t=" + json::Num(violation.at.value()) + " [" +
                          violation.invariant + "] " + violation.message);
-  for (const obs::AlertTransition& edge : run.report.alert_timeline) {
+  for (const obs::AlertTransition& edge : run.report.room.alert_timeline) {
     if (edge.to != obs::AlertState::kFiring)
       continue;
     spec.notes.push_back("t=" + json::Num(edge.t) + " [alert] " + edge.rule +
@@ -156,16 +163,25 @@ RunRecordedPlan(const ScenarioConfig& config, std::uint64_t seed,
   return run;
 }
 
+}  // namespace
+
 RecordedRun
-RunRecordedScenario(const ScenarioConfig& config, std::uint64_t seed,
-                    const ForensicsOptions& options)
+RunRecordedPlan(const emulation::EmulationConfig& config, std::uint64_t seed,
+                const FaultPlan& plan, const ForensicsOptions& options)
 {
-  FaultFuzzer fuzzer(config.shape);
-  return RunRecordedPlan(config, seed, fuzzer.SamplePlan(seed), options);
+  return RunRecorded(config, seed, &plan, options);
+}
+
+RecordedRun
+RunRecordedScenario(const emulation::EmulationConfig& config,
+                    std::uint64_t seed, const ForensicsOptions& options)
+{
+  return RunRecorded(config, seed, nullptr, options);
 }
 
 ReplayReport
-ReplayBundle(const std::string& bundle_dir, const ScenarioConfig& config)
+ReplayBundle(const std::string& bundle_dir,
+             const emulation::EmulationConfig& config)
 {
   ReplayReport replay;
 

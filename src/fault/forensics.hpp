@@ -1,17 +1,17 @@
 /**
  * @file
- * Replayable forensic bundles for fault-fuzz scenarios.
+ * Replayable forensic bundles for fault runs.
  *
- * Builds on the scenario's seed-determinism: workloads, telemetry
- * jitter, actuation latencies and the fault plan all derive from one
- * seed, so a bundle holding {seed, fault plan, recorded timeline} is a
- * complete reproduction recipe. RunRecordedScenario runs one fuzzed
- * seed with a FlightRecorder attached and dumps a bundle when an
- * invariant trips (or unconditionally, for drills); ReplayBundle loads
- * a bundle, re-executes the stored plan on the stored seed in a fresh
- * room, and diffs the two timelines record-by-record — zero divergence
- * is the determinism proof, a divergence pinpoints the first event
- * where the re-execution left the recorded rails.
+ * Builds on the room's seed-determinism: placement, workloads,
+ * telemetry jitter and actuation latencies all derive from one seed, so
+ * a bundle holding {seed, fault plan, recorded timeline} is a complete
+ * reproduction recipe for a given room config. RunRecordedScenario runs
+ * one fuzzed seed with a FlightRecorder attached and dumps a bundle when
+ * an invariant trips (or unconditionally, for drills); ReplayBundle
+ * loads a bundle, re-executes the stored plan on the stored seed in a
+ * fresh room, and diffs the two timelines record-by-record — zero
+ * divergence is the determinism proof, a divergence pinpoints the first
+ * event where the re-execution left the recorded rails.
  *
  * The plan is persisted machine-readably (fault_plan.jsonl) rather than
  * re-sampled from the seed, so hand-built plans — the induced-violation
@@ -25,7 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "fault/scenario.hpp"
+#include "emulation/room_emulation.hpp"
+#include "fault/fault_run.hpp"
 #include "obs/forensics.hpp"
 
 namespace flex::fault {
@@ -33,12 +34,16 @@ namespace flex::fault {
 /** Serializes @p plan as one JSON object per event (numeric kinds). */
 std::string FaultPlanToJsonl(const FaultPlan& plan);
 
-/** Parses FaultPlanToJsonl output. False + @p error on malformed input. */
+/**
+ * Parses FaultPlanToJsonl output. False + @p error, naming the line, on
+ * malformed input: a missing field, or a kind or device kind out of
+ * range.
+ */
 bool ParseFaultPlanJsonl(const std::string& jsonl, FaultPlan* out,
                          std::string* error = nullptr);
 
-/** Per-rack ground-truth state table (the bundle's racks.csv). */
-std::string RacksCsv(const FaultScenario& scenario);
+/** The room's per-rack ground-truth state (the bundle's racks.csv). */
+std::string RacksCsv(const emulation::RoomEmulation& room);
 
 /** Recorded-run tuning. */
 struct ForensicsOptions {
@@ -61,7 +66,7 @@ struct ForensicsOptions {
 
 /** One recorded run's outcome. */
 struct RecordedRun {
-  ScenarioReport report;
+  FaultRunReport report;
   /** The recorder's retained timeline at run end. */
   std::vector<obs::FlightRecord> records;
   /** Bundle directory, or "" when no dump was triggered. */
@@ -71,16 +76,17 @@ struct RecordedRun {
 };
 
 /**
- * Runs @p plan on a fresh scenario for @p seed with full observability
- * attached (config.obs is overridden), dumping a forensic bundle per
- * @p options. The config must describe the same room on replay.
+ * Runs @p plan on a fresh room built from @p config for @p seed, with
+ * full observability attached (config.obs is overridden), dumping a
+ * forensic bundle per @p options. The config must describe the same
+ * room on replay.
  */
-RecordedRun RunRecordedPlan(const ScenarioConfig& config, std::uint64_t seed,
-                            const FaultPlan& plan,
+RecordedRun RunRecordedPlan(const emulation::EmulationConfig& config,
+                            std::uint64_t seed, const FaultPlan& plan,
                             const ForensicsOptions& options = {});
 
-/** Samples the fuzzer's plan for @p seed, then RunRecordedPlan. */
-RecordedRun RunRecordedScenario(const ScenarioConfig& config,
+/** RunRecordedPlan with the fuzzer's plan for the room @p seed builds. */
+RecordedRun RunRecordedScenario(const emulation::EmulationConfig& config,
                                 std::uint64_t seed,
                                 const ForensicsOptions& options = {});
 
@@ -91,7 +97,7 @@ struct ReplayReport {
   std::string error;
   obs::BundleManifest manifest;
   /** The re-executed run's report. */
-  ScenarioReport report;
+  FaultRunReport report;
   /** Records from the bundle that the replay was compared against. */
   std::size_t compared = 0;
   /** First timeline mismatch; nullopt means the replay tracked exactly. */
@@ -104,8 +110,9 @@ struct ReplayReport {
  * built from @p config. Compares the bundle's timeline against the
  * replay's, aligned by sequence number.
  */
-ReplayReport ReplayBundle(const std::string& bundle_dir,
-                          const ScenarioConfig& config = {});
+ReplayReport ReplayBundle(
+    const std::string& bundle_dir,
+    const emulation::EmulationConfig& config = FuzzRoomConfig());
 
 }  // namespace flex::fault
 

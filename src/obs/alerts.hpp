@@ -197,8 +197,8 @@ AlertRule UpsOverloadRule(double for_s = 0.0);
 std::vector<AlertRule> BuiltinAlertRules();
 
 /**
- * Copyable harness wiring, embedded in EmulationConfig / ScenarioConfig
- * so sweep variants carry it by value. An enabled harness evaluates
+ * Copyable harness wiring, embedded in EmulationConfig so sweep
+ * variants carry it by value. An enabled harness evaluates
  * BuiltinAlertRules() over a default-shaped TimeSeriesStore.
  */
 struct AlertsConfig {

@@ -3,7 +3,8 @@
  * Tests for the deterministic fault-injection engine: plan scheduling,
  * envelope-respecting fuzzing, seed replay, each fault kind in
  * isolation, and the safety-invariant monitor's detectors — plus the
- * forensic-bundle dump/replay loop built on top of them.
+ * forensic-bundle dump/replay loop built on top of them. Every run
+ * drives the fuzz room (FuzzRoomConfig), a real emulation room.
  */
 #include <algorithm>
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,18 +23,52 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "emulation/room_emulation.hpp"
 #include "fault/fault_fuzzer.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault/fault_run.hpp"
 #include "fault/forensics.hpp"
 #include "fault/invariant_monitor.hpp"
-#include "fault/scenario.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace flex::fault {
 namespace {
 
+using emulation::RoomEmulation;
 using telemetry::DeviceKind;
+using workload::Category;
+
+/** The fuzz room for @p seed, ending at @p end_at. */
+emulation::EmulationConfig
+FuzzRoom(std::uint64_t seed, double end_at = 120.0)
+{
+  emulation::EmulationConfig config = FuzzRoomConfig();
+  config.seed = seed;
+  config.end_at = Seconds(end_at);
+  return config;
+}
+
+/** An InvariantMonitor on @p room's ground truth, attached. */
+std::unique_ptr<InvariantMonitor>
+WatchRoom(RoomEmulation& room)
+{
+  auto monitor = std::make_unique<InvariantMonitor>(
+      room.queue(), room.topology(), room.rack_categories(), room.plane(),
+      [&room] { return room.ups_loads(); });
+  monitor->Attach();
+  return monitor;
+}
+
+/** The lowest-numbered rack of @p category; -1 when placement kept none. */
+int
+FirstRackOf(const RoomEmulation& room, Category category)
+{
+  const auto& categories = room.rack_categories();
+  const auto it = std::find(categories.begin(), categories.end(), category);
+  return it == categories.end() ? -1
+                                : static_cast<int>(it - categories.begin());
+}
 
 FaultEvent
 MakeEvent(double at, FaultKind kind, int target, double duration,
@@ -197,8 +233,8 @@ TEST(FaultFuzzerTest, PlansStayInsideToleratedEnvelope)
 
 TEST(FaultInjectorTest, RejectsOutOfRangeTargets)
 {
-  FaultScenario scenario({}, 1);
-  FaultInjector injector(scenario.targets());
+  RoomEmulation room(FuzzRoom(1));
+  FaultInjector injector(room);
   FaultPlan bad_bus;
   bad_bus.Add(MakeEvent(1.0, FaultKind::kBusOutage, 7, 1.0));
   EXPECT_THROW(injector.Arm(bad_bus), ConfigError);
@@ -208,6 +244,16 @@ TEST(FaultInjectorTest, RejectsOutOfRangeTargets)
   FaultPlan bad_time;
   bad_time.Add(MakeEvent(-1.0, FaultKind::kPollerCrash, 0, 1.0));
   EXPECT_THROW(injector.Arm(bad_time), ConfigError);
+  // A meter fault names its device by kind and index, and the room must
+  // have that device: rejected at Arm, not when the fault begins.
+  FaultEvent rack_meter = MakeEvent(30.0, FaultKind::kMeterFailure, 99, 1.0);
+  rack_meter.device_kind = DeviceKind::kRack;
+  FaultPlan bad_rack_meter;
+  bad_rack_meter.Add(rack_meter);
+  EXPECT_THROW(injector.Arm(bad_rack_meter), ConfigError);
+  FaultPlan bad_ups_meter;
+  bad_ups_meter.Add(MakeEvent(1.0, FaultKind::kMeterStuck, -1, 1.0));
+  EXPECT_THROW(injector.Arm(bad_ups_meter), ConfigError);
   EXPECT_EQ(injector.scheduled_count(), 0);
 }
 
@@ -236,17 +282,22 @@ TEST(FaultInjectorTest, RejectsNonFiniteFieldsInsteadOfHanging)
   ASSERT_TRUE(ParseFaultPlanJsonl(bundle_line("1e999"), &plan, &error))
       << error;
   ASSERT_TRUE(std::isinf(plan.events()[0].magnitude));
-  EXPECT_NE(error_of([&] { FaultScenario({}, 1).Run(plan); })
-                .find("'magnitude'"),
+  EXPECT_NE(error_of([&] {
+              RoomEmulation room(FuzzRoom(1));
+              RunPlan(room, plan);
+            }).find("'magnitude'"),
             std::string::npos);
   // The same bundle with a finite lag runs to the end.
   ASSERT_TRUE(ParseFaultPlanJsonl(bundle_line("2.5"), &plan, &error))
       << error;
-  EXPECT_GT(FaultScenario({}, 1).Run(plan).readings_delivered, 0u);
+  {
+    RoomEmulation room(FuzzRoom(1));
+    EXPECT_GT(RunPlan(room, plan).readings_delivered, 0u);
+  }
 
   const double inf = std::numeric_limits<double>::infinity();
-  FaultScenario scenario({}, 1);
-  FaultInjector injector(scenario.targets());
+  RoomEmulation room(FuzzRoom(1));
+  FaultInjector injector(room);
   FaultPlan late;
   late.Add(MakeEvent(inf, FaultKind::kPollerCrash, 0, 1.0));
   EXPECT_NE(error_of([&] { injector.Arm(late); }).find("'at'"),
@@ -260,21 +311,21 @@ TEST(FaultInjectorTest, RejectsNonFiniteFieldsInsteadOfHanging)
 
 TEST(FaultInjectorTest, SchedulesBeginAndRepairPerDurationFault)
 {
-  FaultScenario scenario({}, 1);
-  FaultInjector injector(scenario.targets());
+  RoomEmulation room(FuzzRoom(1));
+  FaultInjector injector(room);
   FaultPlan plan;
   plan.Add(MakeEvent(1.0, FaultKind::kPollerCrash, 0, 5.0));
   plan.Add(MakeEvent(2.0, FaultKind::kBusOutage, 0, 0.0));  // never repaired
   injector.Arm(plan);
   EXPECT_EQ(injector.scheduled_count(), 3);
-  scenario.queue().RunUntil(Seconds(4.0));  // before the t=6 repair
+  room.queue().RunUntil(Seconds(4.0));  // before the t=6 repair
   ASSERT_EQ(injector.executed_trace().size(), 2u);
   EXPECT_NE(injector.executed_trace()[0].find("begin"), std::string::npos);
   EXPECT_NE(injector.executed_trace()[0].find("poller_crash"),
             std::string::npos);
   EXPECT_NE(injector.executed_trace()[1].find("bus_outage"),
             std::string::npos);
-  scenario.queue().RunUntil(Seconds(20.0));
+  room.queue().RunUntil(Seconds(20.0));
   ASSERT_EQ(injector.executed_trace().size(), 3u);
   EXPECT_NE(injector.executed_trace()[2].find("repair"), std::string::npos);
   EXPECT_NE(injector.executed_trace()[2].find("poller_crash"),
@@ -283,46 +334,48 @@ TEST(FaultInjectorTest, SchedulesBeginAndRepairPerDurationFault)
 
 TEST(FaultInjectorTest, UpsFailoverTogglesAndRestores)
 {
-  FaultScenario scenario({}, 7);
-  FaultInjector injector(scenario.targets());
+  // The failed UPS hands its load to the survivors and takes it back.
+  RoomEmulation room(FuzzRoom(7));
+  FaultInjector injector(room);
   FaultPlan plan;
   plan.Add(MakeEvent(10.0, FaultKind::kUpsFailover, 1, 15.0));
   injector.Arm(plan);
-  scenario.queue().RunUntil(Seconds(12.0));
-  EXPECT_EQ(scenario.failed_ups(), 1);
-  scenario.queue().RunUntil(Seconds(30.0));
-  EXPECT_EQ(scenario.failed_ups(), -1);
+  const double normal = room.ups_loads()[1].value();
+  ASSERT_GT(normal, 0.0);
+  room.queue().RunUntil(Seconds(12.0));
+  EXPECT_EQ(room.ups_loads()[1].value(), 0.0);
+  room.queue().RunUntil(Seconds(30.0));
+  EXPECT_EQ(room.ups_loads()[1].value(), normal);
 }
 
 TEST(FaultInjectorTest, RackManagerFaultsApplyAndRepair)
 {
-  FaultScenario scenario({}, 7);
-  FaultInjector injector(scenario.targets());
+  RoomEmulation room(FuzzRoom(7));
+  FaultInjector injector(room);
   FaultPlan plan;
   plan.Add(MakeEvent(5.0, FaultKind::kRackManagerTimeout, 3, 10.0, 2.5));
   plan.Add(MakeEvent(5.0, FaultKind::kRackManagerUnreachable, 6, 10.0));
   injector.Arm(plan);
-  scenario.queue().RunUntil(Seconds(8.0));
-  EXPECT_NEAR(scenario.plane().rack(3).extra_latency().value(), 2.5, 1e-12);
-  EXPECT_TRUE(scenario.plane().rack(6).unreachable());
-  scenario.queue().RunUntil(Seconds(20.0));
-  EXPECT_NEAR(scenario.plane().rack(3).extra_latency().value(), 0.0, 1e-12);
-  EXPECT_FALSE(scenario.plane().rack(6).unreachable());
+  room.queue().RunUntil(Seconds(8.0));
+  EXPECT_NEAR(room.plane().rack(3).extra_latency().value(), 2.5, 1e-12);
+  EXPECT_TRUE(room.plane().rack(6).unreachable());
+  room.queue().RunUntil(Seconds(20.0));
+  EXPECT_NEAR(room.plane().rack(3).extra_latency().value(), 0.0, 1e-12);
+  EXPECT_FALSE(room.plane().rack(6).unreachable());
 }
 
 TEST(FaultInjectorTest, ControllerPauseSuspendsOneReplica)
 {
-  FaultScenario scenario({}, 7);
-  InjectorTargets targets = scenario.targets();
-  FaultInjector injector(targets);
+  RoomEmulation room(FuzzRoom(7));
+  FaultInjector injector(room);
   FaultPlan plan;
   plan.Add(MakeEvent(5.0, FaultKind::kControllerPause, 1, 8.0));
   injector.Arm(plan);
-  scenario.queue().RunUntil(Seconds(6.0));
-  EXPECT_FALSE(targets.controllers[0]->suspended());
-  EXPECT_TRUE(targets.controllers[1]->suspended());
-  scenario.queue().RunUntil(Seconds(14.0));
-  EXPECT_FALSE(targets.controllers[1]->suspended());
+  room.queue().RunUntil(Seconds(6.0));
+  EXPECT_FALSE(room.controllers()[0]->suspended());
+  EXPECT_TRUE(room.controllers()[1]->suspended());
+  room.queue().RunUntil(Seconds(14.0));
+  EXPECT_FALSE(room.controllers()[1]->suspended());
 }
 
 TEST(FaultInjectorTest, TelemetrySurvivesEachPipelineFaultInIsolation)
@@ -336,9 +389,7 @@ TEST(FaultInjectorTest, TelemetrySurvivesEachPipelineFaultInIsolation)
       FaultKind::kBusDuplicate,
   };
   for (const FaultKind kind : kinds) {
-    ScenarioConfig config;
-    config.shape.horizon = Seconds(40.0);
-    FaultScenario scenario(config, 11);
+    RoomEmulation room(FuzzRoom(11, 40.0));
     FaultEvent event = MakeEvent(5.0, kind, 0, 20.0);
     if (kind == FaultKind::kMeterDrift)
       event.magnitude = 0.01;
@@ -346,7 +397,7 @@ TEST(FaultInjectorTest, TelemetrySurvivesEachPipelineFaultInIsolation)
       event.magnitude = 0.5;
     FaultPlan plan;
     plan.Add(event);
-    const ScenarioReport report = scenario.Run(plan);
+    const FaultRunReport report = RunPlan(room, plan);
     EXPECT_GT(report.readings_delivered, 500u)
         << FaultKindName(kind) << " starved the pipeline";
     EXPECT_TRUE(report.violations.empty())
@@ -359,17 +410,13 @@ TEST(FaultInjectorTest, FaultedRunDeliversPinnedReadingsAndLatencies)
 {
   // Every reading one seeded faulted run delivers — device, value bits,
   // sample and delivery instants, bus, poller — and the multiset of its
-  // action latencies, pinned. The two counts predate the ziggurat normal
-  // sampler, which moved every normal draw but neither count; the two
-  // digests were recorded with it. Faults hit failed, stuck and drifting
-  // meters of both device kinds and slow and unreachable rack managers,
-  // while a UPS failover makes the controllers act.
-  ScenarioConfig config;
-  config.shape.horizon = Seconds(90.0);
-  FaultScenario scenario(config, 2021);
+  // action latencies, pinned on the fuzz room. Faults hit failed, stuck
+  // and drifting meters of both device kinds and slow and unreachable
+  // rack managers, while a UPS failover makes the controllers act.
+  RoomEmulation room(FuzzRoom(2021, 90.0));
   Fnv1a readings;
   std::uint64_t delivered = 0;
-  scenario.pipeline().Subscribe([&](const telemetry::DeviceReading& r) {
+  room.pipeline().Subscribe([&](const telemetry::DeviceReading& r) {
     readings.AddI64(static_cast<int>(r.device.kind));
     readings.AddI64(r.device.index);
     readings.AddDouble(r.value.value());
@@ -396,19 +443,19 @@ TEST(FaultInjectorTest, FaultedRunDeliversPinnedReadingsAndLatencies)
   plan.Add(MakeEvent(18.0, FaultKind::kRackManagerTimeout, 3, 30.0, 1.5));
   plan.Add(MakeEvent(18.0, FaultKind::kRackManagerUnreachable, 9, 30.0));
   plan.Add(MakeEvent(20.0, FaultKind::kUpsFailover, 0, 16.0));
-  const ScenarioReport report = scenario.Run(plan);
+  const FaultRunReport report = RunPlan(room, plan);
 
-  std::vector<double> latencies = scenario.plane().action_latencies();
+  std::vector<double> latencies = room.plane().action_latencies();
   std::sort(latencies.begin(), latencies.end());
   Fnv1a actions;
   for (const double latency : latencies)
     actions.AddDouble(latency);
-  EXPECT_GT(report.throttle_commands + report.shutdown_commands, 0);
+  EXPECT_GT(report.room.throttle_commands + report.room.shutdown_commands, 0);
   EXPECT_EQ(delivered, report.readings_delivered);
-  EXPECT_EQ(delivered, 2910u);
-  EXPECT_EQ(readings.value(), 0x7fb4d0b36c748310ull);
-  EXPECT_EQ(latencies.size(), 28u);
-  EXPECT_EQ(actions.value(), 0xf1e1b754936a89d9ull);
+  EXPECT_EQ(delivered, 2546u);
+  EXPECT_EQ(readings.value(), 0x5a0db59c7194d391ull);
+  EXPECT_EQ(latencies.size(), 12u);
+  EXPECT_EQ(actions.value(), 0x223234fb063f899aull);
 }
 
 // ---------------------------------------------------------------------------
@@ -417,21 +464,22 @@ TEST(FaultInjectorTest, FaultedRunDeliversPinnedReadingsAndLatencies)
 
 TEST(SeedReplayTest, SameSeedReproducesIdenticalRun)
 {
-  const ScenarioConfig config;
+  const emulation::EmulationConfig config = FuzzRoomConfig();
   for (const std::uint64_t seed : {3ull, 17ull, 92ull}) {
     std::string trace_a;
     std::string trace_b;
-    const ScenarioReport a = RunFuzzedScenario(config, seed, &trace_a);
-    const ScenarioReport b = RunFuzzedScenario(config, seed, &trace_b);
+    const FaultRunReport a = RunFuzzedScenario(config, seed, &trace_a);
+    const FaultRunReport b = RunFuzzedScenario(config, seed, &trace_b);
     EXPECT_EQ(trace_a, trace_b) << "plan diverged for seed " << seed;
     EXPECT_EQ(a.fault_trace, b.fault_trace)
         << "interleaving diverged for seed " << seed;
-    EXPECT_EQ(a.events_executed, b.events_executed);
+    EXPECT_EQ(a.room.events_executed, b.room.events_executed);
     EXPECT_EQ(a.readings_delivered, b.readings_delivered);
-    EXPECT_EQ(a.throttle_commands, b.throttle_commands);
-    EXPECT_EQ(a.shutdown_commands, b.shutdown_commands);
+    EXPECT_EQ(a.room.throttle_commands, b.room.throttle_commands);
+    EXPECT_EQ(a.room.shutdown_commands, b.room.shutdown_commands);
     EXPECT_EQ(a.restore_commands, b.restore_commands);
-    EXPECT_DOUBLE_EQ(a.worst_overload_fraction, b.worst_overload_fraction);
+    EXPECT_DOUBLE_EQ(a.room.worst_overload_fraction,
+                     b.room.worst_overload_fraction);
   }
 }
 
@@ -439,10 +487,10 @@ TEST(RunFuzzSweepTest, SlotsMatchPerSeedRunsAtOneTwoAndSharedLanes)
 {
   // The lane contract: whatever lanes run it, slot i of the sweep is the
   // report of RunFuzzedScenario(config, first_seed + i).
-  const ScenarioConfig config;
+  const emulation::EmulationConfig config = FuzzRoomConfig();
   constexpr std::uint64_t kFirstSeed = 100;
   constexpr int kCount = 6;
-  std::vector<ScenarioReport> expected;
+  std::vector<FaultRunReport> expected;
   std::vector<std::string> expected_traces;
   for (int i = 0; i < kCount; ++i) {
     std::string trace;
@@ -453,24 +501,27 @@ TEST(RunFuzzSweepTest, SlotsMatchPerSeedRunsAtOneTwoAndSharedLanes)
 
   for (const int threads : {1, 2, 0}) {
     std::vector<std::string> traces;
-    const std::vector<ScenarioReport> reports =
+    const std::vector<FaultRunReport> reports =
         RunFuzzSweep(config, kFirstSeed, kCount, threads, &traces);
     ASSERT_EQ(reports.size(), expected.size()) << threads << " threads";
     ASSERT_EQ(traces.size(), expected_traces.size());
     for (std::size_t i = 0; i < reports.size(); ++i) {
-      const ScenarioReport& a = expected[i];
-      const ScenarioReport& b = reports[i];
+      const FaultRunReport& a = expected[i];
+      const FaultRunReport& b = reports[i];
       SCOPED_TRACE("threads " + std::to_string(threads) + ", slot " +
                    std::to_string(i));
-      EXPECT_EQ(a.events_executed, b.events_executed);
+      EXPECT_EQ(a.room.events_executed, b.room.events_executed);
       EXPECT_EQ(a.readings_delivered, b.readings_delivered);
-      EXPECT_EQ(a.overdraw_events, b.overdraw_events);
-      EXPECT_EQ(a.throttle_commands, b.throttle_commands);
-      EXPECT_EQ(a.shutdown_commands, b.shutdown_commands);
+      EXPECT_EQ(a.room.overdraw_events, b.room.overdraw_events);
+      EXPECT_EQ(a.room.throttle_commands, b.room.throttle_commands);
+      EXPECT_EQ(a.room.shutdown_commands, b.room.shutdown_commands);
       EXPECT_EQ(a.restore_commands, b.restore_commands);
       EXPECT_EQ(a.uncap_commands, b.uncap_commands);
       EXPECT_EQ(a.failed_commands, b.failed_commands);
-      EXPECT_EQ(a.worst_overload_fraction, b.worst_overload_fraction);
+      EXPECT_EQ(a.room.worst_overload_fraction,
+                b.room.worst_overload_fraction);
+      EXPECT_EQ(a.room.alert_fingerprint, b.room.alert_fingerprint);
+      EXPECT_EQ(a.room.store_fingerprint, b.room.store_fingerprint);
       ASSERT_EQ(a.violations.size(), b.violations.size());
       for (std::size_t v = 0; v < a.violations.size(); ++v) {
         EXPECT_EQ(a.violations[v].at, b.violations[v].at);
@@ -491,51 +542,52 @@ TEST(RunFuzzSweepTest, SlotsMatchPerSeedRunsAtOneTwoAndSharedLanes)
 
 TEST(InvariantMonitorTest, FlagsIllegalCapAndIllegalShutdown)
 {
-  FaultScenario scenario({}, 5);
-  // Rack 3 is non-cap-able (pattern index % 4): capping it is illegal.
-  scenario.plane().rack(3).Throttle(KiloWatts(25.0), [](bool) {});
-  // Rack 1 is cap-able but not software-redundant: power-off is illegal.
-  scenario.plane().rack(1).Shutdown([](bool) {});
-  scenario.queue().RunUntil(Seconds(5.0));
-  const auto& violations = scenario.monitor().violations();
-  ASSERT_EQ(violations.size(), 2u) << scenario.monitor().Summary();
+  RoomEmulation room(FuzzRoom(5));
+  const auto monitor = WatchRoom(room);
+  const int noncap = FirstRackOf(room, Category::kNonRedundantNonCapable);
+  const int capable = FirstRackOf(room, Category::kNonRedundantCapable);
+  ASSERT_GE(noncap, 0);
+  ASSERT_GE(capable, 0);
+  // Capping a non-cap-able rack is illegal.
+  room.plane().rack(noncap).Throttle(KiloWatts(25.0), [](bool) {});
+  // A cap-able rack is not software-redundant: power-off is illegal.
+  room.plane().rack(capable).Shutdown([](bool) {});
+  room.queue().RunUntil(Seconds(5.0));
+  const auto& violations = monitor->violations();
+  ASSERT_EQ(violations.size(), 2u) << monitor->Summary();
   EXPECT_EQ(violations[0].invariant, "illegal-action");
   EXPECT_EQ(violations[1].invariant, "illegal-action");
-  EXPECT_NE(scenario.monitor().Summary().find("illegally"),
-            std::string::npos);
+  EXPECT_NE(monitor->Summary().find("illegally"), std::string::npos);
 }
 
 TEST(InvariantMonitorTest, LegalActionsRaiseNoViolation)
 {
-  FaultScenario scenario({}, 5);
-  scenario.plane().rack(1).Throttle(KiloWatts(25.0), [](bool) {});  // cap-able
-  scenario.plane().rack(0).Shutdown([](bool) {});  // software-redundant
-  scenario.queue().RunUntil(Seconds(5.0));
-  EXPECT_TRUE(scenario.monitor().violations().empty())
-      << scenario.monitor().Summary();
+  RoomEmulation room(FuzzRoom(5));
+  const auto monitor = WatchRoom(room);
+  const int capable = FirstRackOf(room, Category::kNonRedundantCapable);
+  const int sr = FirstRackOf(room, Category::kSoftwareRedundant);
+  ASSERT_GE(capable, 0);
+  ASSERT_GE(sr, 0);
+  room.plane().rack(capable).Throttle(KiloWatts(25.0), [](bool) {});
+  room.plane().rack(sr).Shutdown([](bool) {});
+  room.queue().RunUntil(Seconds(5.0));
+  EXPECT_TRUE(monitor->violations().empty()) << monitor->Summary();
 }
 
 TEST(InvariantMonitorTest, DetectsMissedOverloadAndTripWhenUnmanaged)
 {
-  // Freeze utilization at the cap and suspend every replica: the
-  // failover overload then persists unanswered, which must trip both
-  // the missed-overload deadline and, later, the trip-curve bound.
-  ScenarioConfig config;
-  config.mean_utilization = 0.84;
-  config.utilization_sigma = 0.0;
-  config.min_utilization = 0.84;
-  config.max_utilization = 0.84;
-  config.utilization_jitter = 0.0;
-  config.shape.horizon = Seconds(70.0);
-  FaultScenario scenario(config, 13);
-  for (online::FlexController* controller : scenario.targets().controllers)
+  // Suspend every replica: the failover overload then persists
+  // unanswered, which must trip both the missed-overload deadline and,
+  // later, the trip-curve bound.
+  RoomEmulation room(FuzzRoom(13, 70.0));
+  for (const auto& controller : room.controllers())
     controller->SetSuspended(true);
   FaultPlan plan;
   plan.Add(MakeEvent(20.0, FaultKind::kUpsFailover, 0, 0.0));  // no repair
-  const ScenarioReport report = scenario.Run(plan);
-  // Survivors carry 1.5x their share: 12 racks * 50 kW * 0.84 / 2 = 252 kW
-  // per 200 kW UPS.
-  EXPECT_NEAR(report.worst_overload_fraction, 1.26, 0.01);
+  const FaultRunReport report = RunPlan(room, plan);
+  EXPECT_GT(report.room.worst_overload_fraction, 1.0);
+  // The monitor and the room judge the same load trajectory.
+  EXPECT_TRUE(report.room.safety_violated);
   std::set<std::string> kinds;
   for (const Violation& violation : report.violations)
     kinds.insert(violation.invariant);
@@ -575,16 +627,19 @@ TEST(InvariantMonitorTest, ManagedFailoverStaysViolationFree)
 {
   // The same overload with live controllers must be answered in time:
   // zero violations and at least one corrective command.
-  ScenarioConfig config;
-  config.shape.horizon = Seconds(90.0);
-  FaultScenario scenario(config, 21);
+  RoomEmulation room(FuzzRoom(21, 90.0));
   FaultPlan plan;
   plan.Add(MakeEvent(20.0, FaultKind::kUpsFailover, 0, 14.0));
-  const ScenarioReport report = scenario.Run(plan);
-  EXPECT_GT(report.worst_overload_fraction, 1.0);
+  const FaultRunReport report = RunPlan(room, plan);
+  EXPECT_GT(report.room.worst_overload_fraction, 1.0);
   EXPECT_TRUE(report.violations.empty()) << report.violation_summary;
-  EXPECT_GT(report.throttle_commands + report.shutdown_commands, 0);
-  EXPECT_GT(scenario.monitor().checks_run(), 500u);
+  EXPECT_FALSE(report.room.safety_violated);
+  // Time to safe runs from the injected failover edge at t = 20 s, and
+  // the room is safe again before the UPS comes back.
+  EXPECT_GT(report.room.time_to_safe_seconds, 0.0);
+  EXPECT_LT(report.room.time_to_safe_seconds, 14.0);
+  EXPECT_GT(report.room.throttle_commands + report.room.shutdown_commands, 0);
+  EXPECT_GT(report.monitor_checks, 500u);
 }
 
 // ---------------------------------------------------------------------------
@@ -592,21 +647,16 @@ TEST(InvariantMonitorTest, ManagedFailoverStaysViolationFree)
 // ---------------------------------------------------------------------------
 
 /**
- * Utilization frozen at the cap plus an all-replica pause: the fault
- * plan itself induces the violation, so the recipe replays from the
- * persisted plan alone (unlike the monitor tests above, which suspend
- * controllers by hand).
+ * A 70 s fuzz room under an all-replica pause: the fault plan itself
+ * induces the violation, so the recipe replays from the persisted plan
+ * alone (unlike the monitor tests above, which suspend controllers by
+ * hand).
  */
-ScenarioConfig
+emulation::EmulationConfig
 InducedViolationConfig()
 {
-  ScenarioConfig config;
-  config.mean_utilization = 0.84;
-  config.utilization_sigma = 0.0;
-  config.min_utilization = 0.84;
-  config.max_utilization = 0.84;
-  config.utilization_jitter = 0.0;
-  config.shape.horizon = Seconds(70.0);
+  emulation::EmulationConfig config = FuzzRoomConfig();
+  config.end_at = Seconds(70.0);
   return config;
 }
 
@@ -653,9 +703,33 @@ TEST(FaultForensicsTest, PlanJsonlRoundTripIsExact)
   }
 }
 
+TEST(FaultForensicsTest, ParseRejectsUnknownDeviceKind)
+{
+  // Bundle files come from outside the program: a device kind that is
+  // neither a UPS (0) nor a rack (1) must not replay as some other fault.
+  const auto meter_line = [](int device_kind) {
+    return "{\"at\":5,\"kind\":" +
+           std::to_string(static_cast<int>(FaultKind::kMeterFailure)) +
+           ",\"target\":0,\"device_kind\":" + std::to_string(device_kind) +
+           ",\"meter_index\":0,\"magnitude\":0,\"duration\":10}\n";
+  };
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlanJsonl(meter_line(0) + meter_line(1), &plan, &error))
+      << error;
+  EXPECT_EQ(plan.events()[1].device_kind, DeviceKind::kRack);
+  for (const int device_kind : {7, -3}) {
+    EXPECT_FALSE(
+        ParseFaultPlanJsonl(meter_line(0) + meter_line(device_kind), &plan,
+                            &error))
+        << "device_kind " << device_kind << " was accepted";
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  }
+}
+
 TEST(FaultForensicsTest, InducedViolationDumpsBundleAndReplaysExactly)
 {
-  const ScenarioConfig config = InducedViolationConfig();
+  const emulation::EmulationConfig config = InducedViolationConfig();
   ForensicsOptions options;
   options.root_dir = ::testing::TempDir() + "fault-forensics";
 
@@ -685,7 +759,7 @@ TEST(FaultForensicsTest, PerturbedBundleRecordIsReportedAsDivergence)
   options.root_dir = ::testing::TempDir() + "fault-forensics-perturbed";
   options.force_dump = true;
 
-  const ScenarioConfig config;
+  const emulation::EmulationConfig config = FuzzRoomConfig();
   const RecordedRun run = RunRecordedScenario(config, 42, options);
   ASSERT_FALSE(run.bundle_dir.empty()) << run.dump_error;
 
@@ -724,7 +798,7 @@ TEST(FaultForensicsTest, WideSeedBundleReplaysExactly)
   options.root_dir = ::testing::TempDir() + "fault-forensics-wide-seed";
   options.force_dump = true;
 
-  const ScenarioConfig config;
+  const emulation::EmulationConfig config = FuzzRoomConfig();
   const RecordedRun run = RunRecordedScenario(config, seed, options);
   ASSERT_FALSE(run.bundle_dir.empty()) << run.dump_error;
 

@@ -5,10 +5,11 @@
  * and the end-to-end drills: a telemetry outage injected during the
  * overload window must fire and resolve the staleness page headless
  * (fleet_test pins that timeline bit-identical across 1/2/8 lanes),
- * and a fault-scenario run whose only trigger is a fired alert must
+ * and a recorded fault run whose only trigger is a fired alert must
  * dump a forensic bundle that flex_replay-style ReplayBundle
- * re-executes without divergence. Both harnesses must also unbind the
- * obs clocks they bound before their queues die.
+ * re-executes without divergence. A room, whether the caller or a
+ * recorded fault run built it, must also unbind the obs clocks it
+ * bound before its queue dies.
  */
 #include <gtest/gtest.h>
 
@@ -18,8 +19,8 @@
 
 #include "emulation/room_emulation.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault/fault_run.hpp"
 #include "fault/forensics.hpp"
-#include "fault/scenario.hpp"
 #include "obs/alerts.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
@@ -378,7 +379,8 @@ TEST(AlertForensicsTest, AlertFiringDumpsReplayableBundle)
     plan.Add(event);
   }
 
-  const fault::ScenarioConfig config;  // alerts enabled by default
+  // The fuzz room, alerts on.
+  const emulation::EmulationConfig config = fault::FuzzRoomConfig();
   fault::ForensicsOptions options;
   options.root_dir = ::testing::TempDir() + "alert-forensics";
   options.dump_on_alert = true;
@@ -387,9 +389,9 @@ TEST(AlertForensicsTest, AlertFiringDumpsReplayableBundle)
   EXPECT_TRUE(run.report.violations.empty())
       << "poller crash unexpectedly violated an invariant: "
       << run.report.violation_summary;
-  ASSERT_GT(run.report.alerts_fired, 0u)
+  ASSERT_GT(run.report.room.alerts_fired, 0u)
       << "poller outage never fired TelemetryStalled";
-  EXPECT_NE(run.report.alert_fingerprint, 0u);
+  EXPECT_NE(run.report.room.alert_fingerprint, 0u);
   EXPECT_TRUE(run.dump_error.empty()) << run.dump_error;
   ASSERT_FALSE(run.bundle_dir.empty()) << "alert did not trigger a dump";
 
@@ -405,8 +407,9 @@ TEST(AlertForensicsTest, AlertFiringDumpsReplayableBundle)
   EXPECT_FALSE(replay.divergence.has_value())
       << replay.divergence->Summary();
   // The replay fires the identical alerts: kAlert records aligned.
-  EXPECT_EQ(replay.report.alerts_fired, run.report.alerts_fired);
-  EXPECT_EQ(replay.report.alert_fingerprint, run.report.alert_fingerprint);
+  EXPECT_EQ(replay.report.room.alerts_fired, run.report.room.alerts_fired);
+  EXPECT_EQ(replay.report.room.alert_fingerprint,
+            run.report.room.alert_fingerprint);
 }
 
 TEST(AlertForensicsTest, DumpOnAlertOffLeavesNoBundle)
@@ -420,13 +423,13 @@ TEST(AlertForensicsTest, DumpOnAlertOffLeavesNoBundle)
     event.duration = Seconds(50.0);
     plan.Add(event);
   }
-  const fault::ScenarioConfig config;
+  const emulation::EmulationConfig config = fault::FuzzRoomConfig();
   fault::ForensicsOptions options;
   options.root_dir = ::testing::TempDir() + "alert-forensics-off";
   options.dump_on_alert = false;  // the fuzz-sweep default
 
   const fault::RecordedRun run = fault::RunRecordedPlan(config, 7, plan, options);
-  EXPECT_GT(run.report.alerts_fired, 0u);
+  EXPECT_GT(run.report.room.alerts_fired, 0u);
   EXPECT_TRUE(run.bundle_dir.empty())
       << "benign alert sprayed a bundle at " << run.bundle_dir;
 }
@@ -438,11 +441,11 @@ TEST(HarnessClockTest, DestroyedHarnessesLeaveNoClockBehind)
     lines.push_back(line);
   });
 
-  // A recorded run binds the logger to its stack-local scenario's
-  // queue, which is gone once the run returns.
+  // A recorded run binds the logger to its stack-local room's queue,
+  // which is gone once the run returns.
   fault::ForensicsOptions options;
   options.root_dir = ::testing::TempDir() + "harness-clock";
-  fault::RunRecordedScenario(fault::ScenarioConfig{}, 7, options);
+  fault::RunRecordedScenario(fault::FuzzRoomConfig(), 7, options);
   EXPECT_EQ(obs::GetLogClock(), nullptr);
   FLEX_LOG(obs::LogLevel::kWarn, "test", "after the recorded run");
   ASSERT_FALSE(lines.empty());

@@ -4,6 +4,7 @@
  * inputs and parameter sweeps, checked with parameterized gtest.
  */
 #include <cmath>
+#include <functional>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -12,7 +13,8 @@
 #include "offline/metrics.hpp"
 #include "offline/policies.hpp"
 #include "online/decision.hpp"
-#include "fault/scenario.hpp"
+#include "emulation/room_emulation.hpp"
+#include "fault/fault_run.hpp"
 #include "power/incremental.hpp"
 #include "power/loads.hpp"
 #include "solver/branch_and_bound.hpp"
@@ -448,37 +450,136 @@ INSTANTIATE_TEST_SUITE_P(TwoHundredSeeds, IncrementalAggregationWalkTest,
 // Fault fuzzing: for any fault plan inside the paper's tolerated
 // envelope, the online stack must keep every safety invariant — no UPS
 // trips, no illegal rack action, no unsafe release, no missed overload.
-// Sharded so ctest runs the 200-seed sweep in parallel; a failure
-// prints the offending seed and its full fault plan for replay.
+// Every plan runs on the fuzz room, a real emulation room whose
+// failovers push the survivors up to ~1.4x rated. Sharded so ctest runs
+// the 200-seed sweep in parallel; a failure prints the offending seed
+// and its full fault plan for replay.
 // ---------------------------------------------------------------------------
+
+constexpr int kSeedsPerShard = 25;
+constexpr int kSweepSeeds = 8 * kSeedsPerShard;
+
+bool
+HasUpsTrip(const fault::FaultRunReport& report)
+{
+  for (const fault::Violation& violation : report.violations) {
+    if (violation.invariant == "ups-trip")
+      return true;
+  }
+  return false;
+}
 
 class FaultFuzzSweepTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(FaultFuzzSweepTest, RandomFaultPlansKeepAllSafetyInvariants)
 {
-  constexpr int kSeedsPerShard = 25;
   const std::uint64_t base =
       static_cast<std::uint64_t>(GetParam()) * kSeedsPerShard;
-  const fault::ScenarioConfig config;
+  const emulation::EmulationConfig config = fault::FuzzRoomConfig();
   for (std::uint64_t seed = base; seed < base + kSeedsPerShard; ++seed) {
     std::string plan_trace;
-    const fault::ScenarioReport report =
+    const fault::FaultRunReport report =
         fault::RunFuzzedScenario(config, seed, &plan_trace);
     EXPECT_TRUE(report.violations.empty())
         << "invariant violation for seed " << seed
-        << " — replay with RunFuzzedScenario(config, " << seed << ")\n"
+        << " — replay with RunFuzzedScenario(FuzzRoomConfig(), " << seed
+        << ")\n"
         << "fault plan:\n"
         << plan_trace << "violations:\n"
         << report.violation_summary;
+    // The room's own trip verdict and the monitor's agree.
+    EXPECT_EQ(report.room.safety_violated, HasUpsTrip(report))
+        << "seed " << seed;
     // The run must have exercised the room, not idled through it.
     EXPECT_GT(report.readings_delivered, 0u) << "seed " << seed;
-    EXPECT_GT(report.events_executed, 0u) << "seed " << seed;
+    EXPECT_GT(report.room.events_executed, 0u) << "seed " << seed;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(TwoHundredSeeds, FaultFuzzSweepTest,
                          ::testing::Range(0, 8));
+
+// Outside the envelope the same sweep must be able to fail. Each
+// variant breaks one assumption of the fault model on the same seeds
+// and room; a sweep that stays green here could not catch a real bug.
+
+/** A fault that begins at 0.5 s and lasts for the whole run. */
+fault::FaultEvent
+WholeRunFault(fault::FaultKind kind, int target)
+{
+  fault::FaultEvent event;
+  event.at = Seconds(0.5);
+  event.kind = kind;
+  event.target = target;
+  return event;
+}
+
+/**
+ * Runs every sweep seed's fuzzed plan, edited by @p edit, and returns
+ * how many seeds reported a violation (@p trips_only: a ups-trip).
+ */
+int
+SeedsViolating(const std::function<fault::FaultPlan(const fault::FaultPlan&)>&
+                   edit,
+               bool trips_only)
+{
+  int violating = 0;
+  for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
+    emulation::EmulationConfig config = fault::FuzzRoomConfig();
+    config.seed = seed;
+    emulation::RoomEmulation room(config);
+    fault::FaultPlan plan = edit(fault::FuzzedPlan(room));
+    plan.SortByTime();
+    const fault::FaultRunReport report = fault::RunPlan(room, plan);
+    EXPECT_EQ(report.room.safety_violated, HasUpsTrip(report))
+        << "seed " << seed;
+    if (trips_only ? HasUpsTrip(report) : !report.violations.empty())
+      ++violating;
+  }
+  return violating;
+}
+
+TEST(FaultFuzzEnvelopeTest, PausingEveryReplicaTripsAUps)
+{
+  // No controller ever answers: the failovers' overloads run into the
+  // trip curve.
+  const int tripped = SeedsViolating(
+      [](const fault::FaultPlan& fuzzed) {
+        fault::FaultPlan plan;
+        for (const fault::FaultEvent& event : fuzzed.events()) {
+          if (event.kind != fault::FaultKind::kControllerPause)
+            plan.Add(event);  // its repair would wake a replica
+        }
+        for (int replica = 0;
+             replica < fault::FuzzRoomConfig().num_controllers; ++replica) {
+          plan.Add(WholeRunFault(fault::FaultKind::kControllerPause, replica));
+        }
+        return plan;
+      },
+      /*trips_only=*/true);
+  EXPECT_GT(tripped, 0) << "no seed tripped a UPS with every replica paused";
+}
+
+TEST(FaultFuzzEnvelopeTest, BlindingTheControllersToOneUpsViolates)
+{
+  // All three of UPS 1's meters fail: the quorum is gone and the
+  // controllers never see that UPS overloaded.
+  const int violating = SeedsViolating(
+      [](const fault::FaultPlan& fuzzed) {
+        fault::FaultPlan plan = fuzzed;
+        for (int meter = 0; meter < 3; ++meter) {
+          fault::FaultEvent event =
+              WholeRunFault(fault::FaultKind::kMeterFailure, 1);
+          event.device_kind = telemetry::DeviceKind::kUps;
+          event.meter_index = meter;
+          plan.Add(event);
+        }
+        return plan;
+      },
+      /*trips_only=*/false);
+  EXPECT_GT(violating, 0) << "no seed violated with UPS 1 unmetered";
+}
 
 }  // namespace
 }  // namespace flex
