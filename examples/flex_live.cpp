@@ -34,7 +34,6 @@
 #include <thread>
 
 #include "emulation/room_emulation.hpp"
-#include "fault/invariant_monitor.hpp"
 #include "obs/http_export.hpp"
 #include "obs/observability.hpp"
 #include "obs/profiler.hpp"

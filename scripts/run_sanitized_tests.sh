@@ -61,6 +61,10 @@ echo "run_sanitized_tests: focused obs/fault recorder pass"
 # its random-walk property test drives it through thousands of
 # intervals, zero-length ones included.
 "${build_dir}/tests/power_test" --gtest_brief=1
+# The room's one pass per workload step reads seven rack arrays through
+# raw pointers, and Rng::Normal bit-casts the sign into each draw.
+"${build_dir}/tests/emulation_test" --gtest_brief=1
+"${build_dir}/tests/common_test" --gtest_brief=1
 
 if [[ "${FLEX_SKIP_TSAN:-0}" == "1" ]]; then
   echo "run_sanitized_tests: FLEX_SKIP_TSAN=1, skipping TSan pass"

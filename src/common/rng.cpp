@@ -10,12 +10,6 @@ namespace flex {
 
 namespace {
 
-inline std::uint64_t
-Rotl(std::uint64_t x, int k)
-{
-  return (x << k) | (x >> (64 - k));
-}
-
 /**
  * exp(-x^2/2) to within 2 ULP for the tables: x^2 is split exactly into
  * sq + err (Dekker), since rounding x^2 alone would cost up to 3 ULP of
@@ -32,6 +26,8 @@ ExpNegHalfSquare(double x)
   const double e = PortableExp(-0.5 * sq);
   return e - e * (0.5 * err);
 }
+
+}  // namespace
 
 NormalZiggurat
 BuildNormalZiggurat()
@@ -56,16 +52,6 @@ BuildNormalZiggurat()
   return z;
 }
 
-}  // namespace
-
-const NormalZiggurat&
-NormalZigguratTables()
-{
-  // Built on first use, so no static initializer can draw before it exists.
-  static const NormalZiggurat tables = BuildNormalZiggurat();
-  return tables;
-}
-
 std::uint64_t
 SplitMix64::Next()
 {
@@ -80,20 +66,6 @@ Rng::Rng(std::uint64_t seed)
   SplitMix64 sm(seed);
   for (auto& word : state_)
     word = sm.Next();
-}
-
-std::uint64_t
-Rng::NextU64()
-{
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 double
@@ -128,18 +100,15 @@ Rng::UniformInt(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Rng::Normal()
+Rng::NormalOutsideRectangle(std::uint64_t bits)
 {
   const NormalZiggurat& zig = NormalZigguratTables();
   for (;;) {
-    // One draw: 8 bits pick the layer, 1 the sign, 52 the magnitude.
-    const std::uint64_t bits = NextU64();
     const auto layer = static_cast<std::size_t>(bits & 0xff);
-    const bool negative = ((bits >> 8) & 1) != 0;
     const std::uint64_t magnitude = bits >> 12;
     const double x = static_cast<double>(magnitude) * zig.scale[layer];
-    if (magnitude < zig.inner[layer])  // about 98.5% of draws
-      return negative ? -x : x;
+    if (magnitude < zig.inner[layer])  // a redraw that landed inside
+      return WithSign(x, bits);
     if (layer == 0) {
       // Beyond r (Marsaglia 1964): r + E1 / r, accepted when 2 E2 exceeds
       // (E1 / r)^2 for independent unit exponentials E1 and E2.
@@ -149,13 +118,14 @@ Rng::Normal()
         t = -PortableLog(1.0 - NextDouble()) / NormalZiggurat::kR;
         e = -PortableLog(1.0 - NextDouble());
       } while (e + e <= t * t);
-      return negative ? -(NormalZiggurat::kR + t) : NormalZiggurat::kR + t;
+      return WithSign(NormalZiggurat::kR + t, bits);
     }
     // The wedge between the layer's inner rectangle and the curve.
     const double y =
         zig.f[layer] + (zig.f[layer + 1] - zig.f[layer]) * NextDouble();
     if (y < PortableExp(-0.5 * x * x))
-      return negative ? -x : x;
+      return WithSign(x, bits);
+    bits = NextU64();
   }
 }
 

@@ -13,8 +13,12 @@
 #ifndef FLEX_COMMON_RNG_HPP_
 #define FLEX_COMMON_RNG_HPP_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/ziggurat.hpp"
 
 namespace flex {
 
@@ -46,7 +50,19 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
   /** Raw 64-bit draw. */
-  std::uint64_t NextU64();
+  std::uint64_t
+  NextU64()
+  {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /** Uniform double in [0, 1). */
   double NextDouble();
@@ -60,11 +76,28 @@ class Rng {
   /**
    * Standard normal from a 256-layer ziggurat (Marsaglia & Tsang 2000;
    * tables in ziggurat.hpp). About 98.5% of draws take one NextU64(), one
-   * multiply and one integer compare; the rest add a PortableExp wedge
-   * test or, beyond r = 3.654, a tail loop on PortableLog. No state is
-   * carried between calls.
+   * multiply and one integer compare, inline and without a branch on the
+   * sign; the rest continue out of line with a PortableExp wedge test or,
+   * beyond r = 3.654, a tail loop on PortableLog. No state is carried
+   * between calls.
    */
-  double Normal();
+  double
+  Normal()
+  {
+    // One draw: 8 bits pick the layer, bit 8 the sign, 52 the magnitude.
+    const std::uint64_t bits = NextU64();
+    const NormalZiggurat& zig = NormalZigguratTables();
+    const auto layer = static_cast<std::size_t>(bits & 0xff);
+    const std::uint64_t magnitude = bits >> 12;
+    if (magnitude < zig.inner[layer]) [[likely]] {
+      // Below 2^52, so the signed conversion (one instruction) is exact.
+      return WithSign(
+          static_cast<double>(static_cast<std::int64_t>(magnitude)) *
+              zig.scale[layer],
+          bits);
+    }
+    return NormalOutsideRectangle(bits);
+  }
 
   /** Normal with the given mean and standard deviation. */
   double Normal(double mean, double stddev);
@@ -100,6 +133,20 @@ class Rng {
   Rng Fork();
 
  private:
+  /** @p x with bit 8 of @p bits as its sign bit, without a branch. */
+  static double
+  WithSign(double x, std::uint64_t bits)
+  {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
+                                 ((bits & 0x100) << 55));
+  }
+
+  /**
+   * Normal()'s continuation when the draw @p bits falls outside its
+   * layer's inner rectangle: the wedge or tail test, and any redraws.
+   */
+  double NormalOutsideRectangle(std::uint64_t bits);
+
   std::uint64_t state_[4];
 };
 

@@ -32,10 +32,22 @@ struct NormalZiggurat {
 };
 
 /**
- * The tables, built on first use from PortableExp and PortableLog (and
- * IEEE-754 sqrt), so they hold the same bits on every host.
+ * Builds the tables from PortableExp and PortableLog (and IEEE-754 sqrt),
+ * so they hold the same bits on every host.
  */
-const NormalZiggurat& NormalZigguratTables();
+NormalZiggurat BuildNormalZiggurat();
+
+/**
+ * The tables, built on first use, so no static initializer can draw
+ * before they exist. Inline, so reaching them from Rng::Normal's fast
+ * path costs a test of the initialization guard, not a call.
+ */
+inline const NormalZiggurat&
+NormalZigguratTables()
+{
+  static const NormalZiggurat tables = BuildNormalZiggurat();
+  return tables;
+}
 
 }  // namespace flex
 

@@ -25,6 +25,19 @@ using workload::Category;
 namespace {
 
 /**
+ * A rack's draw: its demand alloc * util * ramp held to its cap (a cap
+ * below 0 is none), or nothing when it is off. The one power formula:
+ * the per-step pass over every rack and the state listener both use it.
+ */
+double
+RackPowerW(double alloc_w, double util, double ramp, double cap_w, bool on)
+{
+  const double demand = alloc_w * util * ramp;
+  const double held = cap_w >= 0.0 && demand > cap_w ? cap_w : demand;
+  return on ? held : 0.0;
+}
+
+/**
  * Most workload steps or samples one timeline may take. The longest
  * in-tree room takes 1,920 steps and 384 samples; a period so short
  * that end_at / period exceeds this would run for hours, or reserve
@@ -273,7 +286,7 @@ RoomEmulation::BuildRoom()
 
   // Seed the aggregates with the initial rack powers (everything on,
   // uncapped, ramp at t = 0).
-  RebuildAggregates();
+  SweepRacks<false>();
 
   // Impact registry from the configured scenario.
   online::ImpactRegistry impact;
@@ -338,33 +351,38 @@ RoomEmulation::OuOf(Category category) const
   return ou_by_category_[static_cast<std::size_t>(category)];
 }
 
-double
-RoomEmulation::ComputeRackPowerW(int rack_id, double ramp) const
-{
-  const auto i = static_cast<std::size_t>(rack_id);
-  if (!rack_on_[i])
-    return 0.0;
-  double demand = rack_alloc_w_[i] * rack_util_[i] * ramp;
-  const double cap = rack_cap_w_[i];
-  if (cap >= 0.0 && demand > cap)
-    demand = cap;
-  return demand;
-}
-
+template <bool kStepWorkloads>
 void
-RoomEmulation::RebuildAggregates()
+RoomEmulation::SweepRacks()
 {
+  // Each category's OU coefficients, read once per step.
+  std::array<OuStep, 3> ou{};
+  if constexpr (kStepWorkloads) {
+    for (std::size_t c = 0; c < ou.size(); ++c)
+      ou[c] = ou_by_category_[c].StepOf(config_.workload_step);
+  }
   // Fresh left-to-right rack-order sums: identical summation order to a
   // brute-force rescan, so the running state starts each workload step
-  // drift-free. O(racks), amortized against the utilization step that
-  // already touched every rack.
+  // drift-free.
   const double ramp = RampNow();
   pdu_scratch_.assign(static_cast<std::size_t>(topology_.NumPduPairs()),
                       Watts(0.0));
-  for (std::size_t i = 0; i < rack_power_w_.size(); ++i) {
-    const double p = ComputeRackPowerW(static_cast<int>(i), ramp);
-    rack_power_w_[i] = p;
-    pdu_scratch_[static_cast<std::size_t>(rack_pdu_[i])] += Watts(p);
+  const std::size_t n = rack_util_.size();
+  double* const util = rack_util_.data();
+  const double* const alloc_w = rack_alloc_w_.data();
+  const std::int32_t* const pdu = rack_pdu_.data();
+  const Category* const category = rack_category_.data();
+  double* const power_w = rack_power_w_.data();
+  const char* const on = rack_on_.data();
+  const double* const cap_w = rack_cap_w_.data();
+  Watts* const pdu_sum = pdu_scratch_.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    if constexpr (kStepWorkloads)
+      util[i] = ou[static_cast<std::size_t>(category[i])](util[i], rng_);
+    const double p =
+        RackPowerW(alloc_w[i], util[i], ramp, cap_w[i], on[i] != 0);
+    power_w[i] = p;
+    pdu_sum[static_cast<std::size_t>(pdu[i])] += Watts(p);
   }
   agg_.SetAllPduLoads(pdu_scratch_);
   ObserveLoads();
@@ -427,7 +445,8 @@ RoomEmulation::OnRackStateChanged(int rack_id)
 
   // The rack's electrical draw just changed: apply the delta to the
   // running sums instead of rescanning the room.
-  const double p = ComputeRackPowerW(rack_id, RampNow());
+  const double p = RackPowerW(rack_alloc_w_[i], rack_util_[i], RampNow(),
+                              rack_cap_w_[i], now_on);
   const double delta = p - rack_power_w_[i];
   rack_power_w_[i] = p;
   if (delta != 0.0) {
@@ -557,30 +576,23 @@ RoomEmulation::StepWorkloads()
     }
   }
 
-  // Advance every utilization in rack order — the RNG draw order is part
-  // of the deterministic contract, so this loop stays separate from the
-  // category-specific bookkeeping below.
-  for (std::size_t i = 0; i < rack_util_.size(); ++i) {
-    rack_util_[i] =
-        OuOf(rack_category_[i]).Step(rack_util_[i], config_.workload_step,
-                                     rng_);
-  }
+  // Advance every utilization, refresh the cached powers and rebuild the
+  // aggregates, in one rack-order pass. The RNG draws in rack order, as
+  // part of the deterministic contract, so the category-specific
+  // bookkeeping below stays out of it.
+  SweepRacks<true>();
 
-  // Every rack's demand just changed; refresh the cached powers and the
-  // aggregates with one exact pass (also bounds delta rounding drift).
-  RebuildAggregates();
-
-  const bool in_failover_window =
-      queue_.Now() >= config_.failover_at && queue_.Now() < config_.restore_at;
-  if (!in_failover_window)
+  // Track tail latency of the transactional racks while a UPS is failed,
+  // whether the timeline scripted the failover or a fault plan injected
+  // it. A scripted edge runs before the workload step of its instant, so
+  // a scripted room tracks exactly the steps in [failover_at, restore_at).
+  if (failed_ups_ < 0)
     return;
-  // Track tail latency of the transactional racks while the failover
-  // episode is in progress.
   const LatencyModel latency(0.25);
+  const double ramp = RampNow();
   for (const int id : capable_rack_ids_) {
     const auto i = static_cast<std::size_t>(id);
     const double cap = rack_cap_w_[i];
-    const double ramp = 1.0;  // setup finished well before failover
     const Watts demand(rack_alloc_w_[i] * rack_util_[i] * ramp);
     double factor = 1.0;
     if (cap >= 0.0) {

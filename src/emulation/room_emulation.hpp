@@ -203,7 +203,10 @@ struct EmulationReport {
   /** p99.9 telemetry data latency (paper: < 1.5 s). */
   double data_latency_p999 = 0.0;
 
-  /** p95 latency inflation of throttled cap-able racks (paper: +4.7%). */
+  /**
+   * p95 latency inflation of throttled cap-able racks while a UPS is
+   * failed, by the timeline or by an injected fault (paper: +4.7%).
+   */
   double p95_increase_mean = 0.0;
   /** Worst per-rack inflation (paper: 14%). */
   double p95_increase_worst = 0.0;
@@ -385,11 +388,18 @@ class RoomEmulation : public telemetry::PowerSource {
    */
   void ObserveLoads();
   void OnRackStateChanged(int rack_id);
-  void RebuildAggregates();
+  /**
+   * One rack-order pass over the rack arrays. With kStepWorkloads it
+   * first advances each rack's utilization one workload step (the room's
+   * RNG draws in rack order); then, in the same iteration, it caches the
+   * rack's power and adds it to its PDU pair's fresh sum. The sums go to
+   * the running UPS loads exactly, so every pass bounds the drift of the
+   * deltas applied since the last one.
+   */
+  template <bool kStepWorkloads>
+  void SweepRacks();
   /** The verify_aggregation oracle; FLEX_CHECKs every running state. */
   void VerifyAggregates();
-  /** Rack power from the SoA state + actuation mirrors. */
-  double ComputeRackPowerW(int rack_id, double ramp) const;
   const OuProcess& OuOf(workload::Category category) const;
   double RampNow() const;
 

@@ -20,14 +20,20 @@ OuProcess::Clamp(double value) const
   return std::clamp(value, config_.min, config_.max);
 }
 
-double
-OuProcess::Step(double value, Seconds dt, Rng& rng) const
+OuStep
+OuProcess::StepOf(Seconds dt) const
 {
   FLEX_REQUIRE(dt.value() >= 0.0, "negative time step");
-  const double t = dt.value();
-  value += config_.reversion_rate * (config_.mean - value) * t +
-           config_.volatility * std::sqrt(t) * rng.Normal();
-  return Clamp(value);
+  OuStep step;
+  step.mean = config_.mean;
+  step.reversion_rate = config_.reversion_rate;
+  step.dt = dt.value();
+  // volatility * sqrt(dt) * z multiplies left to right, so the first
+  // product can be taken once without changing a bit.
+  step.diffusion = config_.volatility * std::sqrt(dt.value());
+  step.min = config_.min;
+  step.max = config_.max;
+  return step;
 }
 
 LatencyModel::LatencyModel(double rho) : rho_(rho)

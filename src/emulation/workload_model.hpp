@@ -11,6 +11,8 @@
 #ifndef FLEX_EMULATION_WORKLOAD_MODEL_HPP_
 #define FLEX_EMULATION_WORKLOAD_MODEL_HPP_
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -23,6 +25,28 @@ struct OuProcessConfig {
   double volatility = 0.02;   ///< diffusion per sqrt(second)
   double min = 0.40;
   double max = 0.98;
+};
+
+/**
+ * The OU update for one fixed time step, its coefficients read once: a
+ * caller that steps many values by the same dt (a room steps every rack
+ * each second) builds one with OuProcess::StepOf and applies it to each.
+ */
+struct OuStep {
+  double mean = 0.0;
+  double reversion_rate = 0.0;
+  double dt = 0.0;
+  double diffusion = 0.0;  ///< volatility * sqrt(dt)
+  double min = 0.0;
+  double max = 0.0;
+
+  /** Advances @p value by dt with one normal draw from @p rng. */
+  double
+  operator()(double value, Rng& rng) const
+  {
+    value += reversion_rate * (mean - value) * dt + diffusion * rng.Normal();
+    return std::clamp(value, min, max);
+  }
 };
 
 /**
@@ -40,8 +64,15 @@ class OuProcess {
   /** @p value clipped to [min, max] (e.g. an initial utilization). */
   double Clamp(double value) const;
 
+  /** The update for steps of @p dt; rejects a negative dt (ConfigError). */
+  OuStep StepOf(Seconds dt) const;
+
   /** Advances @p value by @p dt and returns the new value. */
-  double Step(double value, Seconds dt, Rng& rng) const;
+  double
+  Step(double value, Seconds dt, Rng& rng) const
+  {
+    return StepOf(dt)(value, rng);
+  }
 
   const OuProcessConfig& config() const { return config_; }
 

@@ -64,7 +64,7 @@ RunPlan(emulation::RoomEmulation& room, const FaultPlan& plan)
   monitor_config.obs = room.config().obs;
   InvariantMonitor monitor(
       room.queue(), room.topology(), room.rack_categories(), room.plane(),
-      [&room] { return room.ups_loads(); }, monitor_config);
+      room.ups_loads(), monitor_config);
   for (const auto& controller : room.controllers())
     monitor.AddController(controller.get());
   monitor.Attach();

@@ -25,19 +25,17 @@ InvariantMonitor::InvariantMonitor(
     sim::EventQueue& queue, const power::RoomTopology& topology,
     std::vector<workload::Category> rack_categories,
     const actuation::ActuationPlane& plane,
-    std::function<std::vector<Watts>()> true_ups_loads, MonitorConfig config)
+    const std::vector<Watts>& true_ups_loads, MonitorConfig config)
     : queue_(queue),
       topology_(topology),
       categories_(std::move(rack_categories)),
       plane_(plane),
-      true_ups_loads_(std::move(true_ups_loads)),
+      true_ups_loads_(true_ups_loads),
       config_(config),
       watch_(topology)
 {
   FLEX_REQUIRE(static_cast<int>(categories_.size()) == plane_.num_racks(),
                "one workload category per rack required");
-  FLEX_REQUIRE(static_cast<bool>(true_ups_loads_),
-               "monitor needs a ground-truth UPS load source");
   cap_reported_.assign(categories_.size(), false);
   if (config_.obs != nullptr) {
     violations_metric_ = &config_.obs->metrics().counter("invariants.violations");
@@ -109,15 +107,15 @@ InvariantMonitor::Check()
 {
   ++checks_run_;
   const double now = queue_.Now().value();
-  const std::vector<Watts> loads = true_ups_loads_();
-  FLEX_CHECK_MSG(static_cast<int>(loads.size()) == topology_.NumUpses(),
-                 "ground-truth load vector has wrong arity");
+  FLEX_CHECK_MSG(
+      static_cast<int>(true_ups_loads_.size()) == topology_.NumUpses(),
+      "ground-truth load vector has wrong arity");
 
   // (a) trip safety, per UPS. Loads change only at events and this runs
   // after every event, so the watch sees the whole trajectory: it closes
   // the interval since the last check and reports any trip in it at the
   // instant the overload outlasted its tolerance.
-  watch_.Observe(queue_.Now(), loads);
+  watch_.Observe(queue_.Now(), true_ups_loads_);
   for (; trips_reported_ < watch_.trips().size(); ++trips_reported_) {
     const power::Trip& trip = watch_.trips()[trips_reported_];
     char buffer[160];

@@ -26,7 +26,6 @@
 #ifndef FLEX_FAULT_INVARIANT_MONITOR_HPP_
 #define FLEX_FAULT_INVARIANT_MONITOR_HPP_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,14 +60,16 @@ struct Violation {
 class InvariantMonitor {
  public:
   /**
-   * @param true_ups_loads returns the instantaneous true per-UPS load
-   *        (post-failover redistribution), indexed by UpsId.
+   * @param true_ups_loads the running true per-UPS loads
+   *        (post-failover redistribution), indexed by UpsId, e.g. a
+   *        room's ups_loads(). Read in place at every check, never
+   *        copied, so it must outlive the monitor.
    */
   InvariantMonitor(sim::EventQueue& queue,
                    const power::RoomTopology& topology,
                    std::vector<workload::Category> rack_categories,
                    const actuation::ActuationPlane& plane,
-                   std::function<std::vector<Watts>()> true_ups_loads,
+                   const std::vector<Watts>& true_ups_loads,
                    MonitorConfig config = {});
 
   /** Adds a controller replica to watch for (c) and (d). */
@@ -109,7 +110,7 @@ class InvariantMonitor {
   const power::RoomTopology& topology_;
   std::vector<workload::Category> categories_;
   const actuation::ActuationPlane& plane_;
-  std::function<std::vector<Watts>()> true_ups_loads_;
+  const std::vector<Watts>& true_ups_loads_;
   MonitorConfig config_;
   std::vector<const online::FlexController*> controllers_;
   sim::ObserverId observer_id_ = 0;  // 0: not attached

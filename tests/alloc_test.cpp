@@ -27,6 +27,8 @@
 
 #include "actuation/rack_manager.hpp"
 #include "emulation/room_emulation.hpp"
+#include "fault/fault_run.hpp"
+#include "fault/invariant_monitor.hpp"
 #include "online/controller.hpp"
 #include "sim/event_queue.hpp"
 #include "telemetry/pipeline.hpp"
@@ -244,6 +246,55 @@ TEST(AllocationGateTest, SteadyStatePollTicksAllocateOnlyForLatencyRuns)
   EXPECT_GT(runs_after, runs_before);
   EXPECT_LE(allocations, DoublingGrowths(runs_before, runs_after))
       << "runs " << runs_before << " -> " << runs_after;
+}
+
+/** Allocations over one steady-state window of a fuzz room. */
+struct MonitoredWindow {
+  std::uint64_t allocations = 0;
+  std::uint64_t checks = 0;  ///< invariant checks run in the window
+};
+
+/**
+ * Runs the fuzz room for seed 21 to 60 s, then counts the allocations
+ * of the next 50 s, with an invariant monitor attached as
+ * fault::RunPlan attaches one when @p monitored.
+ */
+MonitoredWindow
+FuzzRoomWindow(bool monitored)
+{
+  emulation::EmulationConfig config = fault::FuzzRoomConfig();
+  config.seed = 21;
+  emulation::RoomEmulation room(config);
+  std::unique_ptr<fault::InvariantMonitor> monitor;
+  if (monitored) {
+    monitor = std::make_unique<fault::InvariantMonitor>(
+        room.queue(), room.topology(), room.rack_categories(), room.plane(),
+        room.ups_loads());
+    for (const auto& controller : room.controllers())
+      monitor->AddController(controller.get());
+    monitor->Attach();
+  }
+  room.StartTimeline();
+  room.AdvanceTo(Seconds(60.0));
+  MonitoredWindow window;
+  const std::uint64_t checks_before = monitored ? monitor->checks_run() : 0;
+  window.allocations =
+      AllocationsDuring([&room] { room.AdvanceTo(Seconds(110.0)); });
+  if (monitored)
+    window.checks = monitor->checks_run() - checks_before;
+  return window;
+}
+
+TEST(AllocationGateTest, AttachedInvariantMonitorAddsNoAllocations)
+{
+  // The monitor checks after every event. It reads the room's running
+  // UPS loads in place, so once warm a check allocates nothing: the
+  // monitored room allocates exactly what the same room does bare.
+  const MonitoredWindow bare = FuzzRoomWindow(false);
+  const MonitoredWindow monitored = FuzzRoomWindow(true);
+  EXPECT_GT(monitored.checks, 250u);
+  EXPECT_EQ(monitored.allocations, bare.allocations)
+      << monitored.checks << " checks";
 }
 
 // --- Live heap bytes per rack ------------------------------------------------

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -355,6 +357,25 @@ TEST(RoomEmulationTest, ReportHashIsPinned)
   EXPECT_EQ(report.total_racks, 2240);
   EXPECT_FALSE(report.safety_violated);
   EXPECT_EQ(HashEmulationReport(report), 0x86bb3a9c4110c68dull);
+}
+
+// The pinned room above never overloads, so no rack is ever shut down or
+// capped in it. This room's failover does both, which pins, bit for bit,
+// the workload step's power-off and cap paths and the tail-latency
+// integrals (the report hash carries no p95 field, so they are pinned
+// beside it). tests/CMakeLists.txt reruns it under the non-FMA libm too.
+TEST(RoomEmulationTest, ActingRoomReportIsPinned)
+{
+  RoomEmulation emulation(ShortTimelineConfig(33));
+  const EmulationReport report = emulation.Run();
+  EXPECT_GT(report.sr_shutdown_peak, 0);
+  EXPECT_GT(report.capable_capped_peak, 0);
+  EXPECT_GT(report.p95_increase_worst, 0.0);
+  EXPECT_EQ(HashEmulationReport(report), 0x0412ae7cce531fa0ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(report.p95_increase_mean),
+            0x3fa6c9e45b25a53aull);  // 0.04451
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(report.p95_increase_worst),
+            0x3fc4e5e0a72f0530ull);  // 0.16327
 }
 
 TEST(RoomEmulationTest, ValidatesTimeline)

@@ -55,7 +55,7 @@ WatchRoom(RoomEmulation& room)
 {
   auto monitor = std::make_unique<InvariantMonitor>(
       room.queue(), room.topology(), room.rack_categories(), room.plane(),
-      [&room] { return room.ups_loads(); });
+      room.ups_loads());
   monitor->Attach();
   return monitor;
 }
@@ -348,6 +348,20 @@ TEST(FaultInjectorTest, UpsFailoverTogglesAndRestores)
   EXPECT_EQ(room.ups_loads()[1].value(), normal);
 }
 
+TEST(FaultInjectorTest, InjectedFailoverRecordsTailLatencyInflation)
+{
+  // The fuzz room scripts no failover (failed_ups = -1), so its only
+  // failover episode is the injected one: racks throttled during it must
+  // show up in the report's p95 latency inflation.
+  RoomEmulation room(FuzzRoom(21, 90.0));
+  FaultPlan plan;
+  plan.Add(MakeEvent(20.0, FaultKind::kUpsFailover, 0, 14.0));
+  const FaultRunReport report = RunPlan(room, plan);
+  ASSERT_GT(report.room.capable_capped_peak, 0);
+  EXPECT_GT(report.room.p95_increase_mean, 0.0);
+  EXPECT_GE(report.room.p95_increase_worst, report.room.p95_increase_mean);
+}
+
 TEST(FaultInjectorTest, RackManagerFaultsApplyAndRepair)
 {
   RoomEmulation room(FuzzRoom(7));
@@ -610,7 +624,7 @@ TEST(InvariantMonitorTest, CatchesATripThatEndsBetweenChecks)
       queue, topology,
       std::vector<workload::Category>(4,
                                       workload::Category::kNonRedundantCapable),
-      plane, [&loads] { return loads; });
+      plane, loads);
   monitor.Attach();
   queue.ScheduleAt(Seconds(1.0), [&] { loads[0] = rated * 1.33; });
   queue.ScheduleAt(Seconds(12.0), [&] { loads[0] = rated * 0.5; });
