@@ -7,14 +7,19 @@
  * monitor attached (the configuration the property tests sweep), the
  * same plans on bare rooms without the monitor (isolating its per-event
  * overhead), and a dense storm plan that saturates the schedule with
- * begin/repair events. The first section doubles as a large-scale
- * safety sweep: any invariant violation is reported with its
- * reproducing seed.
+ * begin/repair events. The two sweeps alternate over seven pairs: the
+ * overhead is the median pair ratio with its quartiles, printed beside
+ * the invariant checks per executed event, a count that repeats
+ * exactly. The first section doubles as a large-scale safety sweep: any
+ * invariant violation is reported with its reproducing seed.
  */
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
+#include "common/stats.hpp"
 #include "emulation/room_emulation.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_run.hpp"
@@ -41,19 +46,62 @@ main()
   const int seeds = bench::NumTraces(40);
   const emulation::EmulationConfig config = fault::FuzzRoomConfig();
 
-  // --- Fuzzed sweep with the monitor attached -----------------------------
-  // On one lane, like the bare pass below, so the two walls compare.
+  // --- Fuzzed sweep, with and without the monitor ------------------------
+  // Both passes run the same plans on one lane. One wall-clock sample per
+  // pass cannot resolve the monitor's cost (single pairs of the same
+  // binary spread from -12% to +35%), so the passes alternate, the order
+  // flipping every pair, and the overhead is the median pair ratio.
+  constexpr int kPairs = 7;
+  std::vector<fault::FaultRunReport> monitored;  // the first pass's
+  const auto monitored_pass = [&] {
+    const auto start = Clock::now();
+    std::vector<fault::FaultRunReport> reports =
+        fault::RunFuzzSweep(config, 0, seeds, /*threads=*/1);
+    const double wall = SecondsSince(start);
+    if (monitored.empty())
+      monitored = std::move(reports);
+    return wall;
+  };
+  std::uint64_t events_bare = 0;
+  const auto bare_pass = [&] {
+    events_bare = 0;
+    const auto start = Clock::now();
+    for (int seed = 0; seed < seeds; ++seed) {
+      emulation::EmulationConfig bare_config = config;
+      bare_config.seed = static_cast<std::uint64_t>(seed);
+      emulation::RoomEmulation room(bare_config);
+      fault::FaultInjector injector(room);
+      injector.Arm(fault::FuzzedPlan(room));
+      events_bare += room.Run().events_executed;
+    }
+    return SecondsSince(start);
+  };
+  std::vector<double> monitored_walls;
+  std::vector<double> bare_walls;
+  std::vector<double> overhead_pct;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double monitored_wall = 0.0;
+    double bare_wall = 0.0;
+    if (pair % 2 == 0) {
+      monitored_wall = monitored_pass();
+      bare_wall = bare_pass();
+    } else {
+      bare_wall = bare_pass();
+      monitored_wall = monitored_pass();
+    }
+    monitored_walls.push_back(monitored_wall);
+    bare_walls.push_back(bare_wall);
+    overhead_pct.push_back(100.0 * (monitored_wall / bare_wall - 1.0));
+  }
   std::uint64_t events_monitored = 0;
+  std::uint64_t monitor_checks = 0;
   std::size_t readings = 0;
   std::size_t faults = 0;
   int violations = 0;
-  auto start = Clock::now();
-  const std::vector<fault::FaultRunReport> monitored =
-      fault::RunFuzzSweep(config, 0, seeds, /*threads=*/1);
-  const double monitored_wall = SecondsSince(start);
   for (std::size_t i = 0; i < monitored.size(); ++i) {
     const fault::FaultRunReport& report = monitored[i];
     events_monitored += report.room.events_executed;
+    monitor_checks += report.monitor_checks;
     readings += report.readings_delivered;
     faults += report.fault_trace.size();
     if (!report.violations.empty()) {
@@ -62,30 +110,27 @@ main()
                   report.violation_summary.c_str());
     }
   }
+  const double monitored_wall = Percentile(monitored_walls, 50.0);
+  const double bare_wall = Percentile(bare_walls, 50.0);
 
-  // --- Same plans on bare rooms, without the monitor ----------------------
-  std::uint64_t events_bare = 0;
-  start = Clock::now();
-  for (int seed = 0; seed < seeds; ++seed) {
-    emulation::EmulationConfig bare_config = config;
-    bare_config.seed = static_cast<std::uint64_t>(seed);
-    emulation::RoomEmulation room(bare_config);
-    fault::FaultInjector injector(room);
-    injector.Arm(fault::FuzzedPlan(room));
-    events_bare += room.Run().events_executed;
-  }
-  const double bare_wall = SecondsSince(start);
-
-  std::printf("\nfuzzed rooms (%d seeds, %.0f sim-seconds each):\n", seeds,
-              config.end_at.value());
+  std::printf("\nfuzzed rooms (%d seeds, %.0f sim-seconds each), median of "
+              "%d alternating pairs:\n",
+              seeds, config.end_at.value(), kPairs);
   std::printf("  %-28s %12s %14s\n", "", "wall (s)", "events/sec");
   std::printf("  %-28s %12.3f %14.0f\n", "with invariant monitor",
               monitored_wall,
               static_cast<double>(events_monitored) / monitored_wall);
   std::printf("  %-28s %12.3f %14.0f\n", "without monitor", bare_wall,
               static_cast<double>(events_bare) / bare_wall);
-  std::printf("  monitor overhead: %+.1f%%\n",
-              100.0 * (monitored_wall / bare_wall - 1.0));
+  std::printf("  monitor overhead: median %+.1f%% (p25 %+.1f%%, p75 %+.1f%%)\n",
+              Percentile(overhead_pct, 50.0), Percentile(overhead_pct, 25.0),
+              Percentile(overhead_pct, 75.0));
+  std::printf("  invariant checks: %llu over %llu executed events, %.4f per "
+              "event\n",
+              static_cast<unsigned long long>(monitor_checks),
+              static_cast<unsigned long long>(events_monitored),
+              static_cast<double>(monitor_checks) /
+                  static_cast<double>(events_monitored));
   std::printf("  delivered readings: %zu, fault begin/repair events: %zu\n",
               readings, faults);
   std::printf("  invariant violations: %d (must be 0)\n", violations);
@@ -124,7 +169,7 @@ main()
   }
   storm.SortByTime();
 
-  start = Clock::now();
+  const auto start = Clock::now();
   const fault::FaultRunReport report = fault::RunPlan(room, storm);
   const double storm_wall = SecondsSince(start);
   std::printf("\ndense storm (%zu scheduled faults, one room):\n",

@@ -52,7 +52,7 @@ main()
   pipeline_config.obs = &observability;
   telemetry::TelemetryPipeline pipeline(queue, source, 4, num_racks,
                                         pipeline_config, 2021);
-  pipeline.Subscribe([](const telemetry::DeviceReading&) {});
+  pipeline.Subscribe([](const telemetry::ReadingBatch&) {});
   pipeline.Start();
   queue.RunUntil(Minutes(10.0));
   pipeline.Stop();
@@ -99,7 +99,9 @@ main()
   telemetry::TelemetryPipeline faulty(
       faulty_queue, source, 4, 32, telemetry::PipelineConfig{}, 99);
   std::size_t delivered = 0;
-  faulty.Subscribe([&](const telemetry::DeviceReading&) { ++delivered; });
+  faulty.Subscribe([&](const telemetry::ReadingBatch& batch) {
+    delivered += batch.readings.size();
+  });
   faulty.SetPollerFailed(0, true);
   faulty.SetBusFailed(1, true);
   faulty.SetMeterFailed({telemetry::DeviceKind::kUps, 0}, 0, true);

@@ -60,8 +60,9 @@ main()
   telemetry::TelemetryPipeline pipeline(queue, room, 4, 40,
                                         telemetry::PipelineConfig{}, 17);
   std::size_t window_count = 0;
-  pipeline.Subscribe(
-      [&](const telemetry::DeviceReading&) { ++window_count; });
+  pipeline.Subscribe([&](const telemetry::ReadingBatch& batch) {
+    window_count += batch.readings.size();
+  });
   pipeline.Start();
 
   auto run_window = [&](const char* label) {
@@ -167,8 +168,9 @@ main()
       std::make_shared<const std::vector<online::ManagedRack>>(
           std::move(managed)),
       drill_plane, {}, controller_config, 0);
-  drill_pipeline.Subscribe([&](const telemetry::DeviceReading& reading) {
-    controller.OnReading(reading);
+  drill_pipeline.Subscribe([&](const telemetry::ReadingBatch& batch) {
+    for (std::size_t i = 0; i < batch.readings.size(); ++i)
+      controller.OnReading(batch.Reading(i));
   });
   drill_pipeline.Start();
   drill_queue.RunUntil(Seconds(30.0));

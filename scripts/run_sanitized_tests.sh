@@ -47,7 +47,7 @@ echo "run_sanitized_tests: focused obs/fault recorder pass"
 # runs periodic callbacks in place while they add slots.
 "${build_dir}/tests/sim_test" --gtest_brief=1
 # Room-wide state is stored once: physical meters sit in one flat array
-# indexed by device x meter, consensus reads sort a fixed stack buffer,
+# indexed by device x meter, consensus reads fill a fixed stack buffer,
 # rack managers reach their plane through a back pointer, and the
 # controller replicas index one shared rack table by rack id.
 "${build_dir}/tests/telemetry_test" --gtest_brief=1

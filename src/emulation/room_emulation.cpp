@@ -326,11 +326,10 @@ RoomEmulation::BuildRoom()
     controllers_.push_back(std::make_unique<online::FlexController>(
         queue_, topology_, rack_table, *plane_, impact, config_.controller,
         c, &notifications_));
-    online::FlexController* controller = controllers_.back().get();
-    pipeline_->Subscribe([controller](const telemetry::DeviceReading& r) {
-      controller->OnReading(r);
-    });
   }
+  pipeline_->Subscribe([this](const telemetry::ReadingBatch& batch) {
+    DeliverToControllers(batch);
+  });
 
   for (UpsId u = 0; u < topology_.NumUpses(); ++u) {
     batteries_.emplace_back(power::BatteryConfig::ForBatteryLife(
@@ -395,6 +394,27 @@ RoomEmulation::ObserveLoads()
   if (awaiting_safe_ && !watch_.overloaded()) {
     time_to_safe_ = queue_.Now().value() - first_failover_at_;
     awaiting_safe_ = false;
+  }
+}
+
+void
+RoomEmulation::DeliverToControllers(const telemetry::ReadingBatch& batch)
+{
+  if (batch.kind == telemetry::DeviceKind::kRack) {
+    // A rack reading only updates the receiving replica's own forecaster
+    // bank, so folding the batch replica by replica leaves every bank as
+    // reading-by-reading delivery would.
+    for (const auto& controller : controllers_)
+      controller->OnRackBatch(batch);
+    return;
+  }
+  // A UPS reading can start decisions, commands and notifications, so
+  // each one reaches every replica before the next, as it always has
+  // (the pipeline delivers UPS readings one at a time).
+  for (std::size_t i = 0; i < batch.readings.size(); ++i) {
+    const telemetry::DeviceReading reading = batch.Reading(i);
+    for (const auto& controller : controllers_)
+      controller->OnReading(reading);
   }
 }
 

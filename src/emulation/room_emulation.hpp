@@ -387,6 +387,12 @@ class RoomEmulation : public telemetry::PowerSource {
    * change to them. Also decides time to safe.
    */
   void ObserveLoads();
+  /**
+   * The pipeline's one subscriber: hands a delivered batch to every
+   * controller replica (DESIGN.md §10, "Batched rack polls", has the
+   * order and why).
+   */
+  void DeliverToControllers(const telemetry::ReadingBatch& batch);
   void OnRackStateChanged(int rack_id);
   /**
    * One rack-order pass over the rack arrays. With kStepWorkloads it

@@ -75,8 +75,16 @@ Histogram::Histogram(HistogramConfig config) : edges_(std::move(config.edges))
 void
 Histogram::Observe(double sample)
 {
+  ObserveRepeated(sample, 1);
+}
+
+void
+Histogram::ObserveRepeated(double sample, std::uint64_t n)
+{
+  if (n == 0)
+    return;
   const auto it = std::lower_bound(edges_.begin(), edges_.end(), sample);
-  ++counts_[static_cast<std::size_t>(it - edges_.begin())];
+  counts_[static_cast<std::size_t>(it - edges_.begin())] += n;
   if (count_ == 0) {
     min_ = sample;
     max_ = sample;
@@ -84,8 +92,9 @@ Histogram::Observe(double sample)
     min_ = std::min(min_, sample);
     max_ = std::max(max_, sample);
   }
-  ++count_;
-  sum_ += sample;
+  count_ += n;
+  for (std::uint64_t i = 0; i < n; ++i)
+    sum_ += sample;
 }
 
 double

@@ -81,6 +81,13 @@ class Histogram {
 
   void Observe(double sample);
 
+  /**
+   * Observes @p sample @p n times, as n Observe calls would: the bucket,
+   * count, min and max update once, and the sum adds @p sample n times,
+   * so it keeps the bits of the one-by-one sum.
+   */
+  void ObserveRepeated(double sample, std::uint64_t n);
+
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double min() const { return count_ ? min_ : 0.0; }

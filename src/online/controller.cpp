@@ -87,6 +87,16 @@ FlexController::OnReading(const DeviceReading& reading)
   }
 }
 
+void
+FlexController::OnRackBatch(const telemetry::ReadingBatch& batch)
+{
+  FLEX_REQUIRE(batch.kind == DeviceKind::kRack,
+               "OnRackBatch takes rack batches only");
+  if (suspended_)
+    return;  // crashed replica: readings are lost, not queued
+  rack_forecasts_.ObserveBatch(batch.sampled_at, batch.readings);
+}
+
 DecisionInput
 FlexController::BuildDecisionInput() const
 {

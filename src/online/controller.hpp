@@ -90,8 +90,19 @@ class FlexController {
                  ImpactRegistry impact, ControllerConfig config,
                  int replica_id, NotificationBus* notifications = nullptr);
 
-  /** Telemetry entry point; wire via TelemetryPipeline::Subscribe. */
+  /**
+   * Telemetry entry point for one reading of either kind. Readings of
+   * devices outside this controller's room are ignored. RoomEmulation
+   * passes UPS readings this way and rack batches to OnRackBatch.
+   */
   void OnReading(const telemetry::DeviceReading& reading);
+
+  /**
+   * Folds one delivered rack batch into this replica's forecasters, as
+   * OnReading would reading by reading. Every reading must name a rack
+   * of this controller's table (ConfigError otherwise).
+   */
+  void OnRackBatch(const telemetry::ReadingBatch& batch);
 
   /** Racks this controller has acted on (and not yet released). */
   const std::set<int>& acted_racks() const { return acted_racks_; }

@@ -7,12 +7,12 @@
 
 namespace flex::online {
 
-std::optional<double>
+double
 HoltForecaster::Observe(const HoltParams& params, Seconds observed_at,
                         Watts value)
 {
   FLEX_REQUIRE(value >= Watts(0.0), "negative power observation");
-  std::optional<double> abs_error;
+  double abs_error = kNoPrediction;
   if (observations_ == 0) {
     level_ = value.value();
     trend_per_second_ = 0.0;
@@ -84,14 +84,27 @@ void
 RackPowerForecasterBank::Observe(int rack_id, Seconds observed_at,
                                  Watts value)
 {
-  FLEX_REQUIRE(rack_id >= 0 && rack_id < num_racks(), "rack id out of range");
-  const std::optional<double> abs_error =
-      forecasters_[static_cast<std::size_t>(rack_id)].Observe(
-          params_, observed_at, value);
+  const telemetry::BatchReading reading{rack_id, value};
+  ObserveBatch(observed_at, {&reading, 1});
+}
+
+void
+RackPowerForecasterBank::ObserveBatch(
+    Seconds observed_at, std::span<const telemetry::BatchReading> readings)
+{
+  const int racks = num_racks();
+  for (const telemetry::BatchReading& reading : readings) {
+    FLEX_REQUIRE(reading.index >= 0 && reading.index < racks,
+                 "rack id out of range");
+    const double abs_error =
+        forecasters_[static_cast<std::size_t>(reading.index)].Observe(
+            params_, observed_at, reading.value);
+    if (abs_error_metric_ != nullptr &&
+        abs_error != HoltForecaster::kNoPrediction)
+      abs_error_metric_->Observe(abs_error);
+  }
   if (observations_metric_ != nullptr)
-    observations_metric_->Increment();
-  if (abs_error_metric_ != nullptr && abs_error.has_value())
-    abs_error_metric_->Observe(*abs_error);
+    observations_metric_->Increment(static_cast<double>(readings.size()));
 }
 
 std::optional<Watts>

@@ -13,10 +13,12 @@
 #define FLEX_ONLINE_FORECASTER_HPP_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
 #include "obs/observability.hpp"
+#include "telemetry/pipeline.hpp"
 
 namespace flex::online {
 
@@ -33,15 +35,20 @@ struct HoltParams {
  */
 class HoltForecaster {
  public:
+  /** What Observe returns when no prediction existed. */
+  static constexpr double kNoPrediction = -1.0;
+
   /**
    * Feeds an observation taken at @p observed_at, smoothed with
    * @p params. Returns the absolute one-step-ahead forecast error in
    * watts — |observation - what the model predicted for this instant| —
-   * or nullopt when no prediction existed (first observation,
-   * duplicate-bus redelivery).
+   * or kNoPrediction (negative) when no prediction existed (first
+   * observation, duplicate-bus redelivery). A plain double, because an
+   * optional returned through the stack stalls the reload of its 16
+   * bytes on every reading.
    */
-  std::optional<double> Observe(const HoltParams& params,
-                                Seconds observed_at, Watts value);
+  double Observe(const HoltParams& params, Seconds observed_at,
+                 Watts value);
 
   /**
    * Forecast at @p when (>= last observation). Returns nullopt until at
@@ -79,6 +86,13 @@ class RackPowerForecasterBank {
   void Bind(obs::Observability* obs);
 
   void Observe(int rack_id, Seconds observed_at, Watts value);
+
+  /**
+   * Observe for every reading of one rack batch, in order: the readings
+   * share @p observed_at, and their indices are rack ids.
+   */
+  void ObserveBatch(Seconds observed_at,
+                    std::span<const telemetry::BatchReading> readings);
 
   /** Forecast for one rack; nullopt when that rack has no data yet. */
   std::optional<Watts> Forecast(int rack_id, Seconds when) const;

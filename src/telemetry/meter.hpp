@@ -91,6 +91,18 @@ class PhysicalMeter {
   bool stuck() const { return stuck_; }
 
  private:
+  friend class MeterArray;
+
+  /**
+   * Sample's kernel: false while failed, else stores the output in
+   * watts in @p out. Defined in meter.cpp, where MeterArray::Read
+   * inlines it; a plain flag and double, because an optional returned
+   * through the stack stalls the reload of its 16 bytes.
+   */
+  inline bool Output(const MeterConfig& config, Seconds now,
+                     double true_value, const MeterDrift* drift,
+                     double& out);
+
   Rng rng_;
   Seconds last_refresh_{-1e18};
   Watts cached_;
@@ -123,11 +135,13 @@ class MeterArray {
   MeterArray(int devices, int redundancy, Rng& seed_rng);
 
   /**
-   * Consensus reading of @p device at @p now, or nullopt when quorum is
-   * lost. Samples each of its physical meters once, in order.
+   * Consensus reading of @p device at @p now: samples each of its
+   * physical meters once, in order, and stores the consensus in
+   * @p consensus. Returns false, leaving @p consensus alone, when quorum
+   * is lost.
    */
-  std::optional<Watts> Read(const MeterConfig& config, int device,
-                            Seconds now, Watts true_value);
+  bool Read(const MeterConfig& config, int device, Seconds now,
+            Watts true_value, Watts& consensus);
 
   /** One physical meter, for failure injection in tests and faults. */
   PhysicalMeter& meter(int device, int index);

@@ -1,6 +1,7 @@
 #include "pipeline.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -36,9 +37,14 @@ TelemetryPipeline::TelemetryPipeline(sim::EventQueue& queue,
   FLEX_REQUIRE(num_ups_ >= 0 && num_racks_ >= 0, "negative device count");
   FLEX_REQUIRE(config_.num_pollers >= 1, "need at least one poller");
   FLEX_REQUIRE(config_.num_buses >= 1, "need at least one bus");
-  FLEX_REQUIRE(config_.ups_poll_period.value() > 0.0 &&
+  // Checked here, not at the first poll tick: an infinite period would
+  // otherwise pass construction and throw mid-run.
+  FLEX_REQUIRE(std::isfinite(config_.ups_poll_period.value()) &&
+                   config_.ups_poll_period.value() > 0.0,
+               "ups_poll_period must be finite and positive");
+  FLEX_REQUIRE(std::isfinite(config_.rack_poll_period.value()) &&
                    config_.rack_poll_period.value() > 0.0,
-               "poll periods must be positive");
+               "rack_poll_period must be finite and positive");
   ValidateMeterConfig(config_.meter);
 
   Rng seed_rng(seed);
@@ -228,29 +234,41 @@ TelemetryPipeline::DeliverBatch(std::uint64_t key)
   const auto index = static_cast<std::uint32_t>(key >> 32);
   const auto bus = static_cast<int>(key & 0xffffffffu);
   Batch& batch = *batch_arena_[index];
-  DeviceReading reading;
-  reading.sampled_at = batch.sampled_at;
-  reading.delivered_at = queue_.Now();
-  reading.poller = batch.poller;
-  reading.bus = bus;
+  ReadingBatch view;
+  view.kind = batch.kind;
+  view.poller = batch.poller;
+  view.bus = bus;
+  view.sampled_at = batch.sampled_at;
+  view.delivered_at = queue_.Now();
+  view.readings = batch.readings;
   // One poll instant, one delivery instant: a batch is one latency run.
-  const double latency = reading.DataLatency().value();
-  latency_.Add(latency, batch.readings.size());
-  for (const BatchReading& entry : batch.readings) {
-    reading.device = DeviceId{batch.kind, entry.index};
-    reading.value = entry.value;
-    ++delivered_count_;
-    if (readings_delivered_metric_ != nullptr) {
-      readings_delivered_metric_->Increment();
-      publish_lag_metric_->Observe(latency);
-    }
-    // UPS deliveries only: rack readings arrive every tick per rack
-    // and would flush the ring's useful window in seconds.
-    if (recorder_ != nullptr && batch.kind == DeviceKind::kUps)
-      recorder_->Record(reading.delivered_at, obs::RecordKind::kMeterSample,
-                        entry.index, bus, entry.value.value());
+  const std::size_t n = batch.readings.size();
+  const double latency = view.DataLatency().value();
+  latency_.Add(latency, n);
+  delivered_count_ += n;
+  if (readings_delivered_metric_ != nullptr) {
+    readings_delivered_metric_->Increment(static_cast<double>(n));
+    publish_lag_metric_->ObserveRepeated(latency, n);
+  }
+  if (batch.kind == DeviceKind::kRack) {
     for (const Subscriber& subscriber : subscribers_)
-      subscriber(reading);
+      subscriber(view);
+  } else {
+    // UPS readings go one at a time: one can start a decision, and its
+    // records, commands and notifications follow the reading's own
+    // flight-recorder entry and precede the next reading's. (Only UPS
+    // readings are recorded: rack readings arrive every tick per rack
+    // and would flush the ring's useful window in seconds.)
+    const std::span<const BatchReading> readings = batch.readings;
+    for (std::size_t i = 0; i < n; ++i) {
+      view.readings = readings.subspan(i, 1);
+      if (recorder_ != nullptr)
+        recorder_->Record(view.delivered_at, obs::RecordKind::kMeterSample,
+                          readings[i].index, bus,
+                          readings[i].value.value());
+      for (const Subscriber& subscriber : subscribers_)
+        subscriber(view);
+    }
   }
   if (--batch.refs == 0)
     batch_free_.push_back(index);
@@ -302,9 +320,9 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
   const int first_meter = kind == DeviceKind::kUps ? 0 : num_ups_;
   const auto read_into = [&](const int i, Batch& batch) {
     const Watts truth = truth_scratch_[static_cast<std::size_t>(i)];
-    const auto reading =
-        meters_.Read(config_.meter, first_meter + i, sampled_at, truth);
-    if (!reading) {
+    Watts reading;
+    if (!meters_.Read(config_.meter, first_meter + i, sampled_at, truth,
+                      reading)) {
       // No quorum: data missing for this device this tick.
       if (no_quorum_metric_ != nullptr)
         no_quorum_metric_->Increment();
@@ -313,7 +331,7 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
                             kind == DeviceKind::kUps ? "ups" : "rack", i);
       return;
     }
-    batch.readings.push_back({i, *reading});
+    batch.readings.push_back({i, reading});
   };
 
   // Publishes through every live bus; subscribers see duplicates, which

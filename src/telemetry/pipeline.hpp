@@ -11,9 +11,11 @@
 #ifndef FLEX_TELEMETRY_PIPELINE_HPP_
 #define FLEX_TELEMETRY_PIPELINE_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -51,6 +53,44 @@ struct DeviceReading {
 
   /** End-to-end data latency for this reading. */
   Seconds DataLatency() const { return delivered_at - sampled_at; }
+};
+
+/** One device's consensus value inside a reading batch. */
+struct BatchReading {
+  int index = 0;  ///< device index within the batch's kind
+  Watts value;
+};
+
+/**
+ * One delivery: one poller's readings of one device kind at one
+ * sampling instant, as one bus delivered them. Everything but the
+ * readings is shared, so it is stored once. A view into the pipeline's
+ * batch arena, valid only during the subscriber call.
+ */
+struct ReadingBatch {
+  DeviceKind kind = DeviceKind::kUps;
+  int poller = -1;
+  int bus = -1;
+  Seconds sampled_at;    ///< when the meters were read
+  Seconds delivered_at;  ///< when the subscriber received the batch
+  std::span<const BatchReading> readings;
+
+  /** End-to-end data latency, shared by every reading of the batch. */
+  Seconds DataLatency() const { return delivered_at - sampled_at; }
+
+  /** Reading @p i of the batch as a stand-alone DeviceReading. */
+  DeviceReading
+  Reading(std::size_t i) const
+  {
+    DeviceReading reading;
+    reading.device = DeviceId{kind, readings[i].index};
+    reading.value = readings[i].value;
+    reading.sampled_at = sampled_at;
+    reading.delivered_at = delivered_at;
+    reading.poller = poller;
+    reading.bus = bus;
+    return reading;
+  }
 };
 
 /** Supplies instantaneous ground-truth power for each device. */
@@ -94,13 +134,27 @@ struct PipelineConfig {
  */
 class TelemetryPipeline {
  public:
-  using Subscriber = std::function<void(const DeviceReading&)>;
+  /**
+   * Called once per delivered rack batch, and once per reading of a
+   * delivered UPS batch (a view of one reading), so a reading that
+   * starts a decision is followed by that decision's records, commands
+   * and notifications before the next UPS reading arrives.
+   */
+  using Subscriber = std::function<void(const ReadingBatch&)>;
 
+  /**
+   * Rejects unusable configurations (ConfigError naming the field):
+   * fewer than one poller or bus, a poll period that is not finite and
+   * positive, or a bad meter config.
+   */
   TelemetryPipeline(sim::EventQueue& queue, const PowerSource& source,
                     int num_ups, int num_racks, PipelineConfig config,
                     std::uint64_t seed);
 
-  /** Registers a subscriber; all buses deliver to all subscribers. */
+  /**
+   * Registers a subscriber; all buses deliver every batch to all
+   * subscribers, in subscription order.
+   */
   void Subscribe(Subscriber subscriber);
 
   /**
@@ -164,12 +218,6 @@ class TelemetryPipeline {
   std::size_t batch_arena_size() const { return batch_arena_.size(); }
 
  private:
-  /** One device's consensus value inside a batch. */
-  struct BatchReading {
-    int index = 0;  ///< device index within the batch's kind
-    Watts value;
-  };
-
   /**
    * A reusable reading batch: one poller's readings of one device kind
    * at one sampling instant, so kind, poller and sampled_at are stored

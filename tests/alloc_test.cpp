@@ -225,9 +225,10 @@ TEST(AllocationGateTest, SteadyStatePollTicksAllocateOnlyForLatencyRuns)
   std::uint64_t ups_readings = 0;
   std::uint64_t rack_readings = 0;
   pipeline.Subscribe(
-      [&ups_readings, &rack_readings](const telemetry::DeviceReading& r) {
-        ++(r.device.kind == telemetry::DeviceKind::kUps ? ups_readings
-                                                        : rack_readings);
+      [&ups_readings, &rack_readings](const telemetry::ReadingBatch& batch) {
+        (batch.kind == telemetry::DeviceKind::kUps ? ups_readings
+                                                   : rack_readings) +=
+            batch.readings.size();
       });
   pipeline.Start();
   queue.RunUntil(Seconds(120.0));  // warm-up, past one wheel revolution
@@ -385,7 +386,7 @@ MeasureRoom(int rows_per_pdu_pair)
       groups[static_cast<std::size_t>(rack % topology.NumUpses())].push_back(
           rack);
     pipeline.SetRackPollGroups(std::move(groups));
-    pipeline.Subscribe([](const telemetry::DeviceReading&) {});
+    pipeline.Subscribe([](const telemetry::ReadingBatch&) {});
     pipeline.Start();
     queue.RunUntil(Seconds(kHorizonSeconds));
     bytes.telemetry = LiveBytes() - start;

@@ -378,6 +378,28 @@ TEST(RoomEmulationTest, ActingRoomReportIsPinned)
             0x3fc4e5e0a72f0530ull);  // 0.16327
 }
 
+TEST(RoomEmulationTest, InfiniteRackPollPeriodFailsAtConstruction)
+{
+  // The pipeline checks its poll periods when the room builds it, so an
+  // infinite period fails the room's constructor, naming the field,
+  // instead of the first rack poll tick inside Run.
+  EmulationConfig config;
+  config.setup_duration = Seconds(5.0);
+  config.failover_at = Seconds(10.0);
+  config.restore_at = Seconds(20.0);
+  config.end_at = Seconds(40.0);
+  config.placement_max_nodes = 20;
+  config.pipeline.rack_poll_period =
+      Seconds(std::numeric_limits<double>::infinity());
+  std::string message;
+  try {
+    RoomEmulation room(config);
+  } catch (const ConfigError& error) {
+    message = error.what();
+  }
+  EXPECT_NE(message.find("rack_poll_period"), std::string::npos) << message;
+}
+
 TEST(RoomEmulationTest, ValidatesTimeline)
 {
   EmulationConfig config;

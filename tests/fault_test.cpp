@@ -430,15 +430,17 @@ TEST(FaultInjectorTest, FaultedRunDeliversPinnedReadingsAndLatencies)
   RoomEmulation room(FuzzRoom(2021, 90.0));
   Fnv1a readings;
   std::uint64_t delivered = 0;
-  room.pipeline().Subscribe([&](const telemetry::DeviceReading& r) {
-    readings.AddI64(static_cast<int>(r.device.kind));
-    readings.AddI64(r.device.index);
-    readings.AddDouble(r.value.value());
-    readings.AddDouble(r.sampled_at.value());
-    readings.AddDouble(r.delivered_at.value());
-    readings.AddI64(r.bus);
-    readings.AddI64(r.poller);
-    ++delivered;
+  room.pipeline().Subscribe([&](const telemetry::ReadingBatch& batch) {
+    for (const telemetry::BatchReading& r : batch.readings) {
+      readings.AddI64(static_cast<int>(batch.kind));
+      readings.AddI64(r.index);
+      readings.AddDouble(r.value.value());
+      readings.AddDouble(batch.sampled_at.value());
+      readings.AddDouble(batch.delivered_at.value());
+      readings.AddI64(batch.bus);
+      readings.AddI64(batch.poller);
+      ++delivered;
+    }
   });
   FaultPlan plan;
   FaultEvent meter = MakeEvent(13.0, FaultKind::kMeterFailure, 4, 30.0);

@@ -528,7 +528,7 @@ RunSeededPipeline(std::uint64_t seed)
   telemetry::PipelineConfig config;
   config.obs = &observability;
   telemetry::TelemetryPipeline pipeline(queue, source, 2, 12, config, seed);
-  pipeline.Subscribe([](const telemetry::DeviceReading&) {});
+  pipeline.Subscribe([](const telemetry::ReadingBatch&) {});
   pipeline.Start();
   queue.RunUntil(Minutes(2.0));
   return SnapshotToJson(observability.metrics().Snapshot());

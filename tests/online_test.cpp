@@ -4,7 +4,9 @@
  * the multi-primary controller.
  */
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,11 +15,15 @@
 
 #include "actuation/rack_manager.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
+#include "obs/log.hpp"
 #include "obs/observability.hpp"
 #include "online/controller.hpp"
 #include "online/decision.hpp"
+#include "online/forecaster.hpp"
 #include "power/topology.hpp"
 #include "sim/event_queue.hpp"
+#include "telemetry/pipeline.hpp"
 
 namespace flex::online {
 namespace {
@@ -236,6 +242,15 @@ class ControllerTest : public ::testing::Test {
       : topology_(MakeRoomConfig()),
         plane_(queue_, 8, actuation::RackManagerConfig{}, 99)
   {
+  }
+
+  // A test that binds obs to queue_ must not leave the process-wide log
+  // clock pointing at it: a later rate-limited log line would read the
+  // freed queue.
+  ~ControllerTest() override
+  {
+    if (obs::GetLogClock() == &queue_)
+      obs::SetLogClock(nullptr);
   }
 
   static power::RoomConfig
@@ -626,6 +641,124 @@ TEST(RackPowerForecasterBankTest, RejectsSmoothingConstantsOutOfRange)
   EXPECT_THROW(RackPowerForecasterBank(3, HoltParams{0.5, -0.1}),
                ConfigError);
   EXPECT_NO_THROW(RackPowerForecasterBank(3, HoltParams{1.0, 0.0}));
+}
+
+// ---------------------------------------------------------------------------
+// Telemetry to forecast, end to end
+// ---------------------------------------------------------------------------
+
+/** Rack powers that ramp up or down and, for some racks, step at 45 s. */
+class RampingPowerSource : public telemetry::PowerSource {
+ public:
+  explicit RampingPowerSource(const sim::EventQueue& queue) : queue_(queue) {}
+
+  Watts
+  CurrentPower(telemetry::DeviceId device) const override
+  {
+    const double t = queue_.Now().value();
+    if (device.kind == telemetry::DeviceKind::kUps)
+      return Watts(4e5 + 2e3 * t + 1e4 * device.index);
+    const double slope = device.index % 3 == 0 ? 40.0 : -15.0;
+    const double step = t >= 45.0 && device.index % 4 == 1 ? 3e3 : 0.0;
+    return Watts(6e3 + 250.0 * device.index + slope * t + step);
+  }
+
+ private:
+  const sim::EventQueue& queue_;
+};
+
+// A faulted telemetry stream feeding three forecaster banks, pinned bit
+// for bit: every delivered reading in delivery order, and every bank's
+// forecast of every rack at the end. The Holt arithmetic, the consensus
+// reads and the delivery order all sit under these pins. tests/CMakeLists.txt
+// reruns it under the non-FMA libm too.
+TEST(TelemetryForecastStreamTest, DeliveredReadingsAndForecastsArePinned)
+{
+  using telemetry::DeviceId;
+  using telemetry::DeviceKind;
+  constexpr int kUps = 4;
+  constexpr int kRacks = 24;
+  const Seconds end(120.0);
+
+  sim::EventQueue queue;
+  RampingPowerSource source(queue);
+  telemetry::PipelineConfig config;
+  config.meters_per_device = 3;
+  config.num_pollers = 2;
+  config.num_buses = 2;
+  config.meter.noise_fraction = 0.01;
+  config.meter.refresh_interval = Seconds(1.0);
+  config.meter.misread_probability = 0.02;
+  telemetry::TelemetryPipeline pipeline(queue, source, kUps, kRacks, config,
+                                        77);
+  std::vector<std::vector<int>> groups(3);
+  for (int rack = 0; rack < kRacks; ++rack)
+    groups[static_cast<std::size_t>(rack % 3)].push_back(rack);
+  pipeline.SetRackPollGroups(groups);
+
+  std::vector<RackPowerForecasterBank> banks;
+  banks.emplace_back(kRacks);
+  banks.emplace_back(kRacks, HoltParams{0.3, 0.1});
+  banks.emplace_back(kRacks, HoltParams{1.0, 0.0});
+
+  Fnv1a stream;
+  std::size_t delivered = 0;
+  pipeline.Subscribe([&](const telemetry::ReadingBatch& batch) {
+    for (const telemetry::BatchReading& r : batch.readings) {
+      stream.AddU64(static_cast<std::uint64_t>(batch.kind));
+      stream.AddI64(r.index);
+      stream.AddDouble(r.value.value());
+      stream.AddDouble(batch.sampled_at.value());
+      stream.AddDouble(batch.delivered_at.value());
+      stream.AddI64(batch.poller);
+      stream.AddI64(batch.bus);
+      ++delivered;
+    }
+    if (batch.kind != DeviceKind::kRack)
+      return;
+    for (RackPowerForecasterBank& bank : banks)
+      bank.ObserveBatch(batch.sampled_at, batch.readings);
+  });
+
+  // Bus 1 redelivers every batch for 30 s; rack 3's first meter freezes;
+  // rack 7 loses one meter, and for 15 s a second one (no quorum).
+  const DeviceId rack3{DeviceKind::kRack, 3};
+  const DeviceId rack7{DeviceKind::kRack, 7};
+  queue.ScheduleAt(Seconds(20.0), [&] { pipeline.SetBusDuplicate(1, true); });
+  queue.ScheduleAt(Seconds(50.0), [&] { pipeline.SetBusDuplicate(1, false); });
+  queue.ScheduleAt(Seconds(10.0),
+                   [&] { pipeline.SetMeterStuck(rack3, 0, true); });
+  queue.ScheduleAt(Seconds(70.0),
+                   [&] { pipeline.SetMeterStuck(rack3, 0, false); });
+  queue.ScheduleAt(Seconds(30.0),
+                   [&] { pipeline.SetMeterFailed(rack7, 2, true); });
+  queue.ScheduleAt(Seconds(60.0),
+                   [&] { pipeline.SetMeterFailed(rack7, 1, true); });
+  queue.ScheduleAt(Seconds(75.0),
+                   [&] { pipeline.SetMeterFailed(rack7, 1, false); });
+  queue.ScheduleAt(Seconds(90.0),
+                   [&] { pipeline.SetMeterFailed(rack7, 2, false); });
+  pipeline.Start();
+  queue.RunUntil(end);
+
+  Fnv1a forecasts;
+  for (const RackPowerForecasterBank& bank : banks) {
+    for (int rack = 0; rack < kRacks; ++rack) {
+      const std::optional<Watts> forecast = bank.Forecast(rack, end);
+      ASSERT_TRUE(forecast.has_value()) << "rack " << rack;
+      // Within the meters' noise and the Holt lag of the true power.
+      EXPECT_NEAR(forecast->value(),
+                  source.CurrentPower(DeviceId{DeviceKind::kRack, rack})
+                      .value(),
+                  600.0)
+          << "rack " << rack;
+      forecasts.AddDouble(forecast->value());
+    }
+  }
+  EXPECT_EQ(delivered, pipeline.delivered_count());
+  EXPECT_EQ(delivered, 7888u);
+  EXPECT_EQ(stream.value(), 0xb98a11786920063full);
+  EXPECT_EQ(forecasts.value(), 0xc677ce4c499a074cull);
 }
 
 // ---------------------------------------------------------------------------

@@ -72,6 +72,41 @@ TEST(PhysicalMeterTest, RejectsBadConfig)
   EXPECT_NO_THROW(ValidateMeterConfig(MeterConfig{}));
 }
 
+/** The message of the ConfigError @p make throws; empty if none. */
+template <typename Make>
+std::string
+ConfigErrorOf(Make make)
+{
+  try {
+    make();
+  } catch (const ConfigError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(PhysicalMeterTest, RejectsNonFiniteConfig)
+{
+  // An infinite noise fraction turns every refreshed sample into +inf or
+  // 0, which poisons the forecasters; an infinite refresh interval
+  // freezes every meter after its first sample.
+  MeterConfig bad;
+  bad.noise_fraction = INFINITY;
+  EXPECT_NE(ConfigErrorOf([&] { ValidateMeterConfig(bad); })
+                .find("noise_fraction"),
+            std::string::npos);
+  bad = MeterConfig{};
+  bad.refresh_interval = Seconds(INFINITY);
+  EXPECT_NE(ConfigErrorOf([&] { ValidateMeterConfig(bad); })
+                .find("refresh_interval"),
+            std::string::npos);
+  bad = MeterConfig{};
+  bad.misread_probability = NAN;
+  EXPECT_NE(ConfigErrorOf([&] { ValidateMeterConfig(bad); })
+                .find("misread_probability"),
+            std::string::npos);
+}
+
 TEST(LogicalMeterTest, MedianMasksOneMisreadingMeter)
 {
   MeterConfig config;
@@ -82,9 +117,10 @@ TEST(LogicalMeterTest, MedianMasksOneMisreadingMeter)
   MeterArray logical(1, 3, rng);
   // Make one meter grossly misread by failing it and checking consensus
   // still works, then observe median behaviour with all three healthy.
-  const auto healthy = logical.Read(config, 0, Seconds(0.0), KiloWatts(100.0));
-  ASSERT_TRUE(healthy);
-  EXPECT_NEAR(healthy->kilowatts(), 100.0, 2.0);
+  Watts healthy;
+  ASSERT_TRUE(
+      logical.Read(config, 0, Seconds(0.0), KiloWatts(100.0), healthy));
+  EXPECT_NEAR(healthy.kilowatts(), 100.0, 2.0);
 }
 
 TEST(LogicalMeterTest, MisreadingsAreFilteredByMedian)
@@ -108,10 +144,10 @@ TEST(LogicalMeterTest, MisreadingsAreFilteredByMedian)
   int good = 0;
   const int trials = 500;
   for (int i = 0; i < trials; ++i) {
-    const auto reading = flaky_logical.Read(
-        flaky, 0, Seconds(static_cast<double>(i)), KiloWatts(100.0));
-    ASSERT_TRUE(reading);
-    if (std::abs(reading->kilowatts() - 100.0) < 10.0)
+    Watts reading;
+    ASSERT_TRUE(flaky_logical.Read(flaky, 0, Seconds(static_cast<double>(i)),
+                                   KiloWatts(100.0), reading));
+    if (std::abs(reading.kilowatts() - 100.0) < 10.0)
       ++good;
   }
   EXPECT_GT(good, trials * 9 / 10);
@@ -122,10 +158,10 @@ TEST(LogicalMeterTest, ToleratesOneFailedMeter)
   Rng rng(8);
   MeterArray logical(1, 3, rng);
   logical.meter(0, 1).SetFailed(true);
-  const auto reading =
-      logical.Read(MeterConfig{}, 0, Seconds(0.0), KiloWatts(100.0));
-  ASSERT_TRUE(reading);
-  EXPECT_NEAR(reading->kilowatts(), 100.0, 5.0);
+  Watts reading;
+  ASSERT_TRUE(
+      logical.Read(MeterConfig{}, 0, Seconds(0.0), KiloWatts(100.0), reading));
+  EXPECT_NEAR(reading.kilowatts(), 100.0, 5.0);
 }
 
 TEST(LogicalMeterTest, LosesQuorumWithTwoFailedMeters)
@@ -134,8 +170,10 @@ TEST(LogicalMeterTest, LosesQuorumWithTwoFailedMeters)
   MeterArray logical(1, 3, rng);
   logical.meter(0, 0).SetFailed(true);
   logical.meter(0, 2).SetFailed(true);
-  EXPECT_FALSE(logical.Read(MeterConfig{}, 0, Seconds(0.0), KiloWatts(100.0))
-                   .has_value());
+  Watts reading(-1.0);
+  EXPECT_FALSE(
+      logical.Read(MeterConfig{}, 0, Seconds(0.0), KiloWatts(100.0), reading));
+  EXPECT_EQ(reading.value(), -1.0);  // left alone without quorum
 }
 
 TEST(LogicalMeterTest, DevicesReadThroughTheirOwnMeters)
@@ -149,9 +187,10 @@ TEST(LogicalMeterTest, DevicesReadThroughTheirOwnMeters)
   meters.meter(1, 0).SetFailed(true);
   meters.meter(1, 2).SetFailed(true);
   const MeterConfig config;
-  EXPECT_TRUE(meters.Read(config, 0, Seconds(0.0), KiloWatts(1.0)));
-  EXPECT_FALSE(meters.Read(config, 1, Seconds(0.0), KiloWatts(1.0)));
-  EXPECT_TRUE(meters.Read(config, 2, Seconds(0.0), KiloWatts(1.0)));
+  Watts reading;
+  EXPECT_TRUE(meters.Read(config, 0, Seconds(0.0), KiloWatts(1.0), reading));
+  EXPECT_FALSE(meters.Read(config, 1, Seconds(0.0), KiloWatts(1.0), reading));
+  EXPECT_TRUE(meters.Read(config, 2, Seconds(0.0), KiloWatts(1.0), reading));
   EXPECT_THROW(meters.meter(3, 0), ConfigError);
   EXPECT_THROW(meters.meter(0, 3), ConfigError);
   Rng other(11);
@@ -172,7 +211,7 @@ TEST(LogicalMeterTest, ConsensusMatchesSortedMedianReference)
 {
   // The consensus read against the definition: sample every physical
   // meter of the device once, sort the survivors, take the median (the
-  // mean of the middle two for an even count), nullopt below quorum.
+  // mean of the middle two for an even count), no reading below quorum.
   // The reference runs on a twin array built from the same seed, with
   // the same random faults — failed, stuck and drifting meters — and
   // the drift passed to Sample by hand.
@@ -224,12 +263,13 @@ TEST(LogicalMeterTest, ConsensusMatchesSortedMedianReference)
                   config, now, truth, drift ? &*drift : nullptr))
             survivors.push_back(reading->value());
         }
-        const auto consensus = meters.Read(config, d, now, truth);
+        Watts consensus;
+        const bool read = meters.Read(config, d, now, truth, consensus);
         const std::size_t quorum = m >= 2 ? 2 : 1;
         SCOPED_TRACE("m " + std::to_string(m) + ", step " +
                      std::to_string(step) + ", device " + std::to_string(d));
         if (survivors.size() < quorum) {
-          EXPECT_FALSE(consensus.has_value());
+          EXPECT_FALSE(read);
           ++quorum_lost;
           continue;
         }
@@ -238,8 +278,8 @@ TEST(LogicalMeterTest, ConsensusMatchesSortedMedianReference)
         const double median =
             n % 2 == 1 ? survivors[n / 2]
                        : 0.5 * (survivors[n / 2 - 1] + survivors[n / 2]);
-        ASSERT_TRUE(consensus.has_value());
-        EXPECT_EQ(Bits(consensus->value()), Bits(median));
+        ASSERT_TRUE(read);
+        EXPECT_EQ(Bits(consensus.value()), Bits(median));
         ++compared;
       }
     }
@@ -247,6 +287,100 @@ TEST(LogicalMeterTest, ConsensusMatchesSortedMedianReference)
   // Both outcomes were exercised.
   EXPECT_GT(compared, 1000);
   EXPECT_GT(quorum_lost, 50);
+}
+
+TEST(LogicalMeterTest, ConsensusIsBitExactAgainstStandaloneMeters)
+{
+  // Three meters per device against stand-alone PhysicalMeters forked
+  // from the same seed in the same (device-major) order, with frequent
+  // misreads. For 100 steps the meters are noiseless and the truth is
+  // constant, so survivors tie, and device 1's stuck first meter repeats
+  // the truth. Device 2 runs on two meters for a stretch (the mean of
+  // two) and on one inside it (no quorum).
+  constexpr int kDevices = 4;
+  constexpr int kRedundancy = 3;
+  MeterConfig noisy;
+  noisy.noise_fraction = 0.01;
+  noisy.refresh_interval = Seconds(1.0);
+  noisy.misread_probability = 0.3;
+  MeterConfig noiseless = noisy;
+  noiseless.noise_fraction = 0.0;
+
+  Rng seed_a(4242);
+  Rng seed_b(4242);
+  MeterArray meters(kDevices, kRedundancy, seed_a);
+  std::vector<PhysicalMeter> reference;
+  for (int i = 0; i < kDevices * kRedundancy; ++i)
+    reference.emplace_back(seed_b.Fork());
+  const auto set_failed = [&](int device, int index, bool failed) {
+    meters.meter(device, index).SetFailed(failed);
+    reference[static_cast<std::size_t>(device * kRedundancy + index)]
+        .SetFailed(failed);
+  };
+  const auto set_stuck = [&](int device, int index, bool stuck) {
+    meters.meter(device, index).SetStuck(stuck);
+    reference[static_cast<std::size_t>(device * kRedundancy + index)]
+        .SetStuck(stuck);
+  };
+
+  Rng truths(99);
+  int compared = 0;
+  int ties = 0;
+  int averaged = 0;
+  int quorum_lost = 0;
+  for (int step = 0; step < 600; ++step) {
+    const Seconds now(0.6 * step);
+    if (step == 100)
+      set_failed(2, 1, true);
+    if (step == 150)
+      set_stuck(1, 0, true);
+    if (step == 250)
+      set_failed(2, 2, true);
+    if (step == 300)
+      set_failed(2, 2, false);
+    if (step == 350)
+      set_stuck(1, 0, false);
+    if (step == 400)
+      set_failed(2, 1, false);
+    const bool flat = step >= 200 && step < 300;
+    const MeterConfig& config = flat ? noiseless : noisy;
+    for (int d = 0; d < kDevices; ++d) {
+      const Watts truth(flat ? 5e3 + 1e3 * d : truths.Uniform(1e3, 2e4));
+      std::vector<double> survivors;
+      for (int i = 0; i < kRedundancy; ++i) {
+        if (const auto reading =
+                reference[static_cast<std::size_t>(d * kRedundancy + i)]
+                    .Sample(config, now, truth))
+          survivors.push_back(reading->value());
+      }
+      Watts consensus;
+      const bool read = meters.Read(config, d, now, truth, consensus);
+      SCOPED_TRACE("step " + std::to_string(step) + ", device " +
+                   std::to_string(d));
+      if (survivors.size() < 2) {
+        EXPECT_FALSE(read);
+        ++quorum_lost;
+        continue;
+      }
+      std::sort(survivors.begin(), survivors.end());
+      const std::size_t n = survivors.size();
+      if (std::adjacent_find(survivors.begin(), survivors.end()) !=
+          survivors.end())
+        ++ties;
+      if (n == 2)
+        ++averaged;
+      const double expected =
+          n % 2 == 1 ? survivors[n / 2]
+                     : 0.5 * (survivors[n / 2 - 1] + survivors[n / 2]);
+      ASSERT_TRUE(read);
+      EXPECT_EQ(Bits(consensus.value()), Bits(expected));
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 2000);
+  EXPECT_GT(ties, 100);
+  EXPECT_GT(averaged, 100);
+  EXPECT_EQ(quorum_lost, 50);
 }
 
 class PipelineTest : public ::testing::Test, public PowerSource {
@@ -272,12 +406,10 @@ TEST_F(PipelineTest, DeliversReadingsToSubscribers)
   TelemetryPipeline pipeline(queue_, *this, 4, 8, config_, 1);
   int ups_readings = 0;
   int rack_readings = 0;
-  pipeline.Subscribe([&](const DeviceReading& r) {
-    if (r.device.kind == DeviceKind::kUps)
-      ++ups_readings;
-    else
-      ++rack_readings;
-    EXPECT_GE(r.DataLatency().value(), 0.0);
+  pipeline.Subscribe([&](const ReadingBatch& batch) {
+    (batch.kind == DeviceKind::kUps ? ups_readings : rack_readings) +=
+        static_cast<int>(batch.readings.size());
+    EXPECT_GE(batch.DataLatency().value(), 0.0);
   });
   pipeline.Start();
   queue_.RunUntil(Seconds(10.0));
@@ -290,7 +422,7 @@ TEST_F(PipelineTest, DataLatencyIsUnderOneSecond)
 {
   // The paper's observed pipeline latency is < 1 s.
   TelemetryPipeline pipeline(queue_, *this, 4, 16, config_, 2);
-  pipeline.Subscribe([](const DeviceReading&) {});
+  pipeline.Subscribe([](const ReadingBatch&) {});
   pipeline.Start();
   queue_.RunUntil(Seconds(30.0));
   ASSERT_GT(pipeline.latency().count(), 0u);
@@ -301,21 +433,23 @@ TEST_F(PipelineTest, SurvivesSinglePollerFailure)
 {
   TelemetryPipeline pipeline(queue_, *this, 2, 2, config_, 3);
   std::size_t readings = 0;
-  pipeline.Subscribe([&](const DeviceReading&) { ++readings; });
+  pipeline.Subscribe([&](const ReadingBatch& batch) {
+    readings += batch.readings.size();
+    EXPECT_EQ(batch.poller, 1);  // poller 0 is down
+  });
   pipeline.Start();
   pipeline.SetPollerFailed(0, true);
   queue_.RunUntil(Seconds(10.0));
   EXPECT_GT(readings, 0u);
-  // Every reading came through poller 1.
 }
 
 TEST_F(PipelineTest, SurvivesSingleBusFailure)
 {
   TelemetryPipeline pipeline(queue_, *this, 2, 2, config_, 4);
   std::size_t readings = 0;
-  pipeline.Subscribe([&](const DeviceReading& r) {
-    ++readings;
-    EXPECT_EQ(r.bus, 1);  // bus 0 is down
+  pipeline.Subscribe([&](const ReadingBatch& batch) {
+    readings += batch.readings.size();
+    EXPECT_EQ(batch.bus, 1);  // bus 0 is down
   });
   pipeline.SetBusFailed(0, true);
   pipeline.Start();
@@ -327,7 +461,8 @@ TEST_F(PipelineTest, AllPollersDownStopsDelivery)
 {
   TelemetryPipeline pipeline(queue_, *this, 2, 2, config_, 5);
   std::size_t readings = 0;
-  pipeline.Subscribe([&](const DeviceReading&) { ++readings; });
+  pipeline.Subscribe(
+      [&](const ReadingBatch& batch) { readings += batch.readings.size(); });
   pipeline.SetPollerFailed(0, true);
   pipeline.SetPollerFailed(1, true);
   pipeline.Start();
@@ -340,13 +475,11 @@ TEST_F(PipelineTest, MeterFailureDropsOnlyThatDevice)
   TelemetryPipeline pipeline(queue_, *this, 2, 2, config_, 6);
   std::size_t ups0 = 0;
   std::size_t ups1 = 0;
-  pipeline.Subscribe([&](const DeviceReading& r) {
-    if (r.device.kind != DeviceKind::kUps)
+  pipeline.Subscribe([&](const ReadingBatch& batch) {
+    if (batch.kind != DeviceKind::kUps)
       return;
-    if (r.device.index == 0)
-      ++ups0;
-    else
-      ++ups1;
+    for (const BatchReading& r : batch.readings)
+      ++(r.index == 0 ? ups0 : ups1);
   });
   // Take out two of UPS 0's three meters: quorum lost for UPS 0 only.
   pipeline.SetMeterFailed(DeviceId{DeviceKind::kUps, 0}, 0, true);
@@ -362,7 +495,8 @@ TEST_F(PipelineTest, RedundantDeliveryProducesDuplicates)
   // 2 pollers x 2 buses = up to 4 copies of each device sample window.
   TelemetryPipeline pipeline(queue_, *this, 1, 0, config_, 7);
   std::size_t readings = 0;
-  pipeline.Subscribe([&](const DeviceReading&) { ++readings; });
+  pipeline.Subscribe(
+      [&](const ReadingBatch& batch) { readings += batch.readings.size(); });
   pipeline.Start();
   queue_.RunUntil(Seconds(config_.ups_poll_period.value() * 4));
   // More readings than polling rounds of a single poller/bus pair.
@@ -372,7 +506,7 @@ TEST_F(PipelineTest, RedundantDeliveryProducesDuplicates)
 TEST_F(PipelineTest, StopHaltsPolling)
 {
   TelemetryPipeline pipeline(queue_, *this, 2, 2, config_, 8);
-  pipeline.Subscribe([](const DeviceReading&) {});
+  pipeline.Subscribe([](const ReadingBatch&) {});
   pipeline.Start();
   queue_.RunUntil(Seconds(5.0));
   const std::size_t at_stop = pipeline.delivered_count();
@@ -391,6 +525,31 @@ TEST_F(PipelineTest, RejectsBadConfig)
   bad = config_;
   bad.ups_poll_period = Seconds(0.0);
   EXPECT_THROW(TelemetryPipeline(queue_, *this, 1, 1, bad, 9), ConfigError);
+}
+
+TEST_F(PipelineTest, RejectsNonFiniteConfigAtConstruction)
+{
+  // An infinite poll period used to pass construction and throw only at
+  // the first poll tick, mid-run, with the event queue's generic message.
+  const auto error_of = [this](const PipelineConfig& bad) {
+    return ConfigErrorOf(
+        [&] { TelemetryPipeline(queue_, *this, 1, 1, bad, 9); });
+  };
+  PipelineConfig bad = config_;
+  bad.ups_poll_period = Seconds(INFINITY);
+  EXPECT_NE(error_of(bad).find("ups_poll_period"), std::string::npos);
+  bad = config_;
+  bad.rack_poll_period = Seconds(INFINITY);
+  EXPECT_NE(error_of(bad).find("rack_poll_period"), std::string::npos);
+  bad = config_;
+  bad.rack_poll_period = Seconds(NAN);
+  EXPECT_NE(error_of(bad).find("rack_poll_period"), std::string::npos);
+  bad = config_;
+  bad.meter.noise_fraction = INFINITY;
+  EXPECT_NE(error_of(bad).find("noise_fraction"), std::string::npos);
+  bad = config_;
+  bad.meter.refresh_interval = Seconds(INFINITY);
+  EXPECT_NE(error_of(bad).find("refresh_interval"), std::string::npos);
 }
 
 TEST_F(PipelineTest, RackPollGroupsMustCoverEveryRackExactlyOnce)
@@ -430,11 +589,12 @@ TEST_F(PipelineTest, GroupedPollingDeliversIdenticalReadings)
     if (groups != nullptr)
       pipeline.SetRackPollGroups(*groups);
     std::vector<Delivered> log;
-    pipeline.Subscribe([&](const DeviceReading& r) {
-      if (r.device.kind != DeviceKind::kRack)
+    pipeline.Subscribe([&](const ReadingBatch& batch) {
+      if (batch.kind != DeviceKind::kRack)
         return;
-      log.push_back({queue.Now().value(), r.device.index, r.value.value(),
-                     r.sampled_at.value(), r.poller, r.bus});
+      for (const BatchReading& r : batch.readings)
+        log.push_back({queue.Now().value(), r.index, r.value.value(),
+                       batch.sampled_at.value(), batch.poller, batch.bus});
     });
     pipeline.Start();
     queue.RunUntil(Seconds(20.0));
@@ -464,7 +624,7 @@ TEST_F(PipelineTest, SteadyStatePollingReusesReadingBatches)
                               {8, 9, 10, 11, 12, 13, 14, 15},
                               {16, 17, 18, 19, 20, 21, 22, 23},
                               {24, 25, 26, 27, 28, 29, 30, 31}});
-  pipeline.Subscribe([](const DeviceReading&) {});
+  pipeline.Subscribe([](const ReadingBatch&) {});
   pipeline.Start();
   // Warm up the batch arena, then verify the free list recycles batches
   // for the rest of the run: the arena must track the in-flight
