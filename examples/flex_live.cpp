@@ -1,7 +1,7 @@
 /**
  * @file
  * Live-observability demo: the failover drill with the embedded HTTP
- * plane attached.
+ * plane attached, recorded as a fault run and then replayed.
  *
  * Starts the ObservabilityServer on FLEX_LIVE_PORT (default: an
  * ephemeral port, printed at startup), runs the Section V-C failover
@@ -19,12 +19,17 @@
  *   curl -s localhost:9090/alerts | python3 -m json.tool | head -40
  *   curl -s 'localhost:9090/query?metric=pipeline.readings_delivered&window=120'
  *
- * The drill injects a 60 s telemetry outage during the failover window,
- * so the run is also an alerting walkthrough: watch the built-in
- * TelemetryStalled page go pending -> firing on /alerts (and as
- * ALERTS{...} on /metrics), then resolve when the pollers recover. The
- * firing edge drops a forensic bundle under FLEX_FORENSICS_DIR
- * (default build/forensics) with the full time-series history attached.
+ * The drill is a fault plan: every poller crashes for 60 s during the
+ * failover window, so the run is also an alerting walkthrough. Watch
+ * the built-in TelemetryStalled page go pending -> firing on /alerts
+ * (and as ALERTS{...} on /metrics), then resolve when the pollers
+ * restart. The run is recorded (fault::RunRecordedPlan), so a fired
+ * alert leaves a forensic bundle under FLEX_FORENSICS_DIR (default
+ * ./forensics) with the full time-series history attached; the demo then
+ * replays that bundle and prints the verdict. Exit status: 0 when safety
+ * held, a bundle was written and its replay matched; 1 when safety was
+ * violated, no bundle was written or it could not be replayed; 2 when
+ * the replay diverged.
  */
 #include <chrono>
 #include <cstdio>
@@ -34,8 +39,9 @@
 #include <thread>
 
 #include "emulation/room_emulation.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/forensics.hpp"
 #include "obs/http_export.hpp"
-#include "obs/observability.hpp"
 #include "obs/profiler.hpp"
 
 int
@@ -43,7 +49,6 @@ main()
 {
   using namespace flex;
 
-  obs::Observability observability;
   obs::LiveHub hub;
 
   obs::ObservabilityServerConfig server_config;
@@ -62,25 +67,36 @@ main()
               server.port());
 
   emulation::EmulationConfig config;
-  config.obs = &observability;
   config.live = &hub;
-  // The alerting walkthrough: history + rules on every sample tick, a
-  // telemetry outage injected mid-failover to trip TelemetryStalled,
-  // and a forensic bundle dumped on the firing edge.
+  // History + rules on every sample tick; a node-budgeted placement, so
+  // the replay builds the same room on any machine.
   config.alerts.enabled = true;
-  const char* forensics_env = std::getenv("FLEX_FORENSICS_DIR");
-  config.alerts.forensics_root =
-      forensics_env != nullptr && *forensics_env != '\0' ? forensics_env
-                                                         : "forensics";
-  config.telemetry_outage_at = Seconds(15.0 * 60.0);
-  config.telemetry_outage_until = Seconds(16.0 * 60.0);
-  emulation::RoomEmulation emulation(config);
+  config.placement_solve_seconds = 1e9;
+  config.placement_max_nodes = 2000;
+
+  // The outage: every poller crashes mid-failover and restarts a minute
+  // later, long enough to trip TelemetryStalled.
+  const Seconds outage_at(15.0 * 60.0);
+  const Seconds outage_for(60.0);
+  fault::FaultPlan plan;
+  for (int poller = 0; poller < config.pipeline.num_pollers; ++poller) {
+    fault::FaultEvent crash;
+    crash.at = outage_at;
+    crash.kind = fault::FaultKind::kPollerCrash;
+    crash.target = poller;
+    crash.duration = outage_for;
+    plan.Add(crash);
+  }
+  fault::ForensicsOptions options;
+  options.dump_on_alert = true;
+
   std::printf("running the failover drill (%0.f emulated minutes, "
               "telemetry outage at t=%.0f..%.0f s)...\n",
-              config.end_at.value() / 60.0,
-              config.telemetry_outage_at.value(),
-              config.telemetry_outage_until.value());
-  const emulation::EmulationReport report = emulation.Run();
+              config.end_at.value() / 60.0, outage_at.value(),
+              (outage_at + outage_for).value());
+  const fault::RecordedRun run =
+      fault::RunRecordedPlan(config, config.seed, plan, options);
+  const emulation::EmulationReport& report = run.report.room;
 
   std::printf("drill done: safety %s, time to safe %.2f s, "
               "%llu publishes, %llu scrapes served\n\n",
@@ -119,6 +135,30 @@ main()
   for (int i = 0; i < 2 && std::getline(query, line); ++i)
     std::printf("%s\n", line.c_str());
 
+  // The bundle is the recorded run, so replaying it re-executes the
+  // drill and must track every recorded event.
+  int exit_code = report.safety_violated ? 1 : 0;
+  if (run.bundle_dir.empty()) {
+    std::fprintf(stderr, "no alert bundle was written%s%s\n",
+                 run.dump_error.empty() ? "" : ": ", run.dump_error.c_str());
+    exit_code = 1;
+  } else {
+    const fault::ReplayReport replay =
+        fault::ReplayBundle(run.bundle_dir, config);
+    std::printf("--- replay of %s ---\n", run.bundle_dir.c_str());
+    if (!replay.loaded) {
+      std::fprintf(stderr, "cannot replay %s: %s\n", run.bundle_dir.c_str(),
+                   replay.error.c_str());
+      exit_code = 1;
+    } else if (replay.divergence.has_value()) {
+      std::printf("DIVERGED: %s\n", replay.divergence->Summary().c_str());
+      exit_code = 2;
+    } else {
+      std::printf("%zu records replayed with zero divergence\n",
+                  replay.compared);
+    }
+  }
+
   if (const char* hold = std::getenv("FLEX_LIVE_HOLD");
       hold != nullptr && *hold != '\0') {
     const int seconds = std::atoi(hold);
@@ -128,5 +168,5 @@ main()
   }
 
   server.Stop();
-  return report.safety_violated ? 1 : 0;
+  return exit_code;
 }

@@ -9,7 +9,8 @@
  *     fault plan on the stored seed in a fresh fuzz room
  *     (fault::FuzzRoomConfig), and diffs the recorded timeline against
  *     the re-execution record by record. Exit 0 on zero divergence, 2 on
- *     divergence, 1 on load errors.
+ *     divergence, 1 on load errors — among them a bundle recorded on
+ *     another room, such as flex_live's, which replays itself.
  *
  *   flex_replay --fuzz <seed> [--out <dir>]
  *     Runs the fault fuzzer's plan for <seed> with the flight recorder

@@ -125,10 +125,6 @@ FleetEmulation::MergeBarrier()
   // order — the merged outputs are pure functions of the epoch-end
   // states, never of lane scheduling.
   double total_mw = 0.0;
-  double max_ups_fraction = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t racks_off = 0;
-  std::uint64_t racks_capped = 0;
   for (std::size_t r = 0; r < rooms_.size(); ++r) {
     const RoomEmulation& room = *rooms_[r];
     RoomEpochView& view = views_[r];
@@ -151,10 +147,6 @@ FleetEmulation::MergeBarrier()
     epoch_hashes_[r] = h.value();
 
     total_mw += view.total_rack_mw;
-    max_ups_fraction = std::max(max_ups_fraction, view.max_ups_load_fraction);
-    events += view.events_executed;
-    racks_off += static_cast<std::uint64_t>(view.racks_off);
-    racks_capped += static_cast<std::uint64_t>(view.racks_capped);
 
     // Consume alert edges appended since the previous barrier. Within a
     // room the engine's timeline is time-ordered; visiting rooms in
@@ -172,7 +164,7 @@ FleetEmulation::MergeBarrier()
 
   // Shared-feed verdict from the serial-order sum; fed back to each
   // room as a purely observational gauge (never read by control).
-  power::SubstationStatus substation =
+  const power::SubstationStatus substation =
       power::EvaluateSubstation(config_.substation, MegaWatts(total_mw));
   if (config_.substation.enabled()) {
     report_.peak_substation_utilization = std::max(
@@ -182,59 +174,6 @@ FleetEmulation::MergeBarrier()
     for (const auto& room : rooms_)
       room->SetFleetOverloadGauge(substation.overload_fraction);
   }
-
-  if (!rollup_built_)
-    BuildRollup();
-  rollup_.sim_time_seconds = epoch_horizon_.value();
-  rollup_.rows[idx_.alert_edges].value =
-      static_cast<double>(report_.alert_timeline.size());
-  rollup_.rows[idx_.epochs].value = static_cast<double>(report_.epochs);
-  rollup_.rows[idx_.events].value = static_cast<double>(events);
-  rollup_.rows[idx_.max_ups].value = max_ups_fraction;
-  rollup_.rows[idx_.racks_capped].value = static_cast<double>(racks_capped);
-  rollup_.rows[idx_.racks_off].value = static_cast<double>(racks_off);
-  rollup_.rows[idx_.substation_overload].value = substation.overload_fraction;
-  rollup_.rows[idx_.substation_utilization].value = substation.utilization;
-  rollup_.rows[idx_.total_mw].value = total_mw;
-}
-
-void
-FleetEmulation::BuildRollup()
-{
-  obs::MetricsSnapshotBuilder builder;
-  builder.Counter("fleet.alert_edges", 0.0);
-  builder.Counter("fleet.epochs", 0.0);
-  builder.Counter("fleet.events_executed", 0.0);
-  builder.Gauge("fleet.max_ups_load_fraction", 0.0);
-  builder.Gauge("fleet.racks_capped", 0.0);
-  builder.Gauge("fleet.racks_off", 0.0);
-  builder.Gauge("fleet.rooms", static_cast<double>(config_.rooms));
-  builder.Gauge("fleet.substation_overload_fraction", 0.0);
-  builder.Gauge("fleet.substation_utilization", 0.0);
-  builder.Gauge("fleet.total_rack_mw", 0.0);
-  builder.Gauge("fleet.total_racks",
-                static_cast<double>(report_.total_racks));
-  builder.Build(0.0, &rollup_);
-
-  const auto index_of = [this](const char* name) {
-    for (std::size_t i = 0; i < rollup_.rows.size(); ++i) {
-      if (rollup_.rows[i].name == name)
-        return i;
-    }
-    FLEX_CHECK_MSG(false, "fleet rollup row missing");
-    return std::size_t{0};
-  };
-  idx_.alert_edges = index_of("fleet.alert_edges");
-  idx_.epochs = index_of("fleet.epochs");
-  idx_.events = index_of("fleet.events_executed");
-  idx_.max_ups = index_of("fleet.max_ups_load_fraction");
-  idx_.racks_capped = index_of("fleet.racks_capped");
-  idx_.racks_off = index_of("fleet.racks_off");
-  idx_.substation_overload =
-      index_of("fleet.substation_overload_fraction");
-  idx_.substation_utilization = index_of("fleet.substation_utilization");
-  idx_.total_mw = index_of("fleet.total_rack_mw");
-  rollup_built_ = true;
 }
 
 FleetReport
@@ -294,7 +233,6 @@ FleetEmulation::Run()
         report_.lane_busy_seconds /
         (static_cast<double>(report_.lanes) * report_.step_wall_seconds);
   }
-  report_.rollup = rollup_;
   return std::move(report_);
 }
 

@@ -18,21 +18,19 @@
  *     rooms are visited in index order at every barrier),
  *   - room loads sum into the shared-substation check (power/
  *     substation.hpp), whose overload verdict feeds back to each room
- *     as a purely observational gauge,
- *   - a fixed-row fleet metrics rollup is updated in place.
+ *     as a purely observational gauge.
  *
  * Determinism: rooms never share mutable state while stepping, every
  * cross-room read happens at a barrier in serial room order, and
  * EventQueue::RunUntil tiles exactly (RunUntil(t1); RunUntil(t2) runs
- * the event sequence of one RunUntil(t2)) — so every room hash, the
- * merged alert timeline, and the fleet rollup are bit-identical at 1,
- * 2, or 8 lanes, and identical to monolithic RoomEmulation::Run().
+ * the event sequence of one RunUntil(t2)) — so every room hash and
+ * the merged alert timeline are bit-identical at 1, 2, or 8 lanes, and
+ * identical to monolithic RoomEmulation::Run().
  *
- * Allocation: rooms reserve their sample series up front, epoch views
- * and wall-time accounting live in flat per-room vectors sized at
- * construction, and the rollup snapshot is built once and updated in
- * place — steady-state stepping allocates only the O(rooms) task list
- * handed to the pool each epoch.
+ * Allocation: rooms reserve their sample series up front, and epoch
+ * views and wall-time accounting live in flat per-room vectors sized at
+ * construction — steady-state stepping allocates only the O(rooms) task
+ * list handed to the pool each epoch.
  */
 #ifndef FLEX_EMULATION_FLEET_EMULATION_HPP_
 #define FLEX_EMULATION_FLEET_EMULATION_HPP_
@@ -44,7 +42,6 @@
 #include "common/thread_pool.hpp"
 #include "emulation/room_emulation.hpp"
 #include "emulation/sweep.hpp"
-#include "obs/metrics.hpp"
 #include "power/substation.hpp"
 
 namespace flex::emulation {
@@ -111,9 +108,6 @@ struct FleetReport {
   double merge_overhead_pct = 0.0;
   /** lane_busy / (lanes * step_wall): 1.0 = perfectly balanced lanes. */
   double lane_utilization = 0.0;
-
-  /** The final fleet rollup: deterministic fleet-level metric rows. */
-  obs::MetricsSnapshot rollup;
 };
 
 /**
@@ -142,8 +136,6 @@ class FleetEmulation {
   void StepEpoch(Seconds horizon);
   /** Serial merge in room order; everything cross-room happens here. */
   void MergeBarrier();
-  /** Builds the fixed-row rollup once; later barriers update in place. */
-  void BuildRollup();
 
   FleetConfig config_;
   common::Lanes lanes_;
@@ -159,25 +151,6 @@ class FleetEmulation {
 
   FleetReport report_;
   Seconds epoch_horizon_{0.0};  ///< current epoch target (lanes read it)
-
-  // The rollup holds only deterministic simulation state (no wall-clock
-  // derived values), so its rows are part of the bit-identity contract;
-  // perf accounting lives in FleetReport instead.
-  obs::MetricsSnapshot rollup_;
-  // Indices into rollup_.rows, fixed once BuildRollup has run.
-  struct RollupIndex {
-    std::size_t alert_edges = 0;
-    std::size_t epochs = 0;
-    std::size_t events = 0;
-    std::size_t max_ups = 0;
-    std::size_t racks_capped = 0;
-    std::size_t racks_off = 0;
-    std::size_t substation_overload = 0;
-    std::size_t substation_utilization = 0;
-    std::size_t total_mw = 0;
-  };
-  RollupIndex idx_;
-  bool rollup_built_ = false;
 };
 
 }  // namespace flex::emulation

@@ -7,8 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "obs/forensics.hpp"
-#include "obs/log.hpp"
 #include "obs/http_export.hpp"
 #include "obs/profiler.hpp"
 #include "offline/flex_offline.hpp"
@@ -66,9 +64,7 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
       {"restore_at", config_.restore_at},
       {"end_at", config_.end_at},
       {"workload_step", config_.workload_step},
-      {"sample_period", config_.sample_period},
-      {"telemetry_outage_at", config_.telemetry_outage_at},
-      {"telemetry_outage_until", config_.telemetry_outage_until}};
+      {"sample_period", config_.sample_period}};
   for (const auto& [field, value] : timeline) {
     FLEX_REQUIRE(std::isfinite(value.value()),
                  std::string(field) + " must be finite");
@@ -121,13 +117,6 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
         ts_store_.get(), obs::BuiltinAlertRules());
     if (config_.obs != nullptr)
       alert_engine_->SetRecorder(&config_.obs->recorder());
-    if (!config_.alerts.forensics_root.empty()) {
-      alert_engine_->SetNotifier([this](const obs::AlertTransition& edge,
-                                        const obs::AlertStatus& status) {
-        if (edge.to == obs::AlertState::kFiring)
-          DumpAlertBundle(status, edge);
-      });
-    }
   }
 }
 
@@ -670,10 +659,6 @@ RoomEmulation::BuildLiveSnapshot()
       metrics.gauge("fleet.substation_overload_fraction")
           .Set(fleet_overload_fraction_);
     }
-    if (config_.live != nullptr) {
-      metrics.gauge("watchdog.stall_events")
-          .Set(static_cast<double>(config_.live->watchdog().stall_events()));
-    }
     return metrics.Snapshot();
   }
 
@@ -698,54 +683,9 @@ RoomEmulation::BuildLiveSnapshot()
   }
   builder.Counter("pipeline.readings_delivered",
                   static_cast<double>(pipeline_->delivered_count()));
-  if (config_.live != nullptr) {
-    builder.Gauge("watchdog.stall_events",
-                  static_cast<double>(config_.live->watchdog().stall_events()));
-  }
   obs::MetricsSnapshot snapshot;
   builder.Build(queue_.Now().value(), &snapshot);
   return snapshot;
-}
-
-void
-RoomEmulation::DumpAlertBundle(const obs::AlertStatus& status,
-                               const obs::AlertTransition& edge)
-{
-  // One bundle per run: the first firing edge is the interesting one;
-  // later edges of the same episode would only overwrite fresher state
-  // on top of the evidence.
-  if (alert_bundle_written_)
-    return;
-  alert_bundle_written_ = true;
-
-  obs::BundleSpec spec;
-  spec.trigger = "alert-firing";
-  spec.scenario = "emulation";
-  spec.seed = static_cast<std::uint64_t>(config_.seed);
-  spec.sim_time_s = queue_.Now().value();
-  spec.horizon_s = config_.end_at.value();
-  spec.replayable = false;  // emulation dumps are for triage, not replay
-  if (config_.obs != nullptr) {
-    spec.records = config_.obs->recorder().Records();
-    spec.metrics = &config_.obs->metrics();
-    spec.tracer = &config_.obs->tracer();
-  }
-  spec.timeseries_jsonl = ts_store_->ToJsonl();
-  spec.alerts_jsonl = alert_engine_->TimelineJsonl();
-  spec.notes.push_back(std::string("alert fired: ") + status.rule.name +
-                       " (" + obs::AlertSeverityName(status.rule.severity) +
-                       "): " + edge.message);
-  const std::string dir = obs::UniqueBundleDir(
-      config_.alerts.forensics_root,
-      "alert-" + status.rule.name + "-seed-" + std::to_string(config_.seed));
-  std::string error;
-  if (!obs::WriteForensicBundle(dir, spec, &error)) {
-    FLEX_LOG(obs::LogLevel::kWarn, "emulation",
-             "alert forensic dump failed: %s", error.c_str());
-  } else {
-    FLEX_LOG(obs::LogLevel::kInfo, "emulation",
-             "alert forensic bundle written to %s", dir.c_str());
-  }
 }
 
 void
@@ -823,20 +763,6 @@ RoomEmulation::StartTimeline()
                       [this] { SetUpsFailed(config_.failed_ups, true); });
     queue_.ScheduleAt(config_.restore_at,
                       [this] { SetUpsFailed(config_.failed_ups, false); });
-  }
-  // Scripted telemetry outage: every poller fails, then recovers. The
-  // alerting drill rides this — delivered readings go flat, and the
-  // staleness rule must walk pending → firing → resolved.
-  if (config_.telemetry_outage_until > config_.telemetry_outage_at &&
-      config_.telemetry_outage_at > Seconds(0.0)) {
-    queue_.ScheduleAt(config_.telemetry_outage_at, [this] {
-      for (int p = 0; p < config_.pipeline.num_pollers; ++p)
-        pipeline_->SetPollerFailed(p, true);
-    });
-    queue_.ScheduleAt(config_.telemetry_outage_until, [this] {
-      for (int p = 0; p < config_.pipeline.num_pollers; ++p)
-        pipeline_->SetPollerFailed(p, false);
-    });
   }
 }
 

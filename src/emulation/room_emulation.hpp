@@ -81,16 +81,6 @@ struct EmulationConfig {
    */
   power::UpsId failed_ups = 0;
 
-  /**
-   * Scripted telemetry outage: every poller fails at `telemetry_
-   * outage_at` and recovers at `telemetry_outage_until` (disabled
-   * unless until > at > 0). The drill behind the alerting acceptance
-   * test: readings stop flowing, `pipeline.readings_delivered` goes
-   * flat, and the staleness rule walks pending → firing → resolved.
-   */
-  Seconds telemetry_outage_at = Seconds(0.0);
-  Seconds telemetry_outage_until = Seconds(0.0);
-
   int num_controllers = 3;  ///< multi-primary replicas
   /**
    * Per-batch wall-clock budget for the Flex-Offline placement MILP
@@ -147,8 +137,9 @@ struct EmulationConfig {
    * from the sample loop, and its placement solves report progress
    * into the hub's solver stats. Everything copies state *out*;
    * nothing is ever read back, so wiring a hub cannot change a single
-   * simulated event. Safe to share one hub across parallel sweep lanes
-   * (last writer wins). Not owned.
+   * simulated event, store sample or alert: the watchdog's wall-clock
+   * stalls stay on the hub. Safe to share one hub across parallel sweep
+   * lanes (last writer wins). Not owned.
    */
   obs::LiveHub* live = nullptr;
 
@@ -379,9 +370,6 @@ class RoomEmulation : public telemetry::PowerSource {
   obs::MetricsSnapshot BuildLiveSnapshot();
   /** Beats the hub's watchdog and copies fresh snapshots into it. */
   void PublishLive(const obs::MetricsSnapshot& snapshot);
-  /** One-time forensic dump when a rule fires (alerts.forensics_root). */
-  void DumpAlertBundle(const obs::AlertStatus& status,
-                       const obs::AlertTransition& edge);
   /**
    * Hands the running UPS sums to the trip watch; called after every
    * change to them. Also decides time to safe.
@@ -468,7 +456,6 @@ class RoomEmulation : public telemetry::PowerSource {
   double fleet_overload_fraction_ = -1.0;
   std::unique_ptr<obs::TimeSeriesStore> ts_store_;
   std::unique_ptr<obs::AlertEngine> alert_engine_;
-  bool alert_bundle_written_ = false;
   double max_ups_load_fraction_ = 0.0;  ///< latest sample's worst UPS
   EmulationReport report_;
   std::vector<power::BatteryModel> batteries_;  // per UPS

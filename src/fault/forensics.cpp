@@ -193,6 +193,17 @@ ReplayBundle(const std::string& bundle_dir,
     replay.error = "bundle is not marked replayable";
     return replay;
   }
+  // A plan replayed on another room diverges at once, which would read as
+  // a determinism failure. The manifest keeps the recorded room's end
+  // time to 9 digits; refuse a config whose end differs at that precision.
+  const std::string recorded_end = json::Num(bundle.manifest.horizon_s);
+  const std::string replay_end = json::Num(config.end_at.value());
+  if (recorded_end != replay_end) {
+    replay.error = "bundle was recorded on a room ending at " +
+                   recorded_end + " s, not on this room ending at " +
+                   replay_end + " s";
+    return replay;
+  }
 
   FaultPlan plan;
   if (!ParseFaultPlanJsonl(bundle.fault_plan_jsonl, &plan, &replay.error))

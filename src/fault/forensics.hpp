@@ -108,7 +108,9 @@ struct ReplayReport {
  * Loads the bundle at @p bundle_dir and re-executes it: same seed (from
  * the manifest), same fault plan (from fault_plan.jsonl), fresh room
  * built from @p config. Compares the bundle's timeline against the
- * replay's, aligned by sequence number.
+ * replay's, aligned by sequence number. Refuses (loaded = false) a
+ * bundle whose manifest horizon_s is not @p config's end_at at the
+ * manifest's 9-digit precision: it was recorded on another room.
  */
 ReplayReport ReplayBundle(
     const std::string& bundle_dir,

@@ -1,6 +1,7 @@
 #include "obs/alerts.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "obs/flight_recorder.hpp"
@@ -182,8 +183,6 @@ AlertEngine::Transition(std::size_t i, double now_s, AlertState to,
   }
 
   timeline_.push_back(edge);
-  if (notifier_)
-    notifier_(timeline_.back(), status);
 }
 
 void
@@ -320,20 +319,6 @@ InvariantViolationRule()
 }
 
 AlertRule
-WatchdogStallRule()
-{
-  AlertRule rule;
-  rule.name = "WatchdogStall";
-  rule.metric = "watchdog.stall_events";
-  rule.description = "a monitored loop went silent past the watchdog threshold";
-  rule.severity = AlertSeverity::kPage;
-  rule.kind = AlertRuleKind::kThreshold;
-  rule.compare = AlertCompare::kGreaterThan;
-  rule.threshold = 0.0;
-  return rule;
-}
-
-AlertRule
 TelemetryStaleRule(double window_s, double for_s)
 {
   AlertRule rule;
@@ -397,9 +382,9 @@ UpsOverloadRule(double for_s)
 std::vector<AlertRule>
 BuiltinAlertRules()
 {
-  return {InvariantViolationRule(), WatchdogStallRule(),
-          TelemetryStaleRule(),     ReactionBudgetRule(),
-          ReactionBurnRateRule(),   UpsOverloadRule()};
+  return {InvariantViolationRule(), TelemetryStaleRule(),
+          ReactionBudgetRule(),     ReactionBurnRateRule(),
+          UpsOverloadRule()};
 }
 
 }  // namespace flex::obs

@@ -26,15 +26,14 @@
  *
  * State machine: inactive → pending (condition true) → firing (held
  * for for_s) → inactive (condition false; "resolved"). Every edge is
- * recorded in the timeline, stamped into the flight recorder
- * (RecordKind::kAlert), and forwarded to an optional notifier — which
- * is how harnesses dump a forensic bundle the moment a rule fires.
+ * recorded in the timeline and stamped into the flight recorder
+ * (RecordKind::kAlert). A forensic bundle of an alerting run comes from
+ * the fault layer's recorded runs (fault/forensics.hpp), which replay.
  */
 #ifndef FLEX_OBS_ALERTS_HPP_
 #define FLEX_OBS_ALERTS_HPP_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -130,14 +129,6 @@ class AlertEngine {
   void SetRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
   /**
-   * Optional: called on every edge after it is recorded. Harnesses
-   * filter on `to == kFiring` to dump forensic bundles.
-   */
-  using Notifier =
-      std::function<void(const AlertTransition&, const AlertStatus&)>;
-  void SetNotifier(Notifier notifier) { notifier_ = std::move(notifier); }
-
-  /**
    * Evaluates every rule at simulated time @p now_s. Deterministic:
    * reads only the store. Call on a fixed simulated cadence.
    */
@@ -178,7 +169,6 @@ class AlertEngine {
   std::vector<RuleRuntime> runtime_;
   std::vector<AlertTransition> timeline_;
   FlightRecorder* recorder_ = nullptr;
-  Notifier notifier_;
   std::uint64_t total_fired_ = 0;
   std::uint64_t evaluations_ = 0;
 };
@@ -189,7 +179,6 @@ class AlertEngine {
  * set is safe to enable anywhere (absent series stay inactive).
  */
 AlertRule InvariantViolationRule();
-AlertRule WatchdogStallRule();
 AlertRule TelemetryStaleRule(double window_s = 15.0, double for_s = 5.0);
 AlertRule ReactionBudgetRule(double for_s = 0.0);
 AlertRule ReactionBurnRateRule();
@@ -204,11 +193,6 @@ std::vector<AlertRule> BuiltinAlertRules();
 struct AlertsConfig {
   /** Off by default: existing harnesses are unchanged until opted in. */
   bool enabled = false;
-  /**
-   * When non-empty, harnesses that own an Observability dump a
-   * forensic bundle under this directory the first time a rule fires.
-   */
-  std::string forensics_root;
 };
 
 }  // namespace flex::obs

@@ -40,7 +40,7 @@ inline constexpr const char* kBundleFormat = "flex-forensic-bundle-v1";
 struct BundleSpec {
   /** What fired the dump: "invariant-violation", "budget-miss", "manual". */
   std::string trigger = "manual";
-  /** Harness tag: "fault-fuzz", "emulation", ... */
+  /** Harness tag: "fault-fuzz", "end-to-end-emulation", ... */
   std::string scenario;
   std::uint64_t seed = 0;
   double sim_time_s = 0.0;

@@ -4,7 +4,7 @@
  *
  * Counters, gauges, and fixed-bucket latency histograms keyed by
  * hierarchical dot names ("pipeline.publish_lag_s",
- * "controller.decision_us"). Snapshots are stamped with
+ * "controller.enforce_latency_s"). Snapshots are stamped with
  * sim::EventQueue::Now() when a clock is bound, so two runs of the same
  * seed produce bit-identical exports — the property the seed-replay and
  * perf-trajectory tooling (BENCH_*.json) depends on.
@@ -156,12 +156,10 @@ struct MetricsSnapshot {
 /**
  * Builds a synthesized MetricsSnapshot without a registry, keeping the
  * sorted-rows contract mechanically instead of by caller discipline.
- * Headless harnesses (sweep lanes, the fleet engine's rollup) push
- * rows in any order and Build() sorts once. Reusable: Build() recycles
- * the output snapshot's row storage back into the builder, so the two
- * vectors ping-pong instead of regrowing. Callers on a zero-allocation
- * hot path should instead build their snapshot once and update row
- * values in place (the fleet barrier does this).
+ * Headless harnesses (a room with no registry, such as a fleet lane)
+ * push rows in any order and Build() sorts once. Reusable: Build()
+ * recycles the output snapshot's row storage back into the builder, so
+ * the two vectors ping-pong instead of regrowing.
  */
 class MetricsSnapshotBuilder {
  public:

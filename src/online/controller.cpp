@@ -1,6 +1,5 @@
 #include "controller.hpp"
 
-#include <chrono>
 #include <memory>
 #include <utility>
 
@@ -58,8 +57,6 @@ FlexController::FlexController(sim::EventQueue& queue,
     overdraw_metric_ = &metrics.counter("controller.overdraw_detections");
     actions_metric_ = &metrics.counter("controller.actions_issued");
     releases_metric_ = &metrics.counter("controller.releases");
-    decision_us_metric_ = &metrics.histogram(
-        "controller.decision_us", obs::HistogramConfig::WallMicros());
     enforce_latency_metric_ =
         &metrics.histogram("controller.enforce_latency_s");
   }
@@ -167,16 +164,10 @@ FlexController::EvaluateOverdraw(const DeviceReading& reading)
   if ((detected_at - last_enforce_).value() < kActionCooldown.value())
     return;  // let in-flight actions land and surface in telemetry
 
-  const auto decide_start = std::chrono::steady_clock::now();
   DecisionResult decision;
   {
     FLEX_PROFILE_PHASE("controller.decide");
     decision = DecideActions(BuildDecisionInput());
-  }
-  if (decision_us_metric_ != nullptr) {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - decide_start);
-    decision_us_metric_->Observe(static_cast<double>(elapsed.count()) / 1e3);
   }
   if (!decision.actions.empty()) {
     last_enforce_ = detected_at;

@@ -159,7 +159,6 @@ class FlexController {
   obs::Counter* overdraw_metric_ = nullptr;
   obs::Counter* actions_metric_ = nullptr;
   obs::Counter* releases_metric_ = nullptr;
-  obs::Histogram* decision_us_metric_ = nullptr;
   obs::Histogram* enforce_latency_metric_ = nullptr;
 };
 

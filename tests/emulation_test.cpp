@@ -15,6 +15,8 @@
 #include "emulation/room_emulation.hpp"
 #include "emulation/sweep.hpp"
 #include "emulation/workload_model.hpp"
+#include "obs/log.hpp"
+#include "obs/observability.hpp"
 
 namespace flex::emulation {
 namespace {
@@ -378,6 +380,32 @@ TEST(RoomEmulationTest, ActingRoomReportIsPinned)
             0x3fc4e5e0a72f0530ull);  // 0.16327
 }
 
+TEST(RoomEmulationTest, ObsAttachedStoreRepeatsRunToRun)
+{
+  // The history store samples the obs registry, which holds simulated-
+  // time values only, so an obs-attached room's store repeats bit for bit.
+  // Logging is off for both runs: the rate limiters and the
+  // `log.suppressed_total` tally the store samples are process-wide, so
+  // a warning suppressed in the first run would still count in the second.
+  const obs::LogLevel level = obs::GetLogLevel();
+  obs::SetLogLevel(obs::LogLevel::kOff);
+  const auto run = [] {
+    obs::Observability observability;
+    EmulationConfig config = ShortTimelineConfig(33);
+    config.obs = &observability;
+    config.alerts.enabled = true;
+    RoomEmulation emulation(config);
+    return emulation.Run();
+  };
+  const EmulationReport first = run();
+  const EmulationReport second = run();
+  obs::SetLogLevel(level);
+  EXPECT_GT(first.store_samples, 0u);
+  EXPECT_EQ(first.store_samples, second.store_samples);
+  EXPECT_EQ(first.store_fingerprint, second.store_fingerprint);
+  EXPECT_EQ(first.alert_fingerprint, second.alert_fingerprint);
+}
+
 TEST(RoomEmulationTest, InfiniteRackPollPeriodFailsAtConstruction)
 {
   // The pipeline checks its poll periods when the room builds it, so an
@@ -465,10 +493,6 @@ TEST(RoomEmulationTest, ValidatesTimeline)
   });
   expect_rejected("sample_period",
                   [](EmulationConfig& c) { c.sample_period = Seconds(kInf); });
-  expect_rejected("telemetry_outage_until", [](EmulationConfig& c) {
-    c.telemetry_outage_at = Seconds(15.0);
-    c.telemetry_outage_until = Seconds(kInf);
-  });
   expect_rejected("setup_duration",
                   [](EmulationConfig& c) { c.setup_duration = Seconds(-5.0); });
   expect_rejected("setup_duration", [](EmulationConfig& c) {

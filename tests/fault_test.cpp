@@ -805,6 +805,32 @@ TEST(FaultForensicsTest, PerturbedBundleRecordIsReportedAsDivergence)
   EXPECT_EQ(replay.divergence->field, "value");
 }
 
+TEST(FaultForensicsTest, BundleOfAnotherRoomIsRefusedNotDiverged)
+{
+  // A bundle of the paper's room, 260 s long, replayed on the 120 s fuzz
+  // room would diverge at once and read as a determinism failure; the
+  // replay must refuse it and name both rooms' end times.
+  emulation::EmulationConfig paper_room;
+  paper_room.setup_duration = Seconds(30.0);
+  paper_room.failover_at = Seconds(120.0);
+  paper_room.restore_at = Seconds(200.0);
+  paper_room.end_at = Seconds(260.0);
+  paper_room.placement_solve_seconds = 1e9;
+  paper_room.placement_max_nodes = 2000;
+  paper_room.alerts.enabled = true;
+  ForensicsOptions options;
+  options.root_dir = ::testing::TempDir() + "fault-forensics-other-room";
+  options.force_dump = true;
+  const RecordedRun run = RunRecordedPlan(paper_room, 77, FaultPlan(), options);
+  ASSERT_FALSE(run.bundle_dir.empty()) << run.dump_error;
+
+  const ReplayReport replay = ReplayBundle(run.bundle_dir, FuzzRoomConfig());
+  EXPECT_FALSE(replay.loaded);
+  EXPECT_FALSE(replay.divergence.has_value());
+  EXPECT_NE(replay.error.find("260"), std::string::npos) << replay.error;
+  EXPECT_NE(replay.error.find("120"), std::string::npos) << replay.error;
+}
+
 TEST(FaultForensicsTest, WideSeedBundleReplaysExactly)
 {
   // 2^53 + 1 is the first seed a double cannot hold: the manifest must

@@ -3,21 +3,24 @@
  * Fleet-engine determinism and coupling tests.
  *
  * The fleet engine's contract is the repository's house invariant at a
- * new layer: rooms step in parallel across lanes, but every hash, every
- * merged alert edge, and every rollup row is a pure function of the
- * configuration — bit-identical at 1, 2, and 8 lanes, and (for a fleet
- * of one) identical to monolithic RoomEmulation::Run().
+ * new layer: rooms step in parallel across lanes, but every hash and
+ * every merged alert edge is a pure function of the configuration —
+ * bit-identical at 1, 2, and 8 lanes, with or without a live hub, and
+ * (for a fleet of one) identical to monolithic RoomEmulation::Run().
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include "common/error.hpp"
 #include "emulation/fleet_emulation.hpp"
 #include "emulation/room_emulation.hpp"
 #include "emulation/sweep.hpp"
+#include "obs/http_export.hpp"
 #include "power/substation.hpp"
 
 namespace flex::emulation {
@@ -25,8 +28,9 @@ namespace {
 
 /**
  * Short deterministic timeline: node-budgeted placement (not
- * wall-clock) so runs are bit-identical regardless of machine speed,
- * plus the telemetry-outage drill so alert edges exist to merge.
+ * wall-clock) so runs are bit-identical regardless of machine speed.
+ * The scripted failover overloads a UPS, so every room has
+ * UpsOverloaded edges to merge.
  */
 EmulationConfig
 FleetRoomConfig(std::uint64_t seed)
@@ -40,8 +44,6 @@ FleetRoomConfig(std::uint64_t seed)
   config.placement_solve_seconds = 1e9;
   config.placement_max_nodes = 2000;
   config.alerts.enabled = true;
-  config.telemetry_outage_at = Seconds(140.0);
-  config.telemetry_outage_until = Seconds(180.0);
   return config;
 }
 
@@ -92,11 +94,11 @@ ExpectSameEdge(const obs::AlertTransition& a, const obs::AlertTransition& b,
 TEST(FleetEmulationTest, FleetIsBitIdenticalAtOneTwoAndEightLanes)
 {
   // The acceptance bar: per-room lane-identity hashes, final report
-  // hashes, every room's alert timeline and store, the merged alert
-  // timeline, and every rollup row agree across lane counts. The
-  // substation coupling is on, so the barrier feedback path is
-  // exercised too. A trace-variant sweep is this same engine with the
-  // substation off, so this is also the sweep's lane-identity test.
+  // hashes, every room's alert timeline and store, and the merged alert
+  // timeline agree across lane counts. The substation coupling is on,
+  // so the barrier feedback path is exercised too. A trace-variant
+  // sweep is this same engine with the substation off, so this is also
+  // the sweep's lane-identity test.
   const auto run = [](int threads) {
     FleetConfig config = SmallFleet(3, threads);
     config.substation = power::SubstationConfig::ForRooms(
@@ -148,18 +150,15 @@ TEST(FleetEmulationTest, FleetIsBitIdenticalAtOneTwoAndEightLanes)
                      other->alert_timeline[e].edge,
                      "fleet edge " + std::to_string(e));
     }
-    ASSERT_EQ(one.rollup.rows.size(), other->rollup.rows.size());
-    for (std::size_t i = 0; i < one.rollup.rows.size(); ++i) {
-      EXPECT_EQ(one.rollup.rows[i].name, other->rollup.rows[i].name);
-      EXPECT_EQ(one.rollup.rows[i].value, other->rollup.rows[i].value)
-          << one.rollup.rows[i].name;
-    }
+    EXPECT_EQ(one.epochs, other->epochs);
+    EXPECT_EQ(one.peak_substation_utilization,
+              other->peak_substation_utilization);
   }
 
-  // The drill fired somewhere, so the merge actually moved edges.
+  // The failover fired somewhere, so the merge actually moved edges.
   EXPECT_GT(one.alert_timeline.size(), 0u);
   EXPECT_EQ(one.events_executed, two.events_executed);
-  // ... and in every room: each variant saw the outage page fire.
+  // ... and in every room: each variant saw the overload alert fire.
   for (std::size_t r = 0; r < one.rooms.size(); ++r)
     EXPECT_GT(one.rooms[r].report.alerts_fired, 0u) << "room " << r;
   // Distinct seeds produce distinct traces; the hash is not a constant.
@@ -213,13 +212,9 @@ TEST(FleetEmulationTest, SubstationCouplingIsObservationalOnly)
   // The coupled fleet actually evaluated the feed.
   EXPECT_GT(coupled.peak_substation_utilization, 0.0);
   EXPECT_EQ(plain.peak_substation_utilization, 0.0);
-  const obs::MetricRow* gauge =
-      coupled.rollup.Find("fleet.substation_utilization");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_GT(gauge->value, 0.0);
 }
 
-TEST(FleetEmulationTest, RollupAndAccountingAreCoherent)
+TEST(FleetEmulationTest, AccountingIsCoherent)
 {
   FleetConfig config = SmallFleet(2, 1);
   FleetEmulation fleet(config);
@@ -227,6 +222,7 @@ TEST(FleetEmulationTest, RollupAndAccountingAreCoherent)
   EXPECT_GT(racks, 0);
   const FleetReport report = fleet.Run();
 
+  ASSERT_EQ(report.rooms.size(), 2u);
   EXPECT_EQ(report.total_racks, racks);
   EXPECT_EQ(report.total_racks,
             report.rooms[0].report.total_racks +
@@ -238,20 +234,43 @@ TEST(FleetEmulationTest, RollupAndAccountingAreCoherent)
   EXPECT_GT(report.step_wall_seconds, 0.0);
   EXPECT_GE(report.merge_wall_seconds, 0.0);
   EXPECT_GT(report.lane_busy_seconds, 0.0);
+}
 
-  const obs::MetricRow* rooms_row = report.rollup.Find("fleet.rooms");
-  ASSERT_NE(rooms_row, nullptr);
-  EXPECT_EQ(rooms_row->value, 2.0);
-  const obs::MetricRow* racks_row = report.rollup.Find("fleet.total_racks");
-  ASSERT_NE(racks_row, nullptr);
-  EXPECT_EQ(racks_row->value, static_cast<double>(racks));
-  const obs::MetricRow* events_row =
-      report.rollup.Find("fleet.events_executed");
-  ASSERT_NE(events_row, nullptr);
-  EXPECT_GT(events_row->value, 0.0);
-  // Rollup rows honour the MetricsSnapshot sorted-by-name contract.
-  for (std::size_t i = 1; i < report.rollup.rows.size(); ++i)
-    EXPECT_LT(report.rollup.rows[i - 1].name, report.rollup.rows[i].name);
+TEST(FleetEmulationTest, LiveHubStallsDoNotChangeTheFleet)
+{
+  // A live hub's watchdog is wall-clock: how often it flags a room as
+  // stalled depends on the machine, so it must never reach a room's
+  // store, alerts or hashes. Force a stall on every room before the run.
+  const FleetReport plain = FleetEmulation(SmallFleet(3, 1)).Run();
+
+  obs::WatchdogConfig watchdog;
+  watchdog.threshold_seconds = 1e-3;
+  obs::LiveHub hub(watchdog);
+  FleetConfig config = SmallFleet(3, 1);
+  config.room.live = &hub;
+  FleetEmulation fleet(config);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  hub.watchdog().CheckNow();
+  EXPECT_EQ(hub.watchdog().stall_events(), 3u);
+  const FleetReport live = fleet.Run();
+
+  EXPECT_EQ(plain.fleet_hash, live.fleet_hash);
+  EXPECT_EQ(plain.alert_fingerprint, live.alert_fingerprint);
+  EXPECT_EQ(plain.alert_timeline.size(), live.alert_timeline.size());
+  ASSERT_EQ(plain.rooms.size(), live.rooms.size());
+  for (std::size_t r = 0; r < plain.rooms.size(); ++r) {
+    const EmulationReport& a = plain.rooms[r].report;
+    const EmulationReport& b = live.rooms[r].report;
+    EXPECT_EQ(a.alert_fingerprint, b.alert_fingerprint) << "room " << r;
+    EXPECT_EQ(a.store_fingerprint, b.store_fingerprint) << "room " << r;
+    ASSERT_EQ(a.alert_timeline.size(), b.alert_timeline.size())
+        << "room " << r;
+    for (std::size_t k = 0; k < a.alert_timeline.size(); ++k) {
+      ExpectSameEdge(a.alert_timeline[k], b.alert_timeline[k],
+                     "room " + std::to_string(r) + " edge " +
+                         std::to_string(k));
+    }
+  }
 }
 
 /** The ConfigError message @p build throws, or "" when it does not throw. */

@@ -2,9 +2,8 @@
  * @file
  * Tests for the declarative alert engine: every rule kind, the
  * pending→firing→resolved state machine, flight-recorder stamping —
- * and the end-to-end drills: a telemetry outage injected during the
- * overload window must fire and resolve the staleness page headless
- * (fleet_test pins that timeline bit-identical across 1/2/8 lanes),
+ * and the end-to-end drills: a poller-crash plan run during the
+ * overload window must fire and resolve the staleness page headless,
  * and a recorded fault run whose only trigger is a fired alert must
  * dump a forensic bundle that flex_replay-style ReplayBundle
  * re-executes without divergence. A room, whether the caller or a
@@ -262,26 +261,6 @@ TEST(AlertEngineTest, EveryEdgeIsStampedIntoTheFlightRecorder)
   EXPECT_NE(records[0].detail.find("High_a"), std::string::npos);
 }
 
-TEST(AlertEngineTest, NotifierSeesEveryEdgeAfterRecording)
-{
-  TimeSeriesStore store;
-  AlertEngine engine(&store, {ThresholdRule("m", 5.0, 0.0)});
-  std::vector<AlertState> seen;
-  engine.SetNotifier(
-      [&seen](const AlertTransition& edge, const obs::AlertStatus& status) {
-        EXPECT_EQ(status.rule.name, "High_m");
-        seen.push_back(edge.to);
-      });
-  store.Append("m", MetricKind::kGauge, 1.0, 9.0);
-  engine.Evaluate(1.0);
-  store.Append("m", MetricKind::kGauge, 2.0, 1.0);
-  engine.Evaluate(2.0);
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], AlertState::kPending);
-  EXPECT_EQ(seen[1], AlertState::kFiring);
-  EXPECT_EQ(seen[2], AlertState::kInactive);
-}
-
 TEST(AlertEngineTest, SnapshotAndJsonlCarryTheTimeline)
 {
   TimeSeriesStore store;
@@ -319,17 +298,35 @@ DrillConfig(std::uint64_t seed)
   config.placement_solve_seconds = 1e9;
   config.placement_max_nodes = 2000;
   config.alerts.enabled = true;
-  // Kill every poller for 40 s inside the failover window: long enough
-  // for the 15 s staleness window plus the 5 s for-duration.
-  config.telemetry_outage_at = Seconds(140.0);
-  config.telemetry_outage_until = Seconds(180.0);
   return config;
+}
+
+/**
+ * Every poller of @p config crashes at 140 s and restarts at 180 s,
+ * inside the failover window: long enough for the 15 s staleness window
+ * plus the 5 s for-duration.
+ */
+fault::FaultPlan
+OutagePlan(const emulation::EmulationConfig& config)
+{
+  fault::FaultPlan plan;
+  for (int poller = 0; poller < config.pipeline.num_pollers; ++poller) {
+    fault::FaultEvent crash;
+    crash.at = Seconds(140.0);
+    crash.kind = fault::FaultKind::kPollerCrash;
+    crash.target = poller;
+    crash.duration = Seconds(40.0);
+    plan.Add(crash);
+  }
+  return plan;
 }
 
 TEST(AlertDrillTest, TelemetryOutageFiresAndResolvesHeadless)
 {
-  emulation::RoomEmulation emulation(DrillConfig(77));
-  const emulation::EmulationReport& report = emulation.Run();
+  const emulation::EmulationConfig config = DrillConfig(77);
+  emulation::RoomEmulation emulation(config);
+  const emulation::EmulationReport report =
+      fault::RunPlan(emulation, OutagePlan(config)).room;
 
   EXPECT_GT(report.alerts_fired, 0u);
   EXPECT_NE(report.alert_fingerprint, 0u);
