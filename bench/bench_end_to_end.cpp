@@ -115,10 +115,11 @@ main()
       .Set(static_cast<double>(sweep.rooms));
   metrics.gauge("room.sweep.lanes")
       .Set(static_cast<double>(sweep_result.lanes));
+  const double now = emulation.queue().Now().value();
   std::printf("\n%s",
-              obs::SummaryTable(observability.metrics().Snapshot(), &tracer)
+              obs::SummaryTable(observability.metrics().Snapshot(now), &tracer)
                   .c_str());
-  bench::MaybeExportBenchJson("bench_end_to_end", observability);
+  bench::MaybeExportBenchJson("bench_end_to_end", observability, now);
 
   const bool reaction_ok =
       tracer.complete_count() > 0 &&

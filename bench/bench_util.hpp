@@ -54,20 +54,23 @@ PrintHeader(const std::string& experiment, const std::string& artifact,
 }
 
 /**
- * Appends this bench's metrics snapshot as one JSON line to the
- * trajectory file named by FLEX_BENCH_JSON (e.g. BENCH_obs.json).
- * No-op when the variable is unset. @return true when a line was
- * written.
+ * Appends this bench's metrics snapshot, stamped with simulated time
+ * @p sim_time_s (0 for a bench that runs no single clock), as one JSON
+ * line to the trajectory file named by FLEX_BENCH_JSON (e.g.
+ * BENCH_obs.json). No-op when the variable is unset. @return true when
+ * a line was written.
  */
 inline bool
 MaybeExportBenchJson(const std::string& bench_name,
-                     const obs::Observability& observability)
+                     const obs::Observability& observability,
+                     double sim_time_s = 0.0)
 {
   const char* path = std::getenv("FLEX_BENCH_JSON");
   if (path == nullptr || *path == '\0')
     return false;
   const bool ok = obs::AppendLine(
-      path, obs::BenchJsonLine(bench_name, observability.metrics().Snapshot()));
+      path, obs::BenchJsonLine(bench_name,
+                               observability.metrics().Snapshot(sim_time_s)));
   if (ok)
     std::printf("metrics appended to %s\n", path);
   else

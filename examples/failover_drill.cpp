@@ -80,7 +80,9 @@ main()
 
   const obs::ReactionTracer& tracer = observability.tracer();
   std::printf("\n%s",
-              obs::SummaryTable(observability.metrics().Snapshot(), &tracer)
+              obs::SummaryTable(observability.metrics().Snapshot(
+                                    emulation.queue().Now().value()),
+                                &tracer)
                   .c_str());
 
   if (const char* trace_out = std::getenv("FLEX_TRACE_OUT");

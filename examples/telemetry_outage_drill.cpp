@@ -129,7 +129,6 @@ main()
   obs::Observability observability(obs_config);
 
   sim::EventQueue drill_queue;
-  observability.BindClock(drill_queue);
   FailoverRoom failover_room;
 
   power::RoomConfig room_config;

@@ -18,8 +18,8 @@ cmake --build "${build_dir}" -j"$(nproc)"
 
 # abort_on_error surfaces ASan reports as test failures; the UBSan
 # half already aborts via -fno-sanitize-recover=undefined.
-# detect_stack_use_after_return catches a pointer (e.g. a bound clock)
-# that outlives the stack frame owning what it points at.
+# detect_stack_use_after_return catches a pointer that outlives the
+# stack frame owning what it points at.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1:detect_stack_use_after_return=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 

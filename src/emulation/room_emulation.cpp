@@ -98,7 +98,6 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
   FLEX_REQUIRE(config_.placement_max_nodes >= 0,
                "placement_max_nodes must not be negative");
   if (config_.obs != nullptr) {
-    config_.obs->BindClock(queue_);
     config_.pipeline.obs = config_.obs;
     config_.rack_manager.obs = config_.obs;
     config_.controller.obs = config_.obs;
@@ -118,12 +117,6 @@ RoomEmulation::RoomEmulation(EmulationConfig config)
     if (config_.obs != nullptr)
       alert_engine_->SetRecorder(&config_.obs->recorder());
   }
-}
-
-RoomEmulation::~RoomEmulation()
-{
-  if (config_.obs != nullptr)
-    config_.obs->UnbindClock(queue_);
 }
 
 void
@@ -652,14 +645,13 @@ RoomEmulation::BuildLiveSnapshot()
 {
   if (config_.obs != nullptr) {
     obs::MetricsRegistry& metrics = config_.obs->metrics();
-    obs::UpdateLogMetrics(metrics);
     metrics.gauge("emulation.max_ups_load_fraction")
         .Set(max_ups_load_fraction_);
     if (fleet_overload_fraction_ >= 0.0) {
       metrics.gauge("fleet.substation_overload_fraction")
           .Set(fleet_overload_fraction_);
     }
-    return metrics.Snapshot();
+    return metrics.Snapshot(queue_.Now().value());
   }
 
   // No registry (fleet rooms never get one: it is single-threaded);

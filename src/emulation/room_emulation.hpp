@@ -121,9 +121,9 @@ struct EmulationConfig {
 #endif
 
   /**
-   * Optional instrumentation sink. When set, the harness binds it to its
-   * internal clock and propagates it into the pipeline, controller,
-   * rack-manager, and battery sub-configs.
+   * Optional instrumentation sink. When set, the harness propagates it
+   * into the pipeline, controller, rack-manager, and battery sub-configs
+   * and stamps each registry snapshot with its simulated time.
    */
   obs::Observability* obs = nullptr;
 
@@ -277,7 +277,6 @@ struct RoomEpochView {
 class RoomEmulation : public telemetry::PowerSource {
  public:
   explicit RoomEmulation(EmulationConfig config);
-  ~RoomEmulation() override;
 
   /** Runs the full timeline and returns the report. */
   EmulationReport Run();

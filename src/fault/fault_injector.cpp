@@ -131,15 +131,15 @@ FaultInjector::Apply(const FaultEvent& event, bool start)
 void
 FaultInjector::Record(const FaultEvent& event, bool start)
 {
+  const Seconds now = room_.queue().Now();
   char buffer[192];
-  std::snprintf(buffer, sizeof(buffer), "t=%.3f %s %s",
-                room_.queue().Now().value(), start ? "begin" : "repair",
-                event.DebugString().c_str());
+  std::snprintf(buffer, sizeof(buffer), "t=%.3f %s %s", now.value(),
+                start ? "begin" : "repair", event.DebugString().c_str());
   trace_.emplace_back(buffer);
-  FLEX_LOG(obs::LogLevel::kInfo, "fault", "%s %s",
-           start ? "begin" : "repair", event.DebugString().c_str());
+  FLEX_LOG_AT(now, obs::LogLevel::kInfo, "fault", "%s %s",
+              start ? "begin" : "repair", event.DebugString().c_str());
   if (recorder_ != nullptr)
-    recorder_->Record(room_.queue().Now(),
+    recorder_->Record(now,
                       start ? obs::RecordKind::kFaultBegin
                             : obs::RecordKind::kFaultRepair,
                       event.target, static_cast<int>(event.kind), 0.0,
@@ -151,12 +151,12 @@ FaultInjector::Arm(const FaultPlan& plan)
 {
   for (const FaultEvent& event : plan.events())
     Validate(event);
-  FLEX_LOG(obs::LogLevel::kDebug, "fault", "arming plan with %zu event(s)",
-           plan.events().size());
+  const Seconds now = room_.queue().Now();
+  FLEX_LOG_AT(now, obs::LogLevel::kDebug, "fault",
+              "arming plan with %zu event(s)", plan.events().size());
   for (const FaultEvent& event : plan.events()) {
-    FLEX_LOG(obs::LogLevel::kDebug, "fault", "scheduled %s",
-             event.DebugString().c_str());
-    const Seconds now = room_.queue().Now();
+    FLEX_LOG_AT(now, obs::LogLevel::kDebug, "fault", "scheduled %s",
+                event.DebugString().c_str());
     room_.queue().ScheduleAt(std::max(event.at, now),
                              [this, event] { Apply(event, true); });
     ++scheduled_;

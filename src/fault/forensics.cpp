@@ -120,7 +120,7 @@ RunRecorded(const emulation::EmulationConfig& config, std::uint64_t seed,
   spec.trigger = violated ? "invariant-violation"
                  : alerted ? "alert-firing"
                            : "manual";
-  spec.scenario = "fault-fuzz";
+  spec.scenario = plan != nullptr ? "fault-plan" : "fault-fuzz";
   spec.seed = seed;
   spec.sim_time_s = room.queue().Now().value();
   spec.horizon_s = config.end_at.value();

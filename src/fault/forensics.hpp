@@ -78,14 +78,17 @@ struct RecordedRun {
 /**
  * Runs @p plan on a fresh room built from @p config for @p seed, with
  * full observability attached (config.obs is overridden), dumping a
- * forensic bundle per @p options. The config must describe the same
- * room on replay.
+ * forensic bundle per @p options, tagged "fault-plan". The config must
+ * describe the same room on replay.
  */
 RecordedRun RunRecordedPlan(const emulation::EmulationConfig& config,
                             std::uint64_t seed, const FaultPlan& plan,
                             const ForensicsOptions& options = {});
 
-/** RunRecordedPlan with the fuzzer's plan for the room @p seed builds. */
+/**
+ * RunRecordedPlan with the fuzzer's plan for the room @p seed builds;
+ * its bundle is tagged "fault-fuzz".
+ */
 RecordedRun RunRecordedScenario(const emulation::EmulationConfig& config,
                                 std::uint64_t seed,
                                 const ForensicsOptions& options = {});

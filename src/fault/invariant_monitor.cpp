@@ -93,8 +93,8 @@ InvariantMonitor::AddViolation(Seconds at, const char* invariant,
                                const std::string& message)
 {
   violations_.push_back({at, invariant, message});
-  FLEX_LOG(obs::LogLevel::kError, "invariant", "[%s] %s", invariant,
-           message.c_str());
+  FLEX_LOG_AT(at, obs::LogLevel::kError, "invariant", "[%s] %s", invariant,
+              message.c_str());
   if (violations_metric_ != nullptr)
     violations_metric_->Increment();
   if (recorder_ != nullptr)

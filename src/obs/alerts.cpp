@@ -6,7 +6,6 @@
 #include "common/hash.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
-#include "obs/log.hpp"
 
 namespace flex::obs {
 
@@ -174,12 +173,13 @@ AlertEngine::Transition(std::size_t i, double now_s, AlertState to,
     const LogLevel level = status.rule.severity == AlertSeverity::kPage
                                ? LogLevel::kError
                                : LogLevel::kWarn;
-    FLEX_LOG_RATE_LIMITED(level, "alerts", "FIRING [%s] %s: %s",
-                          AlertSeverityName(status.rule.severity),
-                          status.rule.name.c_str(), message.c_str());
+    FLEX_LOG_LIMITED(fired_log_, Seconds(now_s), level, "alerts",
+                     "FIRING [%s] %s: %s",
+                     AlertSeverityName(status.rule.severity),
+                     status.rule.name.c_str(), message.c_str());
   } else if (edge.from == AlertState::kFiring) {
-    FLEX_LOG_RATE_LIMITED(LogLevel::kInfo, "alerts", "resolved %s at t=%.3f",
-                          status.rule.name.c_str(), now_s);
+    FLEX_LOG_LIMITED(resolved_log_, Seconds(now_s), LogLevel::kInfo,
+                     "alerts", "resolved %s", status.rule.name.c_str());
   }
 
   timeline_.push_back(edge);

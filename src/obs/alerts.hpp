@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/log.hpp"
 #include "obs/timeseries.hpp"
 
 namespace flex::obs {
@@ -171,6 +172,8 @@ class AlertEngine {
   FlightRecorder* recorder_ = nullptr;
   std::uint64_t total_fired_ = 0;
   std::uint64_t evaluations_ = 0;
+  LogRateLimiter fired_log_;
+  LogRateLimiter resolved_log_;
 };
 
 /**

@@ -82,7 +82,7 @@ WriteForensicBundle(const std::string& dir, const BundleSpec& spec,
     return Fail(error, "cannot write events.jsonl under " + dir);
   if (spec.metrics != nullptr) {
     if (!WriteFile((root / "metrics.json").string(),
-                   SnapshotToJson(spec.metrics->Snapshot())))
+                   SnapshotToJson(spec.metrics->Snapshot(spec.sim_time_s))))
       return Fail(error, "cannot write metrics.json under " + dir);
   }
   if (spec.tracer != nullptr) {

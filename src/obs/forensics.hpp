@@ -7,7 +7,7 @@
  *
  *   manifest.json     trigger, scenario tag, seed, record window, notes
  *   events.jsonl      the flight recorder's retained timeline
- *   metrics.json      full MetricsRegistry snapshot at dump time
+ *   metrics.json      full MetricsRegistry snapshot, stamped sim_time_s
  *   traces.jsonl      reaction traces, one TraceToJson line each (the
  *                     /trace format; when a tracer was attached)
  *   racks.csv         per-rack power / category / actuation state
@@ -18,8 +18,8 @@
  *
  * This layer is scenario-agnostic: it serializes whatever the caller
  * puts into the BundleSpec. The fault module's forensics.hpp builds the
- * replayable fault-fuzz bundles on top of it; the emulation benches dump
- * non-replayable "crash dump" bundles for triage.
+ * replayable fault-plan and fault-fuzz bundles on top of it; the
+ * emulation benches dump non-replayable "crash dump" bundles for triage.
  */
 #ifndef FLEX_OBS_FORENSICS_HPP_
 #define FLEX_OBS_FORENSICS_HPP_
@@ -40,9 +40,10 @@ inline constexpr const char* kBundleFormat = "flex-forensic-bundle-v1";
 struct BundleSpec {
   /** What fired the dump: "invariant-violation", "budget-miss", "manual". */
   std::string trigger = "manual";
-  /** Harness tag: "fault-fuzz", "end-to-end-emulation", ... */
+  /** Harness tag: "fault-plan", "fault-fuzz", "end-to-end-emulation", ... */
   std::string scenario;
   std::uint64_t seed = 0;
+  /** Simulated time of the dump; also stamps metrics.json. */
   double sim_time_s = 0.0;
   double horizon_s = 0.0;
   /** True when seed + fault plan deterministically re-execute the run. */

@@ -201,17 +201,11 @@ SnapshotToPrometheus(const MetricsSnapshot& snapshot)
   for (const MetricRow& row : snapshot.rows) {
     const std::string name = PrometheusName(row.name);
     switch (row.kind) {
-      case MetricKind::kCounter: {
-        // Counters follow the convention of a `_total` suffix; names
-        // that already end in `_total` (log.suppressed_total) keep it.
-        const std::string counter_name =
-            name.size() >= 6 && name.compare(name.size() - 6, 6, "_total") == 0
-                ? name
-                : name + "_total";
-        out << "# TYPE " << counter_name << " counter\n";
-        out << counter_name << " " << json::Num(row.value) << "\n";
+      case MetricKind::kCounter:
+        // Counters follow the convention of a `_total` suffix.
+        out << "# TYPE " << name << "_total counter\n";
+        out << name << "_total " << json::Num(row.value) << "\n";
         break;
-      }
       case MetricKind::kGauge:
         out << "# TYPE " << name << " gauge\n";
         out << name << " " << json::Num(row.value) << "\n";
@@ -628,15 +622,6 @@ ObservabilityServer::RenderQuery(const std::string& metric, double window_s,
   }
   out << "]}\n";
   return out.str();
-}
-
-void
-UpdateLogMetrics(MetricsRegistry& metrics)
-{
-  Counter& counter = metrics.counter("log.suppressed_total");
-  const double total = static_cast<double>(LogSuppressedTotal());
-  if (total > counter.value())
-    counter.Increment(total - counter.value());
 }
 
 }  // namespace flex::obs

@@ -229,14 +229,6 @@ class ObservabilityServer {
   HttpServer http_;
 };
 
-/**
- * Folds the process-wide FLEX_LOG_RATE_LIMITED suppression total (see
- * LogSuppressedTotal()) into @p metrics as the "log.suppressed_total"
- * counter, so dropped diagnostics are visible in every snapshot export
- * and on /metrics instead of vanishing silently.
- */
-void UpdateLogMetrics(MetricsRegistry& metrics);
-
 }  // namespace flex::obs
 
 #endif  // FLEX_OBS_HTTP_EXPORT_HPP_

@@ -2,27 +2,25 @@
 
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include "sim/event_queue.hpp"
 
 namespace flex::obs {
 
 namespace {
 
 /**
- * Process-wide suppression tally across every FLEX_LOG_RATE_LIMITED
- * site. Atomic because the HTTP exporter reads it from its own thread
- * while sim threads keep suppressing.
+ * Process-wide suppression tally across every LogRateLimiter. Atomic
+ * because the HTTP exporter reads it from its own thread while sim
+ * threads keep suppressing.
  */
 std::atomic<std::uint64_t> g_suppressed_total{0};
 
 struct LogState {
   LogLevel level;
-  const sim::EventQueue* clock = nullptr;
   LogSink sink;
   std::FILE* file = nullptr;
   bool file_checked = false;  ///< FLEX_LOG_FILE consulted already?
@@ -111,15 +109,8 @@ SetLogLevel(LogLevel level)
 }
 
 void
-SetLogClock(const sim::EventQueue* clock)
+SetLogClock(const sim::EventQueue*)
 {
-  State().clock = clock;
-}
-
-const sim::EventQueue*
-GetLogClock()
-{
-  return State().clock;
 }
 
 void
@@ -144,7 +135,8 @@ SetLogFile(const std::string& path)
 }
 
 void
-LogMessage(LogLevel level, const char* component, const char* format, ...)
+LogMessage(double sim_time_s, LogLevel level, const char* component,
+           const char* format, ...)
 {
   char message[512];
   std::va_list args;
@@ -154,9 +146,9 @@ LogMessage(LogLevel level, const char* component, const char* format, ...)
 
   char line[640];
   LogState& state = State();
-  if (state.clock != nullptr) {
+  if (!std::isnan(sim_time_s)) {
     std::snprintf(line, sizeof(line), "[%s] t=%.3f %s: %s",
-                  LogLevelName(level), state.clock->Now().value(),
+                  LogLevelName(level), sim_time_s,
                   component != nullptr ? component : "-", message);
   } else {
     std::snprintf(line, sizeof(line), "[%s] %s: %s", LogLevelName(level),
@@ -176,27 +168,13 @@ LogMessage(LogLevel level, const char* component, const char* format, ...)
 }
 
 bool
-LogRateLimiter::Admit()
+LogRateLimiter::Admit(Seconds now)
 {
-  const sim::EventQueue* clock = GetLogClock();
-  if (clock != nullptr) {
-    const double now = clock->Now().value();
-    if (!has_emitted_ || now - last_emit_t_ >= min_interval_s_ ||
-        now < last_emit_t_) {  // clock rebound to a fresh queue
-      has_emitted_ = true;
-      last_emit_t_ = now;
-      calls_since_emit_ = 0;
-      suppressed_ = 0;
-      return true;
-    }
-  } else if (calls_since_emit_ == 0 ||
-             calls_since_emit_ >= every_nth_) {
-    has_emitted_ = true;
-    calls_since_emit_ = 1;
+  if (now.value() - last_emit_t_ >= min_interval_s_) {
+    last_emit_t_ = now.value();
     suppressed_ = 0;
     return true;
   }
-  ++calls_since_emit_;
   ++suppressed_;
   ++total_suppressed_;
   g_suppressed_total.fetch_add(1, std::memory_order_relaxed);

@@ -1,25 +1,28 @@
 /**
  * @file
- * Structured leveled logging (FLEX_LOG).
+ * Structured leveled logging (FLEX_LOG, FLEX_LOG_AT, FLEX_LOG_LIMITED).
  *
  * Replaces ad-hoc stdio diagnostics with one levelled, filterable
  * stream. The default threshold comes from the FLEX_LOG_LEVEL
  * environment variable ("trace" | "debug" | "info" | "warn" | "error" |
  * "off", default "warn") so tests stay quiet unless a developer opts
- * in. When a simulation clock is registered, every line is stamped with
- * the simulated time, which keeps logs aligned with traces and metrics
- * from the same run.
+ * in. A line logged from inside a simulation carries the simulated time
+ * its caller passes (FLEX_LOG_AT), which keeps logs aligned with traces
+ * and metrics from the same run; the logger itself keeps no clock.
  *
- * The logger is process-global on purpose: the simulation is
- * single-threaded and log calls appear in deterministic event order, so
- * one sink is both sufficient and replayable.
+ * The level, sink and file are process-wide settings; nothing else is.
+ * Rate limiters belong to the object that logs through them, so no room
+ * shares log state with another.
  */
 #ifndef FLEX_OBS_LOG_HPP_
 #define FLEX_OBS_LOG_HPP_
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
+
+#include "common/units.hpp"
 
 namespace flex::sim {
 class EventQueue;
@@ -46,14 +49,11 @@ LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
 
 /**
- * Registers the simulation clock used to stamp log lines with
- * simulated time. Pass nullptr to detach (lines then omit the t= tag).
- * The queue must outlive the registration.
+ * Does nothing: log lines carry the simulated time their caller passes
+ * to FLEX_LOG_AT. It remains only because benchmark/flexbench.cpp still
+ * calls it, and goes when that call does.
  */
 void SetLogClock(const sim::EventQueue* clock);
-
-/** The registered simulation clock, or nullptr. */
-const sim::EventQueue* GetLogClock();
 
 /**
  * Redirects formatted records away from stderr, e.g. into a test
@@ -73,10 +73,9 @@ void SetLogSink(LogSink sink);
 bool SetLogFile(const std::string& path);
 
 /**
- * Calls swallowed by every FLEX_LOG_RATE_LIMITED site over the process
- * lifetime (an atomic; readable from any thread). The live exporter
- * folds this into the "log.suppressed_total" counter so dropped
- * diagnostics stay visible on /metrics — see obs::UpdateLogMetrics.
+ * Calls swallowed by every LogRateLimiter over the process lifetime (an
+ * atomic; readable from any thread). /metrics exports it as
+ * flex_log_suppressed_total, so dropped diagnostics stay visible.
  */
 std::uint64_t LogSuppressedTotal();
 
@@ -87,38 +86,41 @@ LogEnabled(LogLevel level)
   return level >= GetLogLevel() && GetLogLevel() != LogLevel::kOff;
 }
 
+/** LogMessage's @p sim_time_s for a line with no simulated time. */
+inline constexpr double kNoSimTime = std::numeric_limits<double>::quiet_NaN();
+
 /**
- * Formats and emits one record. Prefer the FLEX_LOG macro, which skips
+ * Formats and emits one record, stamped "t=<sim_time_s>" unless
+ * @p sim_time_s is kNoSimTime. Prefer the FLEX_LOG macros, which skip
  * argument evaluation when the level is filtered out.
  */
 #if defined(__GNUC__) || defined(__clang__)
-__attribute__((format(printf, 3, 4)))
+__attribute__((format(printf, 4, 5)))
 #endif
 void
-LogMessage(LogLevel level, const char* component, const char* format, ...);
+LogMessage(double sim_time_s, LogLevel level, const char* component,
+           const char* format, ...);
 
 /**
- * Per-callsite rate limiter for hot-loop diagnostics, so a storm (e.g.
- * a no-quorum warn per meter interval during an outage) cannot flood a
- * forensic dump. When the registered log clock is available, at most
- * one record per @p min_interval of simulated time passes; without a
- * clock it falls back to passing every @p every_nth call. Suppressed
- * calls are counted, and the next passing record is annotated with the
- * count by FLEX_LOG_RATE_LIMITED.
+ * Rate limiter for hot-loop diagnostics, so a storm (e.g. a no-quorum
+ * warn per meter interval during an outage) cannot flood a forensic
+ * dump. At most one record per @p min_interval_s of simulated time
+ * passes; suppressed calls are counted, and FLEX_LOG_LIMITED annotates
+ * the next passing record with the count. The object that logs owns
+ * its limiter, one per log line.
  *
- * Deterministic: gating depends only on simulated time / call counts,
- * never on wall time, so rate-limited logs replay identically.
+ * Deterministic: gating depends only on the simulated time the caller
+ * passes, never on wall time, so rate-limited logs replay identically.
  */
 class LogRateLimiter {
  public:
-  explicit LogRateLimiter(double min_interval_s = 5.0,
-                          std::uint64_t every_nth = 100)
-      : min_interval_s_(min_interval_s), every_nth_(every_nth)
+  explicit LogRateLimiter(double min_interval_s = 5.0)
+      : min_interval_s_(min_interval_s)
   {
   }
 
-  /** True when this call should emit; false when suppressed. */
-  bool Admit();
+  /** True when a call at simulated time @p now should emit. */
+  bool Admit(Seconds now);
 
   /** Calls suppressed since the last admitted one. */
   std::uint64_t suppressed() const { return suppressed_; }
@@ -128,10 +130,7 @@ class LogRateLimiter {
 
  private:
   double min_interval_s_;
-  std::uint64_t every_nth_;
-  bool has_emitted_ = false;
-  double last_emit_t_ = 0.0;
-  std::uint64_t calls_since_emit_ = 0;
+  double last_emit_t_ = -std::numeric_limits<double>::infinity();
   std::uint64_t suppressed_ = 0;
   std::uint64_t total_suppressed_ = 0;
 };
@@ -139,41 +138,55 @@ class LogRateLimiter {
 }  // namespace flex::obs
 
 /**
- * Emits one structured record:
- *   FLEX_LOG(flex::obs::LogLevel::kInfo, "fault", "armed %d events", n);
- * renders as "[INFO ] t=12.400 fault: armed 3 events".
+ * Emits one structured record with no simulated time, for code that runs
+ * outside any simulation (HTTP and watchdog threads, plan sorting, the
+ * bundle writer):
+ *   FLEX_LOG(flex::obs::LogLevel::kInfo, "http", "serving on %d", port);
+ * renders as "[INFO ] http: serving on 8080".
  */
 #define FLEX_LOG(level, component, ...)                                   \
   do {                                                                    \
     if (::flex::obs::LogEnabled(level))                                   \
-      ::flex::obs::LogMessage((level), (component), __VA_ARGS__);         \
+      ::flex::obs::LogMessage(::flex::obs::kNoSimTime, (level),           \
+                              (component), __VA_ARGS__);                  \
   } while (0)
 
 /**
- * FLEX_LOG with a per-callsite, per-thread rate limiter (one per
- * expansion site per thread). thread_local keeps the limiter race-free
- * when a shared callsite is reached from parallel sweep lanes (e.g. the
- * alert engine logging a firing edge in every lane) while behaving
- * exactly like a plain static in single-threaded runs. The format
- * string gains a " (suppressed N similar)" tail when earlier calls at
- * this site were swallowed:
- *   FLEX_LOG_RATE_LIMITED(kWarn, "telemetry", "no quorum on ups %d", u);
+ * FLEX_LOG stamped with the caller's simulated time @p now (Seconds):
+ *   FLEX_LOG_AT(queue.Now(), kInfo, "fault", "armed %d events", n);
+ * renders as "[INFO ] t=12.400 fault: armed 3 events".
  */
-#define FLEX_LOG_RATE_LIMITED(level, component, format, ...)              \
+#define FLEX_LOG_AT(now, level, component, ...)                           \
+  do {                                                                    \
+    if (::flex::obs::LogEnabled(level))                                   \
+      ::flex::obs::LogMessage((now).value(), (level), (component),        \
+                              __VA_ARGS__);                               \
+  } while (0)
+
+/**
+ * FLEX_LOG_AT gated by @p limiter, a LogRateLimiter the logging object
+ * owns. The limiter runs only when the level is enabled. The format
+ * string gains a " (suppressed N similar)" tail when earlier calls were
+ * swallowed:
+ *   FLEX_LOG_LIMITED(no_quorum_log_, sampled_at, kWarn, "telemetry",
+ *                    "no quorum on ups %d", u);
+ */
+#define FLEX_LOG_LIMITED(limiter, now, level, component, format, ...)     \
   do {                                                                    \
     if (::flex::obs::LogEnabled(level)) {                                 \
-      thread_local ::flex::obs::LogRateLimiter flex_rate_limiter_;        \
-      const std::uint64_t flex_suppressed_ = flex_rate_limiter_.suppressed(); \
-      if (flex_rate_limiter_.Admit()) {                                   \
+      const ::flex::Seconds flex_log_now_ = (now);                        \
+      const std::uint64_t flex_suppressed_ = (limiter).suppressed();      \
+      if ((limiter).Admit(flex_log_now_)) {                               \
         if (flex_suppressed_ > 0)                                         \
-          ::flex::obs::LogMessage((level), (component),                   \
+          ::flex::obs::LogMessage(flex_log_now_.value(), (level),         \
+                                  (component),                            \
                                   format " (suppressed %llu similar)",    \
                                   ##__VA_ARGS__,                          \
                                   static_cast<unsigned long long>(        \
                                       flex_suppressed_));                 \
         else                                                              \
-          ::flex::obs::LogMessage((level), (component), format,           \
-                                  ##__VA_ARGS__);                         \
+          ::flex::obs::LogMessage(flex_log_now_.value(), (level),         \
+                                  (component), format, ##__VA_ARGS__);    \
       }                                                                   \
     }                                                                     \
   } while (0)

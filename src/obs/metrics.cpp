@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "sim/event_queue.hpp"
 
 namespace flex::obs {
 
@@ -200,10 +199,6 @@ MetricsSnapshotBuilder::Build(double sim_time_seconds, MetricsSnapshot* out)
   rows_.clear();
 }
 
-MetricsRegistry::MetricsRegistry(const sim::EventQueue* clock) : clock_(clock)
-{
-}
-
 MetricsRegistry::Metric&
 MetricsRegistry::FindOrCreate(const std::string& name, MetricKind kind,
                               const HistogramConfig* config)
@@ -255,10 +250,10 @@ MetricsRegistry::histogram(const std::string& name, HistogramConfig config)
 }
 
 MetricsSnapshot
-MetricsRegistry::Snapshot() const
+MetricsRegistry::Snapshot(double sim_time_seconds) const
 {
   MetricsSnapshot snapshot;
-  snapshot.sim_time_seconds = clock_ != nullptr ? clock_->Now().value() : 0.0;
+  snapshot.sim_time_seconds = sim_time_seconds;
   snapshot.rows.reserve(metrics_.size());
   for (const auto& [name, metric] : metrics_) {
     MetricRow row;

@@ -4,10 +4,10 @@
  *
  * Counters, gauges, and fixed-bucket latency histograms keyed by
  * hierarchical dot names ("pipeline.publish_lag_s",
- * "controller.enforce_latency_s"). Snapshots are stamped with
- * sim::EventQueue::Now() when a clock is bound, so two runs of the same
- * seed produce bit-identical exports — the property the seed-replay and
- * perf-trajectory tooling (BENCH_*.json) depends on.
+ * "controller.enforce_latency_s"). The caller stamps each snapshot with
+ * its simulated time, so two runs of the same seed produce bit-identical
+ * exports — the property the seed-replay and perf-trajectory tooling
+ * (BENCH_*.json) depends on.
  *
  * Histograms keep only fixed bucket counts plus exact count/sum/min/max,
  * so memory stays O(buckets) no matter how hot the instrumented path is;
@@ -21,10 +21,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-namespace flex::sim {
-class EventQueue;
-}  // namespace flex::sim
 
 namespace flex::obs {
 
@@ -190,12 +186,6 @@ class MetricsSnapshotBuilder {
  */
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(const sim::EventQueue* clock = nullptr);
-
-  /** Binds / replaces the clock used to stamp snapshots. */
-  void SetClock(const sim::EventQueue* clock) { clock_ = clock; }
-  const sim::EventQueue* clock() const { return clock_; }
-
   /** Finds or creates; throws ConfigError on a kind mismatch. */
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
@@ -203,8 +193,12 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name,
                        HistogramConfig config = HistogramConfig::LatencySeconds());
 
-  /** All metrics, sorted by name, stamped with the clock's Now(). */
-  MetricsSnapshot Snapshot() const;
+  /**
+   * All metrics, sorted by name, stamped with the caller's simulated
+   * time @p sim_time_seconds. The default serves only
+   * benchmark/flexbench.cpp, which reads counter values alone.
+   */
+  MetricsSnapshot Snapshot(double sim_time_seconds = 0.0) const;
 
   /** Zeroes every metric but keeps registrations (and cached refs). */
   void Reset();
@@ -222,7 +216,6 @@ class MetricsRegistry {
   Metric& FindOrCreate(const std::string& name, MetricKind kind,
                        const HistogramConfig* config);
 
-  const sim::EventQueue* clock_;
   // std::map keeps snapshot order deterministic and references stable.
   std::map<std::string, Metric> metrics_;
 };

@@ -3,9 +3,8 @@
  * Umbrella handle bundling the metrics registry and reaction tracer.
  *
  * Components take a raw `Observability*` in their config structs (null
- * means "not instrumented" and costs one branch per hook). The harness
- * that owns the event queue binds it once via BindClock so snapshots
- * and log lines carry simulated time.
+ * means "not instrumented" and costs one branch per hook). It holds no
+ * clock: whoever snapshots the registry passes the simulated time.
  */
 #ifndef FLEX_OBS_OBSERVABILITY_HPP_
 #define FLEX_OBS_OBSERVABILITY_HPP_
@@ -14,10 +13,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-
-namespace flex::sim {
-class EventQueue;
-}  // namespace flex::sim
 
 namespace flex::obs {
 
@@ -34,20 +29,6 @@ struct ObservabilityConfig {
 class Observability {
  public:
   explicit Observability(ObservabilityConfig config = {});
-
-  /**
-   * Points the registry (and the logger's t= stamp) at @p queue so
-   * snapshots carry simulated time. Call once the owning harness has
-   * built its queue; safe to rebind.
-   */
-  void BindClock(const sim::EventQueue& queue);
-
-  /**
-   * Clears the registry and logger clocks that still point at @p queue.
-   * A harness calls this before its queue dies, so later snapshots and
-   * log lines never read a destroyed queue.
-   */
-  void UnbindClock(const sim::EventQueue& queue);
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }

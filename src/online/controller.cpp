@@ -157,9 +157,9 @@ FlexController::EvaluateOverdraw(const DeviceReading& reading)
                                         reading.sampled_at,
                                         reading.delivered_at, detected_at);
     }
-    FLEX_LOG(obs::LogLevel::kInfo, "controller",
-             "replica %d detected overdraw on UPS %d", replica_id_,
-             overloaded_ups);
+    FLEX_LOG_AT(detected_at, obs::LogLevel::kInfo, "controller",
+                "replica %d detected overdraw on UPS %d", replica_id_,
+                overloaded_ups);
   }
   if ((detected_at - last_enforce_).value() < kActionCooldown.value())
     return;  // let in-flight actions land and surface in telemetry
@@ -320,8 +320,8 @@ FlexController::ReleaseAll()
     releases_metric_->Increment();
   if (config_.obs != nullptr)
     config_.obs->tracer().OnEpisodeClosed(replica_id_, queue_.Now());
-  FLEX_LOG(obs::LogLevel::kInfo, "controller",
-           "replica %d released all actions", replica_id_);
+  FLEX_LOG_AT(queue_.Now(), obs::LogLevel::kInfo, "controller",
+              "replica %d released all actions", replica_id_);
 }
 
 }  // namespace flex::online

@@ -326,9 +326,9 @@ TelemetryPipeline::PollerTick(int poller, DeviceKind kind)
       // No quorum: data missing for this device this tick.
       if (no_quorum_metric_ != nullptr)
         no_quorum_metric_->Increment();
-      FLEX_LOG_RATE_LIMITED(obs::LogLevel::kWarn, "telemetry",
-                            "meter quorum lost on %s %d",
-                            kind == DeviceKind::kUps ? "ups" : "rack", i);
+      FLEX_LOG_LIMITED(no_quorum_log_, sampled_at, obs::LogLevel::kWarn,
+                       "telemetry", "meter quorum lost on %s %d",
+                       kind == DeviceKind::kUps ? "ups" : "rack", i);
       return;
     }
     batch.readings.push_back({i, reading});

@@ -291,6 +291,7 @@ class TelemetryPipeline {
   obs::Counter* poller_skipped_metric_ = nullptr;
   obs::Histogram* publish_lag_metric_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
+  obs::LogRateLimiter no_quorum_log_;
 };
 
 }  // namespace flex::telemetry

@@ -384,11 +384,6 @@ TEST(RoomEmulationTest, ObsAttachedStoreRepeatsRunToRun)
 {
   // The history store samples the obs registry, which holds simulated-
   // time values only, so an obs-attached room's store repeats bit for bit.
-  // Logging is off for both runs: the rate limiters and the
-  // `log.suppressed_total` tally the store samples are process-wide, so
-  // a warning suppressed in the first run would still count in the second.
-  const obs::LogLevel level = obs::GetLogLevel();
-  obs::SetLogLevel(obs::LogLevel::kOff);
   const auto run = [] {
     obs::Observability observability;
     EmulationConfig config = ShortTimelineConfig(33);
@@ -399,7 +394,6 @@ TEST(RoomEmulationTest, ObsAttachedStoreRepeatsRunToRun)
   };
   const EmulationReport first = run();
   const EmulationReport second = run();
-  obs::SetLogLevel(level);
   EXPECT_GT(first.store_samples, 0u);
   EXPECT_EQ(first.store_samples, second.store_samples);
   EXPECT_EQ(first.store_fingerprint, second.store_fingerprint);

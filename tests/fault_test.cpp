@@ -852,5 +852,27 @@ TEST(FaultForensicsTest, WideSeedBundleReplaysExactly)
       << replay.divergence->Summary();
 }
 
+TEST(FaultForensicsTest, EachEntryPointTagsItsOwnScenario)
+{
+  // A hand-built plan's bundle says "fault-plan", a fuzzed seed's says
+  // "fault-fuzz", so a bundle never claims a source it did not come from.
+  ForensicsOptions options;
+  options.root_dir = ::testing::TempDir() + "fault-forensics-scenario-tag";
+  options.force_dump = true;
+  const auto scenario_of = [](const RecordedRun& run) {
+    obs::BundleManifest manifest;
+    std::string error;
+    EXPECT_FALSE(run.bundle_dir.empty()) << run.dump_error;
+    EXPECT_TRUE(obs::LoadBundleManifest(run.bundle_dir, &manifest, &error))
+        << error;
+    return manifest.scenario;
+  };
+  const emulation::EmulationConfig config = FuzzRoomConfig();
+  EXPECT_EQ(scenario_of(RunRecordedPlan(config, 7, FaultPlan(), options)),
+            "fault-plan");
+  EXPECT_EQ(scenario_of(RunRecordedScenario(config, 7, options)),
+            "fault-fuzz");
+}
+
 }  // namespace
 }  // namespace flex::fault

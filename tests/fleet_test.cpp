@@ -13,14 +13,17 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "emulation/fleet_emulation.hpp"
 #include "emulation/room_emulation.hpp"
 #include "emulation/sweep.hpp"
 #include "obs/http_export.hpp"
+#include "obs/log.hpp"
 #include "power/substation.hpp"
 
 namespace flex::emulation {
@@ -271,6 +274,29 @@ TEST(FleetEmulationTest, LiveHubStallsDoNotChangeTheFleet)
                          std::to_string(k));
     }
   }
+}
+
+TEST(FleetEmulationTest, ControllerLogLinesCarrySimTime)
+{
+  // Fleet rooms run without a registry, yet every controller line a
+  // lane logs carries its room's simulated time.
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  const obs::LogLevel level = obs::GetLogLevel();
+  obs::SetLogLevel(obs::LogLevel::kInfo);
+  obs::SetLogSink([&](obs::LogLevel, const std::string& line) {
+    if (line.find(" controller: ") == std::string::npos)
+      return;
+    const std::lock_guard<std::mutex> lock(mutex);
+    lines.push_back(line);
+  });
+  FleetEmulation(SmallFleet(2, 2)).Run();
+  obs::SetLogSink({});
+  obs::SetLogLevel(level);
+
+  EXPECT_FALSE(lines.empty());
+  for (const std::string& line : lines)
+    EXPECT_NE(line.find("] t="), std::string::npos) << line;
 }
 
 /** The ConfigError message @p build throws, or "" when it does not throw. */

@@ -122,6 +122,32 @@ TEST(AlertEngineTest, ZeroForDurationFiresSameTick)
   EXPECT_EQ(engine.timeline()[0].t, engine.timeline()[1].t);
 }
 
+TEST(AlertEngineTest, EachEngineLogsItsOwnFiringEdge)
+{
+  // Each engine owns its log rate limiters, so a second engine firing
+  // the same rule at the same simulated instant is not swallowed by the
+  // first, and both lines carry the instant.
+  std::vector<std::string> lines;
+  const obs::LogLevel level = obs::GetLogLevel();
+  obs::SetLogLevel(obs::LogLevel::kWarn);
+  obs::SetLogSink([&lines](obs::LogLevel, const std::string& line) {
+    if (line.find("FIRING") != std::string::npos)
+      lines.push_back(line);
+  });
+  for (int i = 0; i < 2; ++i) {
+    TimeSeriesStore store;
+    AlertEngine engine(&store, {ThresholdRule("m", 5.0, 0.0)});
+    store.Append("m", MetricKind::kGauge, 10.0, 8.0);
+    engine.Evaluate(10.0);
+    EXPECT_EQ(engine.firing_count(), 1);
+  }
+  obs::SetLogSink({});
+  obs::SetLogLevel(level);
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& line : lines)
+    EXPECT_NE(line.find("t=10.000 alerts: FIRING"), std::string::npos) << line;
+}
+
 TEST(AlertEngineTest, ThresholdMetricComparesAgainstAnotherSeries)
 {
   AlertRule rule = ThresholdRule("p99", 0.0, 0.0);
@@ -433,41 +459,32 @@ TEST(AlertForensicsTest, DumpOnAlertOffLeavesNoBundle)
 
 TEST(HarnessClockTest, DestroyedHarnessesLeaveNoClockBehind)
 {
+  // Nothing binds a clock: a room's log lines carry the simulated time
+  // its components pass, and a line logged once the room is gone
+  // carries none.
   std::vector<std::string> lines;
+  const obs::LogLevel level = obs::GetLogLevel();
+  obs::SetLogLevel(obs::LogLevel::kInfo);
   obs::SetLogSink([&lines](obs::LogLevel, const std::string& line) {
     lines.push_back(line);
   });
-
-  // A recorded run binds the logger to its stack-local room's queue,
-  // which is gone once the run returns.
   fault::ForensicsOptions options;
   options.root_dir = ::testing::TempDir() + "harness-clock";
   fault::RunRecordedScenario(fault::FuzzRoomConfig(), 7, options);
-  EXPECT_EQ(obs::GetLogClock(), nullptr);
   FLEX_LOG(obs::LogLevel::kWarn, "test", "after the recorded run");
-  ASSERT_FALSE(lines.empty());
-  EXPECT_EQ(lines.back().find(" t="), std::string::npos) << lines.back();
-
-  // A room bound to the caller's Observability must leave neither the
-  // logger nor the caller's registry reading its queue.
-  obs::Observability observability;
-  {
-    emulation::EmulationConfig config;
-    config.setup_duration = Seconds(5.0);
-    config.failover_at = Seconds(10.0);
-    config.restore_at = Seconds(20.0);
-    config.end_at = Seconds(40.0);
-    config.placement_max_nodes = 20;
-    config.obs = &observability;
-    emulation::RoomEmulation room(config);
-    room.Run();
-    EXPECT_NE(obs::GetLogClock(), nullptr);
-    EXPECT_GT(observability.metrics().Snapshot().sim_time_seconds, 0.0);
-  }
-  EXPECT_EQ(obs::GetLogClock(), nullptr);
-  EXPECT_EQ(observability.metrics().Snapshot().sim_time_seconds, 0.0);
-  FLEX_LOG(obs::LogLevel::kWarn, "test", "after the room");
   obs::SetLogSink({});
+  obs::SetLogLevel(level);
+
+  int begins = 0;
+  for (const std::string& line : lines) {
+    if (line.find("fault: begin") == std::string::npos)
+      continue;
+    ++begins;
+    EXPECT_NE(line.find(" t="), std::string::npos) << line;
+  }
+  EXPECT_GT(begins, 0);
+  ASSERT_FALSE(lines.empty());
+  EXPECT_NE(lines.back().find("after the recorded run"), std::string::npos);
   EXPECT_EQ(lines.back().find(" t="), std::string::npos) << lines.back();
 }
 

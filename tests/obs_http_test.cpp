@@ -24,13 +24,14 @@
 
 #include "common/thread_pool.hpp"
 #include "emulation/fleet_emulation.hpp"
+#include "emulation/room_emulation.hpp"
 #include "obs/alerts.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/http_export.hpp"
 #include "obs/http_server.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observability.hpp"
 #include "obs/profiler.hpp"
 #include "solver/branch_and_bound.hpp"
 #include "solver/model.hpp"
@@ -121,9 +122,9 @@ RawRequest(int port, const std::vector<std::string>& chunks,
 /**
  * Validates Prometheus text-exposition grammar on @p text: every
  * non-comment line is `name value` or `name{labels} value` with a
- * finite-or-inf numeric value, and every series name was announced by a
+ * finite-or-inf numeric value, every series name was announced by a
  * preceding # TYPE line (histogram/summary series match their family
- * prefix).
+ * prefix), and no family is announced twice.
  */
 void
 ValidateExposition(const std::string& text)
@@ -143,7 +144,8 @@ ValidateExposition(const std::string& text)
       ASSERT_TRUE(type == "counter" || type == "gauge" ||
                   type == "histogram" || type == "summary")
           << line;
-      type_of[family] = type;
+      ASSERT_TRUE(type_of.emplace(family, type).second)
+          << "family announced twice: " << line;
       continue;
     }
     ASSERT_NE(line.front(), '#') << "unexpected comment: " << line;
@@ -495,27 +497,32 @@ TEST(ProfilerTest, AggregatesPhasesAcrossThreads)
   EXPECT_TRUE(profiler.Snapshot().empty());
 }
 
-TEST(LogMetricsTest, SuppressedCountsSurfaceAsCounter)
+TEST(PrometheusExportTest, InstrumentedRoomAnnouncesEachFamilyOnce)
 {
-  // Swallow output while hammering a rate-limited callsite.
-  SetLogSink([](LogLevel, const std::string&) {});
-  const std::uint64_t before = LogSuppressedTotal();
-  for (int i = 0; i < 250; ++i)
-    FLEX_LOG_RATE_LIMITED(LogLevel::kWarn, "test", "storm %d", i);
-  SetLogSink(LogSink{});
-  EXPECT_GT(LogSuppressedTotal(), before);
+  // An instrumented room publishes its registry through the hub; the
+  // process-wide log suppression tally reaches /metrics as the server's
+  // own line, never as a second copy from the room's registry.
+  LiveHub hub;
+  ObservabilityServer server(hub);
+  Observability observability;
+  emulation::EmulationConfig config;
+  config.setup_duration = Seconds(5.0);
+  config.failover_at = Seconds(10.0);
+  config.restore_at = Seconds(20.0);
+  config.end_at = Seconds(40.0);
+  config.placement_max_nodes = 20;
+  config.obs = &observability;
+  config.alerts.enabled = true;
+  config.live = &hub;
+  emulation::RoomEmulation(config).Run();
 
-  MetricsRegistry registry;
-  UpdateLogMetrics(registry);
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  const MetricRow* row = snapshot.Find("log.suppressed_total");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->kind, MetricKind::kCounter);
-  EXPECT_EQ(row->value, static_cast<double>(LogSuppressedTotal()));
-  // Idempotent: a second fold with no new suppressions adds nothing.
-  UpdateLogMetrics(registry);
-  EXPECT_EQ(registry.counter("log.suppressed_total").value(),
-            static_cast<double>(LogSuppressedTotal()));
+  const std::string text = server.RenderMetrics();
+  ValidateExposition(text);
+  EXPECT_NE(text.find("\nflex_controller_"), std::string::npos);
+  const std::string family = "# TYPE flex_log_suppressed_total counter";
+  const std::size_t at = text.find(family);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(text.find(family, at + 1), std::string::npos);
 }
 
 TEST(LiveSolverStatsTest, SolverPublishesProgressThroughLiveGauges)

@@ -177,15 +177,12 @@ TEST(MetricsRegistryTest, ValidatesMetricNames)
 
 TEST(MetricsRegistryTest, SnapshotIsSortedAndStampedWithSimTime)
 {
-  sim::EventQueue queue;
-  MetricsRegistry registry(&queue);
+  MetricsRegistry registry;
   registry.counter("z.last").Increment(7.0);
   registry.gauge("a.first").Set(1.0);
   registry.histogram("m.middle").Observe(0.25);
-  queue.Schedule(Seconds(12.5), [] {});
-  queue.RunUntil(Seconds(12.5));
 
-  const MetricsSnapshot snapshot = registry.Snapshot();
+  const MetricsSnapshot snapshot = registry.Snapshot(12.5);
   EXPECT_DOUBLE_EQ(snapshot.sim_time_seconds, 12.5);
   ASSERT_EQ(snapshot.rows.size(), 3u);
   EXPECT_EQ(snapshot.rows[0].name, "a.first");
@@ -523,7 +520,6 @@ RunSeededPipeline(std::uint64_t seed)
 {
   sim::EventQueue queue;
   Observability observability;
-  observability.BindClock(queue);
   SteadySource source;
   telemetry::PipelineConfig config;
   config.obs = &observability;
@@ -531,7 +527,7 @@ RunSeededPipeline(std::uint64_t seed)
   pipeline.Subscribe([](const telemetry::ReadingBatch&) {});
   pipeline.Start();
   queue.RunUntil(Minutes(2.0));
-  return SnapshotToJson(observability.metrics().Snapshot());
+  return SnapshotToJson(observability.metrics().Snapshot(queue.Now().value()));
 }
 
 }  // namespace
@@ -566,7 +562,6 @@ class LogTest : public ::testing::Test {
   {
     SetLogSink({});
     SetLogLevel(saved_level_);
-    SetLogClock(nullptr);
   }
 
   LogLevel saved_level_;
@@ -645,59 +640,46 @@ TEST_F(LogTest, FileSinkTeesEveryRecordEvenUnderSinkRedirection)
   std::remove(path.c_str());
 }
 
-TEST_F(LogTest, RateLimiterUsesSimClockWhenRegistered)
+TEST_F(LogTest, RateLimiterGatesOnSimTime)
 {
-  LogRateLimiter limiter(/*min_interval_s=*/5.0, /*every_nth=*/100);
-  sim::EventQueue queue;
-  SetLogClock(&queue);
+  LogRateLimiter limiter(/*min_interval_s=*/5.0);
+  EXPECT_TRUE(limiter.Admit(Seconds(2.0)));  // first call always passes
+  EXPECT_FALSE(limiter.Admit(Seconds(2.0)));  // same instant: suppressed
+  EXPECT_FALSE(limiter.Admit(Seconds(6.999)));  // inside the interval
+  EXPECT_EQ(limiter.suppressed(), 2u);
 
-  EXPECT_TRUE(limiter.Admit());  // first call always passes
-  EXPECT_FALSE(limiter.Admit());  // same instant: suppressed
-  EXPECT_EQ(limiter.suppressed(), 1u);
-
-  queue.Schedule(Seconds(5.0), [] {});
-  queue.RunUntil(Seconds(5.0));
-  EXPECT_TRUE(limiter.Admit());  // interval elapsed, counter reset
+  EXPECT_TRUE(limiter.Admit(Seconds(7.0)));  // interval elapsed, count reset
   EXPECT_EQ(limiter.suppressed(), 0u);
-  EXPECT_EQ(limiter.total_suppressed(), 1u);
-  SetLogClock(nullptr);
-}
-
-TEST_F(LogTest, RateLimiterFallsBackToEveryNthWithoutClock)
-{
-  LogRateLimiter limiter(/*min_interval_s=*/5.0, /*every_nth=*/4);
-  EXPECT_TRUE(limiter.Admit());
-  EXPECT_FALSE(limiter.Admit());
-  EXPECT_FALSE(limiter.Admit());
-  EXPECT_FALSE(limiter.Admit());
-  EXPECT_EQ(limiter.suppressed(), 3u);
-  EXPECT_TRUE(limiter.Admit());  // every 4th call passes
-  EXPECT_EQ(limiter.suppressed(), 0u);
-  EXPECT_EQ(limiter.total_suppressed(), 3u);
+  EXPECT_EQ(limiter.total_suppressed(), 2u);
+  // The interval runs from the last admitted call, not the last call.
+  EXPECT_FALSE(limiter.Admit(Seconds(11.0)));
+  EXPECT_TRUE(limiter.Admit(Seconds(12.0)));
 }
 
 TEST_F(LogTest, RateLimitedMacroAnnotatesSuppressedCount)
 {
   SetLogLevel(LogLevel::kInfo);
-  sim::EventQueue queue;
-  SetLogClock(&queue);
-  // The limiter is per expansion site, so every call must go through
-  // the same macro instance — hence the lambda.
-  auto emit = [](int i) {
-    FLEX_LOG_RATE_LIMITED(LogLevel::kInfo, "limited", "burst %d", i);
-  };
+  LogRateLimiter limiter;
   for (int i = 0; i < 3; ++i)
-    emit(i);
+    FLEX_LOG_LIMITED(limiter, Seconds(1.0), LogLevel::kInfo, "limited",
+                     "burst %d", i);
   ASSERT_EQ(lines_.size(), 1u);  // one instant: only the first passed
-  EXPECT_NE(lines_[0].find("burst 0"), std::string::npos);
+  EXPECT_NE(lines_[0].find("t=1.000 limited: burst 0"), std::string::npos);
 
-  queue.Schedule(Seconds(10.0), [] {});
-  queue.RunUntil(Seconds(10.0));
-  emit(3);
+  FLEX_LOG_LIMITED(limiter, Seconds(10.0), LogLevel::kInfo, "limited",
+                   "burst %d", 3);
   ASSERT_EQ(lines_.size(), 2u);
-  EXPECT_NE(lines_[1].find("burst 3 (suppressed 2 similar)"),
+  EXPECT_NE(lines_[1].find("t=10.000 limited: burst 3 (suppressed 2 similar)"),
             std::string::npos);
-  SetLogClock(nullptr);
+
+  // A second limiter at the same instant is independent of the first.
+  LogRateLimiter other;
+  FLEX_LOG_LIMITED(other, Seconds(10.0), LogLevel::kInfo, "limited", "other");
+  ASSERT_EQ(lines_.size(), 3u);
+
+  // A filtered level never reaches the limiter.
+  FLEX_LOG_LIMITED(limiter, Seconds(10.0), LogLevel::kDebug, "limited", "x");
+  EXPECT_EQ(limiter.suppressed(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -907,17 +889,13 @@ TEST(ForensicsBundleTest, LoadFailsWithoutManifest)
 TEST_F(LogTest, SimClockStampsLines)
 {
   SetLogLevel(LogLevel::kInfo);
-  sim::EventQueue queue;
-  queue.Schedule(Seconds(3.25), [] {});
-  queue.RunUntil(Seconds(3.25));
-  SetLogClock(&queue);
-  FLEX_LOG(LogLevel::kInfo, "clock", "stamped");
+  FLEX_LOG_AT(Seconds(3.25), LogLevel::kInfo, "clock", "stamped");
   ASSERT_EQ(lines_.size(), 1u);
-  EXPECT_NE(lines_[0].find("t=3.250"), std::string::npos);
-  SetLogClock(nullptr);
+  EXPECT_NE(lines_[0].find("t=3.250 clock: stamped"), std::string::npos);
   FLEX_LOG(LogLevel::kInfo, "clock", "bare");
   ASSERT_EQ(lines_.size(), 2u);
   EXPECT_EQ(lines_[1].find("t="), std::string::npos);
+  EXPECT_NE(lines_[1].find("clock: bare"), std::string::npos);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "actuation/rack_manager.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "obs/log.hpp"
 #include "obs/observability.hpp"
 #include "online/controller.hpp"
 #include "online/decision.hpp"
@@ -244,15 +243,6 @@ class ControllerTest : public ::testing::Test {
   {
   }
 
-  // A test that binds obs to queue_ must not leave the process-wide log
-  // clock pointing at it: a later rate-limited log line would read the
-  // freed queue.
-  ~ControllerTest() override
-  {
-    if (obs::GetLogClock() == &queue_)
-      obs::SetLogClock(nullptr);
-  }
-
   static power::RoomConfig
   MakeRoomConfig()
   {
@@ -477,7 +467,6 @@ TEST_F(ControllerTest, FailoverDrillProducesOneCompleteTraceWithinBudget)
   obs::ObservabilityConfig obs_config;
   obs_config.tracer.budget = Seconds(10.0);
   obs::Observability observability(obs_config);
-  observability.BindClock(queue_);
   ControllerConfig config;
   config.obs = &observability;
   auto racks = MakeRacks();
